@@ -320,7 +320,10 @@ def hermitian_form_moment(kind: str, h: float, alphas, ns) -> AverageResult:
     if len(alphas) != len(ns) + 1:
         raise ValueError("need one alpha per form plus the closing alpha")
     a = sum(alphas[:-1]) + sum(ns)
-    base = [(f"alpha_{j + 1} > 0", alphas[j] > 0) for j in range(len(alphas))]
+    base = [
+        (f"alpha_{j + 1} + n_{j + 1} > 0", alphas[j] + ns[j] > 0) for j in range(len(ns))
+    ]
+    base.append(("alpha_{k+1} > 0", alphas[-1] > 0))
     base.append(("sum(alpha_j + n_j) + h > 0", a + h > 0))
     if kind == "type1":
         _require(base, context="type-1 moment does not exist")

@@ -9,6 +9,10 @@ independent W_1..W_{k+1},
     type-1:  X_j = S^{-1/2} W_j S^{-1/2},  S = W_1 + ... + W_{k+1}
     type-2:  X_j = W_{k+1}^{-1/2} W_j W_{k+1}^{-1/2}
 
+At p = 2 the whole chain (matrix gamma, inverse square root, congruence,
+type-1 support check) is written out in closed form on the entries of
+Hermitian 2 x 2 matrices; p >= 3 uses batched eigh.
+
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
 laws with the shifted parameters alpha_j + n_j. Sampler correctness is not
@@ -160,6 +164,8 @@ def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.nda
     """n draws of the p x p complex matrix gamma, as an (n, p, p) stack."""
     if p == 1:
         return rng.gammas(alpha, n).reshape(n, 1, 1).astype(np.complex128)
+    if p == 2:
+        return _pack_2x2(*_matrix_gamma_2x2(rng, alpha, n))
     t = np.zeros((n, p, p), dtype=np.complex128)
     for j in range(p):
         t[:, j, j] = np.sqrt(rng.gammas(alpha - j, n))
@@ -190,6 +196,91 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     return (x + x.conj().transpose(0, 2, 1)) / 2.0
 
 
+# ---------------------------------------------------------------------------
+# closed-form 2 x 2 Hermitian kernels
+#
+# A stack of Hermitian 2 x 2 matrices is held as a struct of arrays (a, d, c):
+# the real diagonal entries a = S[0, 0] and d = S[1, 1] and the complex entry
+# below the diagonal c = S[1, 0], each an array over the draws.
+
+
+def _pack_2x2(a: np.ndarray, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) complex stack of the Hermitian matrices (a, d, c)."""
+    out = np.empty(a.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = a
+    out[..., 1, 1] = d
+    out[..., 1, 0] = c
+    out[..., 0, 1] = np.conj(c)
+    return out
+
+
+def _matrix_gamma_2x2(rng: CounterRng, alpha: float, n: int):
+    """n matrix gamma draws at p = 2 as (a, d, c).
+
+    T T* for T = [[t11, 0], [t21, t22]] has a = t11^2, d = |t21|^2 + t22^2
+    and c = t21 t11. The variates are drawn in the order of the triangular
+    construction at p >= 3: diagonal gammas first, then the normals below.
+    """
+    g11 = rng.gammas(alpha, n)
+    g22 = rng.gammas(alpha - 1, n)
+    t21 = rng.complex_normals(n)
+    return g11, t21.real**2 + t21.imag**2 + g22, t21 * np.sqrt(g11)
+
+
+def _inv_sqrt_2x2(a: np.ndarray, d: np.ndarray, c: np.ndarray):
+    """Hermitian inverse square roots of positive definite (a, d, c).
+
+    With s = sqrt(det S) and t = sqrt(tr S + 2 s), sqrt(S) = (S + s I) / t,
+    so S^{-1/2} = [[d + s, -conj(c)], [-c, a + s]] / (s t). Rows whose
+    smallest eigenvalue lies below EIG_FLOOR_RTOL * lambda_max go through
+    _inv_sqrt_batch, which floors and counts them exactly as at p >= 3.
+    """
+    cc = c.real**2 + c.imag**2
+    det = a * d - cc
+    lmax = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + cc)
+    low = det / lmax < EIG_FLOOR_RTOL * lmax
+    floored = np.flatnonzero(low)
+    if floored.size:
+        det = np.where(low, 1.0, det)  # placeholder; these rows are replaced below
+    s = np.sqrt(det)
+    scale = 1.0 / (s * np.sqrt(a + d + 2.0 * s))
+    ra, rd, rc = (d + s) * scale, (a + s) * scale, -c * scale
+    if floored.size:
+        r = _inv_sqrt_batch(_pack_2x2(a[floored], d[floored], c[floored]))
+        ra[floored] = r[:, 0, 0].real
+        rd[floored] = r[:, 1, 1].real
+        rc[floored] = r[:, 1, 0]
+    return ra, rd, rc
+
+
+def _congruence_2x2(r, w):
+    """R W R for Hermitian (a, d, c) stacks R and W, entry by entry."""
+    ra, rd, rc = r
+    wa, wd, wc = w
+    rc2 = rc.real**2 + rc.imag**2
+    cross = 2.0 * (rc.real * wc.real + rc.imag * wc.imag)  # 2 Re(conj(rc) wc)
+    return (
+        ra * ra * wa + ra * cross + rc2 * wd,
+        rc2 * wa + rd * cross + rd * rd * wd,
+        rc * (ra * wa + rd * wd) + (ra * rd) * wc + rc * rc * np.conj(wc),
+    )
+
+
+def _check_type1_support_2x2(a: np.ndarray, d: np.ndarray, c: np.ndarray) -> None:
+    """Raise unless I - sum X_j is positive semidefinite (to 1e-9) at p = 2.
+
+    a, d, c are the entries of the k components stacked as (k, n) arrays.
+    """
+    ta, td, tc = a.sum(axis=0), d.sum(axis=0), c.sum(axis=0)
+    half_gap = np.sqrt((0.5 * (ta - td)) ** 2 + (tc.real**2 + tc.imag**2))
+    lmin = 1.0 - 0.5 * (ta + td) - half_gap
+    bad = lmin < -1e-9
+    if np.any(bad):
+        raise SamplerError(
+            f"type-1 complement I - sum X_j not positive semidefinite at sample {int(np.argmax(bad))}"
+        )
+
+
 def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> np.ndarray:
     """n draws from the measure as a (k, n, p, p) complex stack.
 
@@ -206,7 +297,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
         g = np.stack([rng.gammas(a, n) for a in shapes])
         g0 = rng.gammas(alphas[-1], n)
         u = g / (g.sum(axis=0) + g0)
-        _check_rect_support(u, type1=True)
+        _check_rect_support(u, g0)
         return u.reshape(k, n, 1, 1).astype(np.complex128)
 
     if spec.kind == "rect_type2_p1":
@@ -214,7 +305,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
         g = np.stack([rng.gammas(a, n) for a in shapes])
         g0 = rng.gammas(alphas[-1], n)
         u = g / g0
-        _check_rect_support(u, type1=False)
+        _check_rect_support(u)
         return u.reshape(k, n, 1, 1).astype(np.complex128)
 
     if p == 1:
@@ -224,6 +315,17 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
         else:
             x = w[:k] / w[-1]
         return x.reshape(k, n, 1, 1).astype(np.complex128)
+
+    if p == 2:
+        w = [_matrix_gamma_2x2(rng, a, n) for a in alphas]
+        if spec.kind == "type1":
+            r = _inv_sqrt_2x2(*(sum(parts) for parts in zip(*w)))
+        else:
+            r = _inv_sqrt_2x2(*w[-1])
+        x = [np.stack(parts) for parts in zip(*(_congruence_2x2(r, wj) for wj in w[:k]))]
+        if spec.kind == "type1":
+            _check_type1_support_2x2(*x)
+        return _pack_2x2(*x)
 
     w = [_matrix_gamma_batch(rng, p, a, n) for a in alphas]
     if spec.kind == "type1":
@@ -241,11 +343,18 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
     return out
 
 
-def _check_rect_support(u: np.ndarray, type1: bool) -> None:
+def _check_rect_support(u: np.ndarray, g0: Optional[np.ndarray] = None) -> None:
+    """Raise unless every form value is positive and, at type-1, the
+    complement 1 - sum(u) = g0 / (G + g0) is positive.
+
+    The complement is checked through g0 because a Gamma(alpha_{k+1} < 1)
+    draw can be too small next to the others for the rounded sum of u to
+    stay below 1, although the draw is inside the support.
+    """
     if np.any(u <= 0):
         raise SamplerError("rectangular sample with non-positive form value")
-    if type1 and np.any(u.sum(axis=0) >= 1):
-        raise SamplerError("rectangular type-1 sample with form values summing past 1")
+    if g0 is not None and np.any(g0 <= 0):
+        raise SamplerError("rectangular type-1 sample with form values summing to 1")
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,21 @@ class VerifyCase:
 # integrands over sample batches
 
 
+def _det(x: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., p, p) stack of Hermitian matrices.
+
+    Written out at p = 1 and p = 2, where they are real; np.linalg.det
+    (complex) at p >= 3. Callers take the absolute value.
+    """
+    p = x.shape[-1]
+    if p == 1:
+        return x[..., 0, 0].real
+    if p == 2:
+        c = x[..., 1, 0]
+        return x[..., 0, 0].real * x[..., 1, 1].real - (c.real**2 + c.imag**2)
+    return np.linalg.det(x)
+
+
 def make_integrand(
     measure: MeasureSpec, functional: FunctionalSpec
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -143,7 +158,7 @@ def make_integrand(
             out = np.ones(batch.shape[1])
             for j, g in enumerate(gammas):
                 if g != 0.0:
-                    out = out * np.abs(np.linalg.det(batch[j])) ** g
+                    out = out * np.abs(_det(batch[j])) ** g
             return out
 
         return det_power
@@ -156,8 +171,8 @@ def make_integrand(
         def complement_power(batch: np.ndarray) -> np.ndarray:
             total = batch.sum(axis=0)
             if type1:
-                return np.abs(np.linalg.det(eye - total)) ** delta
-            return np.abs(np.linalg.det(eye + total)) ** (-delta)
+                return np.abs(_det(eye - total)) ** delta
+            return np.abs(_det(eye + total)) ** (-delta)
 
         return complement_power
 
@@ -177,7 +192,7 @@ def make_integrand(
 
         def phi6(batch: np.ndarray) -> np.ndarray:
             x1 = batch[0]
-            weight = np.abs(np.linalg.det(eye + x1)) ** expo
+            weight = np.abs(_det(eye + x1)) ** expo
             return np.exp(-np.einsum("ab,nba->n", a, x1).real) * weight
 
         return phi6

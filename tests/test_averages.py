@@ -222,6 +222,14 @@ class TestHermitianFormMoment:
         assert "alpha_{k+1} - h > 0" in err.value.violated
         assert "does not exist" in str(err.value)
 
+    def test_negative_alpha_with_positive_shift(self):
+        # alpha_1 + n_1 > 0 is the condition, as in MeasureSpec.validate
+        res = hermitian_form_moment("type1", 1.0, (-0.5, 2.0), (1,))
+        assert res.value == pytest.approx(0.2, rel=1e-12)
+        with pytest.raises(DomainError) as err:
+            hermitian_form_moment("type2", 1.0, (-1.5, 3.0), (1,))
+        assert "alpha_1 + n_1 > 0" in err.value.violated
+
     def test_complementarity_with_det_power(self):
         # p=1 type-1 det power on (alpha_1' + n_1', alpha_2) equals the form
         # moment with the same shifted first parameter.

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mvda.errors import DomainError
+from mvda.errors import DomainError, SamplerError
 from mvda.linalg import HermitianMatrix, is_pd
 from mvda.measures import (
+    EIG_FLOOR_RTOL,
     DirichletSample,
     MeasureSpec,
+    _check_type1_support_2x2,
+    _congruence_2x2,
+    _inv_sqrt_2x2,
+    _inv_sqrt_batch,
     _matrix_gamma_batch,
+    _pack_2x2,
+    floor_event_count,
     sample_batch,
     sample_matrix_gamma,
     sample_rect_p1,
@@ -176,6 +183,71 @@ class TestRectangular:
         s = sample_rect_p1(spec, SeedSpec(5, 2))
         u = s.scalars
         assert len(u) == 2 and all(x > 0 for x in u) and sum(u) < 1
+
+
+def _random_hermitian_2x2(rng, n, lo=0.5, hi=2.0):
+    """n positive definite 2 x 2 matrices with eigenvalues in [lo, hi]."""
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    q, _ = np.linalg.qr(z)
+    w = rng.uniform(lo, hi, size=(n, 1, 2))
+    s = (q * w) @ q.conj().transpose(0, 2, 1)
+    return (s + s.conj().transpose(0, 2, 1)) / 2
+
+
+def _entries(s):
+    return s[:, 0, 0].real, s[:, 1, 1].real, s[:, 1, 0]
+
+
+def _max_rel(x, ref):
+    return np.max(np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2)))
+
+
+class TestClosedForm2x2:
+    def test_matrix_gamma_matches_triangular_product(self):
+        # T T* built from the same stream, in the order the sampler draws it
+        alpha, n = 3.5, 2_000
+        rng = SeedSpec(21).child(0)
+        t = np.zeros((n, 2, 2), dtype=np.complex128)
+        t[:, 0, 0] = np.sqrt(rng.gammas(alpha, n))
+        t[:, 1, 1] = np.sqrt(rng.gammas(alpha - 1, n))
+        t[:, 1, 0] = rng.complex_normals(n)
+        ref = t @ t.conj().transpose(0, 2, 1)
+        w = _matrix_gamma_batch(SeedSpec(21).child(0), 2, alpha, n)
+        assert _max_rel(w, ref) <= 1e-14
+
+    def test_inv_sqrt_matches_eigh(self):
+        s = _random_hermitian_2x2(np.random.default_rng(1), 20_000)
+        r = _pack_2x2(*_inv_sqrt_2x2(*_entries(s)))
+        assert _max_rel(r, _inv_sqrt_batch(s)) <= 1e-12
+
+    def test_congruence_matches_matmul(self):
+        rng = np.random.default_rng(2)
+        r = _random_hermitian_2x2(rng, 20_000)
+        w = _random_hermitian_2x2(rng, 20_000, 0.01, 5.0)
+        x = _pack_2x2(*_congruence_2x2(_entries(r), _entries(w)))
+        assert _max_rel(x, r @ w @ r) <= 1e-12
+
+    def test_floor_events_counted_as_on_eigh_path(self):
+        s = _random_hermitian_2x2(np.random.default_rng(3), 1_000)
+        w, v = np.linalg.eigh(s[:5])
+        w[:, 0] = w[:, 1] * EIG_FLOOR_RTOL * 1e-3  # far below the floor
+        s[:5] = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        before = floor_event_count()
+        ref = _inv_sqrt_batch(s)
+        by_eigh = floor_event_count() - before
+        r = _pack_2x2(*_inv_sqrt_2x2(*_entries(s)))
+        by_closed_form = floor_event_count() - before - by_eigh
+        assert by_eigh == by_closed_form == 5
+        assert _max_rel(r[:5], ref[:5]) <= 1e-12
+        assert _max_rel(r[5:], ref[5:]) <= 1e-12
+
+    def test_type1_support_uses_smallest_eigenvalue(self):
+        # trace 1.6 < p, but I - X has the eigenvalue -0.5
+        x = np.diag([1.5, 0.1]).astype(np.complex128)[None, None]
+        a, d, c = x[..., 0, 0].real, x[..., 1, 1].real, x[..., 1, 0]
+        with pytest.raises(SamplerError):
+            _check_type1_support_2x2(a, d, c)
+        _check_type1_support_2x2(a / 2, d, c)
 
 
 class TestMeasureSpec:

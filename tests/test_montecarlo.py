@@ -15,6 +15,7 @@ from mvda.montecarlo import (
     build_report,
     default_suite,
     dump_suite,
+    _det,
     load_suite,
     mc_estimate,
     mc_estimate_full,
@@ -71,6 +72,18 @@ class TestMcEstimate:
         threaded = mc_estimate(measure, f, cfg, workers=4)
         assert serial == threaded
 
+    def test_p2_report_identical_across_workers(self):
+        c = case(
+            "p2",
+            MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.5, 3.0)),
+            FunctionalSpec(kind="complement_power", delta=1.5),
+            stream=8,
+        )
+        serial = report_emit(verify_suite([c], workers=1), canonical=True)
+        threaded = report_emit(verify_suite([c], workers=2), canonical=True)
+        assert serial == threaded
+        assert json.loads(serial)[0]["verdict"] == "pass"
+
     def test_non_finite_integrand_reports_index(self):
         # enormous determinant powers overflow to inf on type-2 tails
         measure = MeasureSpec(kind="type2", p=1, k=1, alphas=(2.0, 3.0))
@@ -89,6 +102,19 @@ class TestMcEstimate:
             assert n_used == 200_000
         else:
             assert n_used == 20_000
+
+
+class TestDet:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_numpy(self, p):
+        rng = np.random.default_rng(p)
+        z = rng.normal(size=(2, 500, p, p)) + 1j * rng.normal(size=(2, 500, p, p))
+        h = z @ z.conj().swapaxes(-1, -2)
+        assert np.allclose(_det(h), np.linalg.det(h), rtol=1e-12, atol=0)
+        # indefinite Hermitian stacks, as in the complement integrands
+        shifted = np.eye(p) - h
+        ref = np.abs(np.linalg.det(shifted))
+        assert np.allclose(np.abs(_det(shifted)), ref, rtol=1e-10, atol=0)
 
 
 class TestComparator:
@@ -130,6 +156,22 @@ class TestVerifySuite:
         assert reports[1].diagnostics["violated_conditions"]
         assert reports[2].verdict == "pass"
         assert not all_passed(reports)
+
+    def test_rect_type1_tiny_closing_gamma(self):
+        # alpha_{k+1} = 0.2 puts some form-value sums at exactly 1 in double
+        # precision; the draws are inside the support and the moment matches.
+        m = MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(0.6, 0.2), ns=(1,))
+        f = FunctionalSpec(kind="hermitian_form_moment", h=1.0)
+        r = verify_suite([case("rect", m, f, n=100_000, chunk=25_000)])[0]
+        assert r.verdict == "pass", r.diagnostics
+
+    def test_form_moment_with_negative_alpha(self):
+        # alpha_1 + n_1 = 0.5 > 0: the measure and the moment exist
+        m = MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(-0.5, 2.0), ns=(1,))
+        f = FunctionalSpec(kind="hermitian_form_moment", h=1.0)
+        r = verify_suite([case("neg", m, f, n=100_000)])[0]
+        assert r.verdict == "pass", r.diagnostics
+        assert r.closed_form == pytest.approx(0.2, rel=1e-12)
 
     def test_duplicate_ids_rejected(self):
         f = FunctionalSpec(kind="det_power", gammas=(1.0,))
