@@ -18,9 +18,13 @@ from scipy.special import gammaln
 from .errors import DomainError
 from .linalg import HermitianMatrix, is_pd, logdet_abs
 from .measures import MeasureSpec
-from .special import DEFAULT_TRUNCATION, TruncationPolicy, hyp1f1_matrix
-
-LOG_PI = math.log(math.pi)
+from .special import (
+    DEFAULT_TRUNCATION,
+    LOG_PI,
+    TruncationPolicy,
+    gamma_p_ln,
+    hyp1f1_matrix,
+)
 
 FUNCTIONALS = (
     "det_power",
@@ -29,11 +33,6 @@ FUNCTIONALS = (
     "phi6",
     "hermitian_form_moment",
 )
-
-
-def _lgp(p: int, a: float) -> float:
-    """log matrix gamma, assuming a > p - 1 was already checked."""
-    return 0.5 * p * (p - 1) * LOG_PI + float(sum(gammaln(a - j) for j in range(p)))
 
 
 def _require(conditions: list[tuple[str, bool]], context: str) -> None:
@@ -100,10 +99,10 @@ def normalizer_ln(measure: MeasureSpec) -> float:
     measure.validate()
     p, alphas = measure.p, measure.alphas
     if not measure.rectangular:
-        return _lgp(p, sum(alphas)) - sum(_lgp(p, a) for a in alphas)
-    total = _lgp(p, sum(alphas) + sum(measure.ns)) - _lgp(p, alphas[-1])
+        return gamma_p_ln(p, sum(alphas)) - sum(gamma_p_ln(p, a) for a in alphas)
+    total = gamma_p_ln(p, sum(alphas) + sum(measure.ns)) - gamma_p_ln(p, alphas[-1])
     for j, n in enumerate(measure.ns):
-        total += _lgp(p, n) - n * p * LOG_PI - _lgp(p, alphas[j] + n)
+        total += gamma_p_ln(p, n) - n * p * LOG_PI - gamma_p_ln(p, alphas[j] + n)
         if measure.Bs is not None:
             b = measure.Bs[j]
             if not is_pd(b):
@@ -144,8 +143,10 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
             ],
             context="type-1 moment does not exist",
         )
-        total = sum(_lgp(p, alphas[j] + gammas[j]) - _lgp(p, alphas[j]) for j in range(k))
-        total += _lgp(p, sum(alphas)) - _lgp(p, sum(alphas) + gsum)
+        total = sum(
+            gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
+        )
+        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + gsum)
         return _ok(total)
 
     if measure.kind == "type2":
@@ -160,8 +161,10 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
             + [("alpha_{k+1} - sum(gamma) > p - 1", alphas[-1] - gsum > p - 1)],
             context="type-2 moment does not exist",
         )
-        total = sum(_lgp(p, alphas[j] + gammas[j]) - _lgp(p, alphas[j]) for j in range(k))
-        total += _lgp(p, alphas[-1] - gsum) - _lgp(p, alphas[-1])
+        total = sum(
+            gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
+        )
+        total += gamma_p_ln(p, alphas[-1] - gsum) - gamma_p_ln(p, alphas[-1])
         return _ok(total)
 
     if measure.kind == "rect_type2_p1":
@@ -206,8 +209,8 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
             [("alpha_{k+1} + delta > p - 1", alphas[-1] + delta > p - 1)],
             context="type-1 moment does not exist",
         )
-        total = _lgp(p, alphas[-1] + delta) - _lgp(p, alphas[-1])
-        total += _lgp(p, sum(alphas)) - _lgp(p, sum(alphas) + delta)
+        total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
+        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
         return _ok(total)
 
     if measure.kind == "type2":
@@ -215,8 +218,8 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
             [("alpha_{k+1} + delta > p - 1", alphas[-1] + delta > p - 1)],
             context="type-2 moment does not exist",
         )
-        total = _lgp(p, alphas[-1] + delta) - _lgp(p, alphas[-1])
-        total += _lgp(p, sum(alphas)) - _lgp(p, sum(alphas) + delta)
+        total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
+        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
         return _ok(total)
 
     if measure.kind == "rect_type2_p1":
@@ -296,7 +299,7 @@ def phi6_average(p: int, alphas, a_matrix: HermitianMatrix) -> AverageResult:
         + [("A positive definite", is_pd(a_matrix))],
         context="weighted exponential average undefined",
     )
-    total = _lgp(p, alphas[0] + alphas[2]) - _lgp(p, alphas[2])
+    total = gamma_p_ln(p, alphas[0] + alphas[2]) - gamma_p_ln(p, alphas[2])
     total -= alphas[0] * logdet_abs(a_matrix)
     return _ok(total)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -350,7 +350,7 @@ def verify_case(case: VerifyCase, abs_floor: float = DEFAULT_ABS_FLOOR, workers:
             diagnostics=detail,
         )
     runtime_ms = int((time.perf_counter() - t0) * 1000)
-    return build_report(
+    report = build_report(
         case.case_id,
         estimate,
         se,
@@ -360,6 +360,12 @@ def verify_case(case: VerifyCase, abs_floor: float = DEFAULT_ABS_FLOOR, workers:
         runtime_ms=runtime_ms,
         diagnostics=diagnostics,
     )
+    series = closed.diagnostics or {}
+    if series.get("converged") is False:
+        # a truncated series is not the closed form, whatever the estimate says
+        reason = f"closed-form series did not converge by order {series['order_reached']}"
+        return replace(report, verdict="fail", diagnostics={**diagnostics, "reason": reason})
+    return report
 
 
 def verify_suite(

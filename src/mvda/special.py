@@ -85,7 +85,6 @@ def partitions_of(m: int, max_len: int) -> list[Partition]:
     return [Partition(p) for p in _partitions_tuple(m, max_len, m)]
 
 
-@lru_cache(maxsize=None)
 def syt_count(parts: tuple[int, ...]) -> int:
     """Number of standard Young tableaux of the given shape (hook lengths).
 
@@ -154,6 +153,15 @@ def gamma_p_ln(p: int, alpha: complex) -> complex | float:
     return head + float(sum(gammaln(a - j) for j in range(p)))
 
 
+def _pochhammer_table(a: complex, rows: int, order: int) -> np.ndarray:
+    """t[j, r] = prod_{i<r} (a - j + i), so [a]_kappa is the product of
+    t[j, kappa_j] over the rows j of kappa."""
+    t = np.ones((rows, order + 1), dtype=np.result_type(a, float))
+    base = a - np.arange(rows)[:, None] + np.arange(order)
+    np.cumprod(base, axis=1, out=t[:, 1:])
+    return t
+
+
 def pochhammer_gen(a: complex, kappa) -> complex | float:
     """Generalized Pochhammer symbol: product over rows j of (a - j + 1)
     rising to the j-th part.
@@ -162,12 +170,8 @@ def pochhammer_gen(a: complex, kappa) -> complex | float:
     zeros instead of gamma-ratio NaNs.
     """
     parts = _as_parts(kappa)
-    out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
-    for j, mj in enumerate(parts, start=1):
-        base = a - j + 1
-        for i in range(mj):
-            out *= base + i
-    return out
+    t = _pochhammer_table(a, len(parts), max(parts, default=0))
+    return t[np.arange(len(parts)), np.array(parts, dtype=int)].prod().item()
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +179,49 @@ def pochhammer_gen(a: complex, kappa) -> complex | float:
 
 
 def _h_table(lambdas: np.ndarray, degree: int) -> np.ndarray:
-    """Complete homogeneous symmetric polynomials h_0..h_degree at lambdas.
+    """Complete homogeneous symmetric polynomials h_0..h_degree at lambdas,
+    followed by one zero that index -1 reads for every negative degree.
 
     Newton's identities from power sums: k h_k = sum_{i<=k} p_i h_{k-i}.
     """
-    h = np.zeros(degree + 1)
+    h = np.zeros(degree + 2)
     h[0] = 1.0
-    if degree == 0:
-        return h
-    pows = np.array([np.sum(lambdas**r) for r in range(1, degree + 1)])
+    pows = np.power.outer(lambdas, np.arange(1, degree + 1)).sum(axis=0)
     for k in range(1, degree + 1):
         h[k] = np.dot(pows[:k][::-1], h[:k]) / k
     return h
 
 
-def _schur_from_h(parts: tuple[int, ...], h: np.ndarray) -> float:
-    ell = len(parts)
-    if ell == 0:
-        return 1.0
+def _schur_block(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Schur values of an (N, ell) stack of partitions of length ell >= 1.
+
+    Row n's Jacobi-Trudi matrix is h[parts[n, i] - i + j]; all N
+    determinants are taken in one batched call.
+    """
+    ell = parts.shape[1]
     if ell == 1:
-        return float(h[parts[0]])
-    jt = np.zeros((ell, ell))
-    for i in range(ell):
-        for j in range(ell):
-            d = parts[i] - (i + 1) + (j + 1)
-            if 0 <= d < len(h):
-                jt[i, j] = h[d]
-    return float(np.linalg.det(jt))
+        return h[parts[:, 0]]
+    shift = np.arange(ell)
+    idx = parts[:, :, None].astype(np.intp) - shift[:, None] + shift
+    return np.linalg.det(h[np.maximum(idx, -1)])
+
+
+@lru_cache(maxsize=None)
+def _weight_blocks(m: int, max_len: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Partitions of weight m >= 1 with at most max_len parts, by length.
+
+    Entry ell - 1 is (parts, syt): an (N, ell) small-int array of the
+    partitions of length ell, lexicographically decreasing, and their
+    standard-Young-tableaux counts as floats.
+    """
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(min(m, max_len))]
+    for parts in _partitions_tuple(m, max_len, m):
+        groups[len(parts) - 1].append(parts)
+    dtype = np.min_scalar_type(m)
+    return tuple(
+        (np.array(g, dtype=dtype), np.array([float(syt_count(k)) for k in g]))
+        for g in groups
+    )
 
 
 def schur_eval(kappa, lambdas: Sequence[float]) -> float:
@@ -218,7 +238,7 @@ def schur_eval(kappa, lambdas: Sequence[float]) -> float:
     if len(parts) == 0:
         return 1.0
     h = _h_table(lam, parts[0] + len(parts) - 1)
-    return _schur_from_h(parts, h)
+    return float(_schur_block(np.array([parts]), h)[0])
 
 
 def zonal_from_eigs(kappa, lambdas: Sequence[float]) -> float:
@@ -273,6 +293,17 @@ class Hyp1F1Result:
     converged: bool
 
 
+def _first_pole(blocks, den_t: np.ndarray) -> tuple[int, ...]:
+    """The first partition of one weight, in enumeration order (which is
+    lexicographically decreasing), whose denominator symbol vanishes."""
+    return max(
+        tuple(int(v) for v in kappa)
+        for parts, _ in blocks
+        for kappa in parts
+        if den_t[np.arange(len(kappa)), kappa].prod() == 0
+    )
+
+
 def hyp1f1_matrix(
     a: complex,
     c: complex,
@@ -286,14 +317,37 @@ def hyp1f1_matrix(
     may be passed directly or as a sequence of eigenvalues. A vanishing
     denominator symbol [c]_M raises PochhammerPole; failing to meet the
     early-stop rule is reported via converged=False, not an error.
+
+    When no eigenvalue is positive and one is negative, the Kummer relation
+    1F1(a; c; X) = etr(X) 1F1(c - a; c; -X) (Herz 1955) is summed instead:
+    the series at X alternates and loses digits while still meeting the
+    stopping rule. Mixed-sign spectra are summed as given.
     """
     if isinstance(x, HermitianMatrix):
         lam = eigvals_hermitian(x)
     else:
         lam = np.asarray(x, dtype=np.float64)
-    p = lam.size
+    if lam.size and lam.max() <= 0.0 and lam.min() < 0.0:
+        res = _hyp1f1_series(c - a, c, -lam, policy)
+        scale = math.exp(float(lam.sum()))
+        return Hyp1F1Result(
+            value=scale * res.value,
+            order_reached=res.order_reached,
+            last_increment=scale * res.last_increment,
+            converged=res.converged,
+        )
+    return _hyp1f1_series(a, c, lam, policy)
 
+
+def _hyp1f1_series(
+    a: complex, c: complex, lam: np.ndarray, policy: TruncationPolicy
+) -> Hyp1F1Result:
+    """The zonal series of hyp1f1_matrix, one batched step per weight m."""
+    p = lam.size
     h = _h_table(lam, policy.max_order + p)
+    num_t = _pochhammer_table(a, p, policy.max_order)
+    den_t = _pochhammer_table(c, p, policy.max_order)
+    rows = np.arange(p)
     total = 1.0 + 0.0j  # m = 0 term
     inv_mfact = 1.0
     streak = 0
@@ -302,19 +356,22 @@ def hyp1f1_matrix(
     converged = False
     for m in range(1, policy.max_order + 1):
         inv_mfact /= m
-        term = 0.0 + 0.0j
-        for parts in _partitions_tuple(m, p, m):
-            den = pochhammer_gen(complex(c), parts)
-            if den == 0:
+        blocks = _weight_blocks(m, p)
+        term = 0.0
+        for parts, syt in blocks:
+            part_rows = rows[: parts.shape[1]]
+            den = den_t[part_rows, parts].prod(axis=1)
+            if not den.all():
                 raise PochhammerPole(
-                    f"denominator symbol vanishes at partition {parts} for c = {c!r}"
+                    f"denominator symbol vanishes at partition {_first_pole(blocks, den_t)}"
+                    f" for c = {c!r}"
                 )
-            num = pochhammer_gen(complex(a), parts)
-            term += (num / den) * (syt_count(parts) * _schur_from_h(parts, h))
+            num = num_t[part_rows, parts].prod(axis=1)
+            term += np.dot(num / den, syt * _schur_block(parts, h))
         term *= inv_mfact
         total += term
         order_reached = m
-        last_inc = abs(term)
+        last_inc = float(abs(term))
         if last_inc < policy.rel_stop * abs(total):
             streak += 1
             if streak >= policy.consecutive_orders:
@@ -323,6 +380,7 @@ def hyp1f1_matrix(
         else:
             streak = 0
 
+    total = complex(total)
     value = total.real if abs(total.imag) <= 1e-12 * max(1.0, abs(total.real)) else total
     return Hyp1F1Result(
         value=value,

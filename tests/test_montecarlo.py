@@ -5,6 +5,7 @@ import pytest
 
 from mvda.averages import FunctionalSpec
 from mvda.errors import NonFiniteIntegrand
+from mvda.linalg import HermitianMatrix
 from mvda.measures import MeasureSpec
 from mvda.montecarlo import (
     CSV_HEADER,
@@ -24,6 +25,7 @@ from mvda.montecarlo import (
     verify_suite,
 )
 from mvda.rng import SeedSpec
+from mvda.special import TruncationPolicy
 
 
 def scalar_type1(k=2, alphas=(1.0, 1.0, 1.0)):
@@ -172,6 +174,22 @@ class TestVerifySuite:
         r = verify_suite([case("neg", m, f, n=100_000)])[0]
         assert r.verdict == "pass", r.diagnostics
         assert r.closed_form == pytest.approx(0.2, rel=1e-12)
+
+    def test_truncated_closed_form_fails(self):
+        # At A = 0.01 the order-2 truncation error (~2e-8) is far inside the
+        # 4 SE tolerance, so only the unconverged series can fail the case.
+        m = MeasureSpec(kind="type1", p=1, k=2, alphas=(1.0, 1.0, 1.0))
+        a = HermitianMatrix([[0.01]])
+        short = TruncationPolicy(max_order=2)
+        full, cut = verify_suite([
+            case("full", m, FunctionalSpec(kind="exp_trace", A=a)),
+            case("cut", m, FunctionalSpec(kind="exp_trace", A=a, policy=short)),
+        ])
+        assert full.verdict == "pass"
+        assert "reason" not in full.diagnostics
+        assert cut.verdict == "fail"
+        assert cut.abs_diff <= cut.tolerance
+        assert cut.diagnostics["reason"] == "closed-form series did not converge by order 2"
 
     def test_duplicate_ids_rejected(self):
         f = FunctionalSpec(kind="det_power", gammas=(1.0,))

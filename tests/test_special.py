@@ -68,6 +68,75 @@ def ssyt_sum(shape, variables):
     return total
 
 
+def reference_hyp1f1(a, c, lam, policy):
+    """Per-partition zonal series, one Jacobi-Trudi determinant at a time.
+
+    The oracle for the batched series in mvda.special: the same partitions
+    and stopping rule, with Pochhammer symbols, SYT counts and Schur values
+    taken partition by partition.
+    """
+    lam = np.asarray(lam, dtype=float)
+    p = lam.size
+    degree = policy.max_order + p
+    pows = [float(np.sum(lam**r)) for r in range(1, degree + 1)]
+    h = [1.0]
+    for k in range(1, degree + 1):
+        h.append(sum(pows[i] * h[k - 1 - i] for i in range(k)) / k)
+
+    def schur(parts):
+        ell = len(parts)
+        jt = np.zeros((ell, ell))
+        for i in range(ell):
+            for j in range(ell):
+                d = parts[i] - i + j
+                if d >= 0:
+                    jt[i, j] = h[d]
+        return float(np.linalg.det(jt))
+
+    total, inv_mfact, streak, last_inc = 1.0 + 0.0j, 1.0, 0, 0.0
+    order_reached, converged = 0, False
+    for m in range(1, policy.max_order + 1):
+        inv_mfact /= m
+        term = 0.0 + 0.0j
+        for kappa in partitions_of(m, p):
+            ratio = pochhammer_gen(complex(a), kappa) / pochhammer_gen(complex(c), kappa)
+            term += ratio * (syt_count(kappa.parts) * schur(kappa.parts))
+        term *= inv_mfact
+        total += term
+        order_reached, last_inc = m, abs(term)
+        if last_inc < policy.rel_stop * abs(total):
+            streak += 1
+            if streak >= policy.consecutive_orders:
+                converged = True
+                break
+        else:
+            streak = 0
+    return total.real, order_reached, converged
+
+
+def bialternant(parts, x):
+    """Schur polynomial as det[x_i^(kappa_j + n - j)] / det[x_i^(n - j)]."""
+    n = len(x)
+    kappa = list(parts) + [0] * (n - len(parts))
+    num = np.array([[xi ** (kappa[j] + n - 1 - j) for j in range(n)] for xi in x])
+    den = np.array([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
+    return np.linalg.det(num) / np.linalg.det(den)
+
+
+def gross_richards(a, c, eigs):
+    """1F1(a; c; X) from distinct eigenvalues via det[x_r^(p-j) 1F1(a-j+1; c-j+1; x_r)]
+    over the Vandermonde product (Gross and Richards 1989), in mpmath."""
+    p = len(eigs)
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(float(e)) for e in eigs]
+        vandermonde = mpmath.fprod(x[r] - x[s] for r in range(p) for s in range(r + 1, p))
+        rows = [
+            [x[r] ** (p - j) * mpmath.hyp1f1(a - j + 1, c - j + 1, x[r]) for j in range(1, p + 1)]
+            for r in range(p)
+        ]
+        return float(mpmath.det(mpmath.matrix(rows)) / vandermonde)
+
+
 class TestPartition:
     def test_strips_zeros(self):
         assert Partition((3, 1, 0, 0)).parts == (3, 1)
@@ -211,6 +280,16 @@ class TestSchur:
     def test_more_parts_than_variables_is_zero(self):
         assert schur_eval((1, 1, 1), [1.0, 2.0]) == 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_against_bialternant(self, n):
+        rng = np.random.default_rng(59 + n)
+        x = np.sort(rng.uniform(0.2, 2.0, size=n))
+        assert np.min(np.diff(x)) > 0
+        for m in range(1, 7):
+            for kappa in partitions_of(m, n):
+                want = bialternant(kappa.parts, x)
+                assert schur_eval(kappa, x) == pytest.approx(want, rel=1e-9)
+
     def test_coincident_eigenvalues(self):
         # Jacobi-Trudi stays finite where the bialternant is 0/0.
         assert schur_eval((2, 1), [1.0, 1.0, 1.0]) == pytest.approx(
@@ -299,6 +378,43 @@ class TestHyp1F1:
     def test_pochhammer_pole(self):
         with pytest.raises(PochhammerPole):
             hyp1f1_matrix(1.0, 0.0, HermitianMatrix([[0.5]]))
+
+    def test_pole_names_first_vanishing_partition(self):
+        # [1]_kappa = 0 first at kappa = (1, 1): its second row starts at 1 - 1
+        with pytest.raises(PochhammerPole, match=r"partition \(1, 1\)"):
+            hyp1f1_matrix(0.5, 1.0, [0.3, 0.2])
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_batched_series_matches_per_partition_loop(self, p):
+        rng = np.random.default_rng(61 + p)
+        for max_order in (25, 40):
+            policy = TruncationPolicy(max_order=max_order)
+            for _ in range(3):
+                lam = rng.uniform(0.05, 2.5, size=p)
+                a = float(rng.uniform(p - 0.8, p + 3.0))
+                c = a + float(rng.uniform(0.3, 4.0))
+                res = hyp1f1_matrix(a, c, lam, policy)
+                value, order, converged = reference_hyp1f1(a, c, lam, policy)
+                assert res.value == pytest.approx(value, rel=1e-12)
+                assert (res.order_reached, res.converged) == (order, converged)
+
+    def test_kummer_on_non_positive_spectra_against_mpmath(self):
+        # Every point converges by order 150, so none is skipped. At x = -30
+        # the alternating series met the stopping rule while 4e-4 off.
+        a, c = 1.5, 3.2
+        policy = TruncationPolicy(max_order=150)
+        for x in np.linspace(-60.0, 60.0, 49):
+            res = hyp1f1_matrix(a, c, [x], policy)
+            assert res.converged, x
+            with mpmath.workdps(40):
+                want = float(mpmath.hyp1f1(a, c, x))
+            assert res.value == pytest.approx(want, rel=1e-10), x
+
+    def test_kummer_on_negative_definite_matrix(self):
+        eigs = [-0.4, -1.1, -2.3]
+        res = hyp1f1_matrix(3.5, 6.0, eigs, WIDE_SERIES)
+        assert res.converged
+        assert res.value == pytest.approx(gross_richards(3.5, 6.0, eigs), rel=1e-10)
 
     def test_truncation_flag(self):
         res = hyp1f1_matrix(1.0, 3.0, HermitianMatrix([[4.0]]), TruncationPolicy(max_order=2))
