@@ -5,14 +5,18 @@ log-gammas, so constants that overflow double precision in linear form
 stay representable. Existence conditions are checked eagerly and reported
 by name through DomainError; a nonexistent moment is a first-class
 outcome, never a NaN.
+
+Each functional is one entry of FUNCTIONALS: its parameter names, its
+closed form, and its integrand for the Monte Carlo harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Optional
 
+import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
@@ -26,13 +30,8 @@ from .special import (
     hyp1f1_matrix,
 )
 
-FUNCTIONALS = (
-    "det_power",
-    "complement_power",
-    "exp_trace",
-    "phi6",
-    "hermitian_form_moment",
-)
+# the functional evaluated draw by draw on a (k, n, p, p) batch
+Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 def _require(conditions: list[tuple[str, bool]], context: str) -> None:
@@ -117,6 +116,21 @@ def normalizer_ln(measure: MeasureSpec) -> float:
 # determinant power averages (phi 1, 4, 7)
 
 
+def _det(x: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., p, p) stack of Hermitian matrices.
+
+    Written out at p = 1 and p = 2, where they are real; np.linalg.det
+    (complex) at p >= 3. Callers take the absolute value.
+    """
+    p = x.shape[-1]
+    if p == 1:
+        return x[..., 0, 0].real
+    if p == 2:
+        c = x[..., 1, 0]
+        return x[..., 0, 0].real * x[..., 1, 1].real - (c.real**2 + c.imag**2)
+    return np.linalg.det(x)
+
+
 def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
     """E of the product of |det X_j| powers under the measure.
 
@@ -132,39 +146,24 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
     p, k, alphas = measure.p, measure.k, measure.alphas
     gsum = sum(gammas)
 
-    if measure.kind == "type1":
-        _require(
-            [
-                (
-                    f"alpha_{j + 1} + gamma_{j + 1} > p - 1",
-                    alphas[j] + gammas[j] > p - 1,
-                )
-                for j in range(k)
-            ],
-            context="type-1 moment does not exist",
-        )
+    if measure.kind in ("type1", "type2"):
+        conditions = [
+            (
+                f"alpha_{j + 1} + gamma_{j + 1} > p - 1",
+                alphas[j] + gammas[j] > p - 1,
+            )
+            for j in range(k)
+        ]
+        if measure.kind == "type2":
+            conditions.append(("alpha_{k+1} - sum(gamma) > p - 1", alphas[-1] - gsum > p - 1))
+        _require(conditions, context=f"type-{measure.kind[-1]} moment does not exist")
         total = sum(
             gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
         )
-        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + gsum)
-        return _ok(total)
-
-    if measure.kind == "type2":
-        _require(
-            [
-                (
-                    f"alpha_{j + 1} + gamma_{j + 1} > p - 1",
-                    alphas[j] + gammas[j] > p - 1,
-                )
-                for j in range(k)
-            ]
-            + [("alpha_{k+1} - sum(gamma) > p - 1", alphas[-1] - gsum > p - 1)],
-            context="type-2 moment does not exist",
-        )
-        total = sum(
-            gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
-        )
-        total += gamma_p_ln(p, alphas[-1] - gsum) - gamma_p_ln(p, alphas[-1])
+        if measure.kind == "type1":
+            total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + gsum)
+        else:
+            total += gamma_p_ln(p, alphas[-1] - gsum) - gamma_p_ln(p, alphas[-1])
         return _ok(total)
 
     if measure.kind == "rect_type2_p1":
@@ -189,6 +188,19 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
     raise ValueError(f"determinant power average not defined for {measure.kind!r}")
 
 
+def _det_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
+    gammas = functional.gammas
+
+    def det_power(batch: np.ndarray) -> np.ndarray:
+        out = np.ones(batch.shape[1])
+        for j, g in enumerate(gammas):
+            if g != 0.0:
+                out = out * np.abs(_det(batch[j])) ** g
+        return out
+
+    return det_power
+
+
 # ---------------------------------------------------------------------------
 # complement power averages (phi 2, 5, 8)
 
@@ -204,19 +216,10 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
     delta = float(delta)
     p, alphas = measure.p, measure.alphas
 
-    if measure.kind == "type1":
+    if measure.kind in ("type1", "type2"):
         _require(
             [("alpha_{k+1} + delta > p - 1", alphas[-1] + delta > p - 1)],
-            context="type-1 moment does not exist",
-        )
-        total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
-        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
-        return _ok(total)
-
-    if measure.kind == "type2":
-        _require(
-            [("alpha_{k+1} + delta > p - 1", alphas[-1] + delta > p - 1)],
-            context="type-2 moment does not exist",
+            context=f"type-{measure.kind[-1]} moment does not exist",
         )
         total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
         total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
@@ -235,34 +238,45 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
     raise ValueError(f"complement power average not defined for {measure.kind!r}")
 
 
+def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
+    delta = functional.delta
+    eye = np.eye(measure.p, dtype=np.complex128)
+    type1 = measure.kind == "type1"
+
+    def complement_power(batch: np.ndarray) -> np.ndarray:
+        total = batch.sum(axis=0)
+        if type1:
+            return np.abs(_det(eye - total)) ** delta
+        return np.abs(_det(eye + total)) ** (-delta)
+
+    return complement_power
+
+
 # ---------------------------------------------------------------------------
 # exponential trace average (phi 3)
 
 
 def exp_trace_average(
-    p: int,
-    alphas,
-    a_matrix: HermitianMatrix | None = None,
+    measure: MeasureSpec,
+    A: HermitianMatrix | None = None,
     policy: TruncationPolicy = DEFAULT_TRUNCATION,
 ) -> AverageResult:
     """E[exp(tr(A X_1))] under the k = 2 type-1 measure.
 
     Equals the confluent hypergeometric function of matrix argument with
     numerator alpha_1 and denominator alpha_1 + alpha_2 + alpha_3; the
-    identity parameter matrix recovers the plain exp-trace functional.
+    identity parameter matrix, the default, recovers the plain exp-trace
+    functional.
     """
-    alphas = tuple(float(a) for a in alphas)
-    if len(alphas) != 3:
-        raise ValueError("exp-trace average is defined for k = 2 (three parameters)")
-    _require(
-        [(f"alpha_{j + 1} > p - 1", alphas[j] > p - 1) for j in range(3)],
-        context="exp-trace average undefined",
-    )
-    if a_matrix is None:
-        a_matrix = HermitianMatrix.identity(p)
-    if a_matrix.dim != p:
+    measure.validate()
+    if measure.kind != "type1" or measure.k != 2:
+        raise ValueError("exp-trace average requires the k = 2 type-1 measure")
+    p, alphas = measure.p, measure.alphas
+    if A is None:
+        A = HermitianMatrix.identity(p)
+    if A.dim != p:
         raise ValueError(f"parameter matrix must be {p}x{p}")
-    res = hyp1f1_matrix(alphas[0], sum(alphas), a_matrix, policy)
+    res = hyp1f1_matrix(alphas[0], sum(alphas), A, policy)
     diagnostics = {
         "order_reached": res.order_reached,
         "last_increment": res.last_increment,
@@ -278,63 +292,80 @@ def exp_trace_average(
     )
 
 
+def _exp_trace_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
+    a = (functional.A.array if functional.A is not None
+         else np.eye(measure.p, dtype=np.complex128))
+
+    def exp_trace(batch: np.ndarray) -> np.ndarray:
+        return np.exp(np.einsum("ab,nba->n", a, batch[0]).real)
+
+    return exp_trace
+
+
 # ---------------------------------------------------------------------------
 # weighted exponential-determinant average (phi 6)
 
 
-def phi6_average(p: int, alphas, a_matrix: HermitianMatrix) -> AverageResult:
+def phi6_average(measure: MeasureSpec, A: HermitianMatrix) -> AverageResult:
     """E[exp(-tr(A X_1)) |det(I + X_1)|^(alpha_1 + alpha_3)] under the
     k = 2 type-2 measure, for positive definite A.
 
     The determinant weight is exactly the factor that cancels the
     complement kernel, leaving a pure gamma ratio times |det A|^(-alpha_1).
     """
-    alphas = tuple(float(a) for a in alphas)
-    if len(alphas) != 3:
-        raise ValueError("this average is defined for k = 2 (three parameters)")
-    if a_matrix.dim != p:
+    measure.validate()
+    if measure.kind != "type2" or measure.k != 2:
+        raise ValueError("this average requires the k = 2 type-2 measure")
+    p, alphas = measure.p, measure.alphas
+    if A.dim != p:
         raise ValueError(f"parameter matrix must be {p}x{p}")
     _require(
-        [(f"alpha_{j + 1} > p - 1", alphas[j] > p - 1) for j in range(3)]
-        + [("A positive definite", is_pd(a_matrix))],
+        [("A positive definite", is_pd(A))],
         context="weighted exponential average undefined",
     )
     total = gamma_p_ln(p, alphas[0] + alphas[2]) - gamma_p_ln(p, alphas[2])
-    total -= alphas[0] * logdet_abs(a_matrix)
+    total -= alphas[0] * logdet_abs(A)
     return _ok(total)
+
+
+def _phi6_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
+    a = functional.A.array
+    expo = measure.alphas[0] + measure.alphas[2]
+    eye = np.eye(measure.p, dtype=np.complex128)
+
+    def phi6(batch: np.ndarray) -> np.ndarray:
+        x1 = batch[0]
+        weight = np.abs(_det(eye + x1)) ** expo
+        return np.exp(-np.einsum("ab,nba->n", a, x1).real) * weight
+
+    return phi6
 
 
 # ---------------------------------------------------------------------------
 # Hermitian form moments (phi 9)
 
 
-def hermitian_form_moment(kind: str, h: float, alphas, ns) -> AverageResult:
+def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
     """h-th moment of the sum of Hermitian form values at p = 1.
 
     Under the rectangular type-1 measure the sum is beta distributed with
     parameters (sum(alpha_j + n_j), alpha_{k+1}); under type-2 the moment
     exists only for h < alpha_{k+1}.
     """
-    if kind not in ("type1", "type2"):
-        raise ValueError(f"kind must be type1 or type2, got {kind!r}")
+    measure.validate()
+    if not measure.rectangular:
+        raise ValueError("Hermitian form moments require a rectangular measure")
     h = float(h)
-    alphas = tuple(float(a) for a in alphas)
-    ns = tuple(int(n) for n in ns)
-    if len(alphas) != len(ns) + 1:
-        raise ValueError("need one alpha per form plus the closing alpha")
-    a = sum(alphas[:-1]) + sum(ns)
-    base = [
-        (f"alpha_{j + 1} + n_{j + 1} > 0", alphas[j] + ns[j] > 0) for j in range(len(ns))
-    ]
-    base.append(("alpha_{k+1} > 0", alphas[-1] > 0))
-    base.append(("sum(alpha_j + n_j) + h > 0", a + h > 0))
-    if kind == "type1":
-        _require(base, context="type-1 moment does not exist")
+    alphas = measure.alphas
+    a = sum(alphas[:-1]) + sum(measure.ns)
+    conditions = [("sum(alpha_j + n_j) + h > 0", a + h > 0)]
+    if measure.kind == "rect_type1_p1":
+        _require(conditions, context="type-1 moment does not exist")
         total = float(gammaln(a + h) - gammaln(a))
         total += float(gammaln(a + alphas[-1]) - gammaln(a + alphas[-1] + h))
         return _ok(total)
     _require(
-        base + [("alpha_{k+1} - h > 0", alphas[-1] - h > 0)],
+        conditions + [("alpha_{k+1} - h > 0", alphas[-1] - h > 0)],
         context="type-2 moment does not exist",
     )
     total = float(gammaln(a + h) - gammaln(a))
@@ -342,8 +373,71 @@ def hermitian_form_moment(kind: str, h: float, alphas, ns) -> AverageResult:
     return _ok(total)
 
 
+def _form_moment_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
+    h = functional.h
+
+    def form_moment(batch: np.ndarray) -> np.ndarray:
+        return batch[:, :, 0, 0].real.sum(axis=0) ** h
+
+    return form_moment
+
+
+# ---------------------------------------------------------------------------
+# the functional table
+
+
+@dataclass(frozen=True)
+class Functional:
+    """One entry of FUNCTIONALS.
+
+    closed_form(measure, **params) is the average, where params are the
+    FunctionalSpec fields named in required or optional that are set;
+    integrand(measure, functional) returns the functional as a function
+    of a (k, n, p, p) batch of draws, for the Monte Carlo harness.
+    """
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    closed_form: Callable[..., AverageResult]
+    integrand: Callable[[MeasureSpec, FunctionalSpec], Integrand]
+
+
+FUNCTIONALS: dict[str, Functional] = {
+    "det_power": Functional(("gammas",), (), det_power_average, _det_power_integrand),
+    "complement_power": Functional(
+        ("delta",), (), complement_power_average, _complement_power_integrand
+    ),
+    "exp_trace": Functional((), ("A", "policy"), exp_trace_average, _exp_trace_integrand),
+    "phi6": Functional(("A",), (), phi6_average, _phi6_integrand),
+    "hermitian_form_moment": Functional(
+        ("h",), (), hermitian_form_moment, _form_moment_integrand
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # functional descriptor and dispatch
+
+
+def _same(value):
+    return value
+
+
+def _policy_from_json(doc: dict) -> TruncationPolicy:
+    """Keys the document leaves out take TruncationPolicy's defaults."""
+    return TruncationPolicy(
+        **{f.name: type(f.default)(doc[f.name]) for f in fields(TruncationPolicy) if f.name in doc}
+    )
+
+
+# FunctionalSpec's parameter fields in JSON key order: (to JSON, from JSON)
+_PARAMS = {
+    "gammas": (list, tuple),
+    "delta": (_same, _same),
+    "h": (_same, _same),
+    "A": (HermitianMatrix.to_json, HermitianMatrix.from_json),
+    "policy": (asdict, _policy_from_json),
+}
 
 
 @dataclass(frozen=True)
@@ -357,70 +451,36 @@ class FunctionalSpec:
     A: Optional[HermitianMatrix] = None
     policy: Optional[TruncationPolicy] = None
 
-    _REQUIRED = {
-        "det_power": ("gammas",),
-        "complement_power": ("delta",),
-        "exp_trace": (),
-        "phi6": ("A",),
-        "hermitian_form_moment": ("h",),
-    }
-    _ALLOWED = {
-        "det_power": ("gammas",),
-        "complement_power": ("delta",),
-        "exp_trace": ("A", "policy"),
-        "phi6": ("A",),
-        "hermitian_form_moment": ("h",),
-    }
-
     def __post_init__(self):
-        if self.kind not in FUNCTIONALS:
+        entry = FUNCTIONALS.get(self.kind)
+        if entry is None:
             raise ValueError(f"unknown functional {self.kind!r}")
         if self.gammas is not None:
             object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        allowed = set(self._ALLOWED[self.kind])
-        for name in ("gammas", "delta", "h", "A", "policy"):
+        for name in _PARAMS:
             present = getattr(self, name) is not None
-            if present and name not in allowed:
+            if present and name not in entry.required + entry.optional:
                 raise ValueError(f"functional {self.kind!r} does not take {name!r}")
-            if not present and name in self._REQUIRED[self.kind]:
+            if not present and name in entry.required:
                 raise ValueError(f"functional {self.kind!r} requires {name!r}")
+
+    def params(self) -> dict:
+        """The parameters that are set, by field name."""
+        return {name: getattr(self, name) for name in _PARAMS if getattr(self, name) is not None}
 
     def to_json(self) -> dict:
         """Flat field set: the functional name plus exactly its parameters."""
-        doc: dict = {"functional": self.kind}
-        if self.gammas is not None:
-            doc["gammas"] = list(self.gammas)
-        if self.delta is not None:
-            doc["delta"] = self.delta
-        if self.h is not None:
-            doc["h"] = self.h
-        if self.A is not None:
-            doc["A"] = self.A.to_json()
-        if self.policy is not None:
-            doc["policy"] = {
-                "max_order": self.policy.max_order,
-                "rel_stop": self.policy.rel_stop,
-                "consecutive_orders": self.policy.consecutive_orders,
-            }
-        return doc
+        encoded = {name: _PARAMS[name][0](value) for name, value in self.params().items()}
+        return {"functional": self.kind, **encoded}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FunctionalSpec":
-        policy = None
-        if doc.get("policy") is not None:
-            policy = TruncationPolicy(
-                max_order=int(doc["policy"].get("max_order", 25)),
-                rel_stop=float(doc["policy"].get("rel_stop", 1e-12)),
-                consecutive_orders=int(doc["policy"].get("consecutive_orders", 3)),
-            )
-        return cls(
-            kind=doc["functional"],
-            gammas=tuple(doc["gammas"]) if doc.get("gammas") is not None else None,
-            delta=doc.get("delta"),
-            h=doc.get("h"),
-            A=HermitianMatrix.from_json(doc["A"]) if doc.get("A") is not None else None,
-            policy=policy,
-        )
+        params = {
+            name: decode(doc[name])
+            for name, (_, decode) in _PARAMS.items()
+            if doc.get(name) is not None
+        }
+        return cls(kind=doc["functional"], **params)
 
 
 @dataclass(frozen=True)
@@ -442,30 +502,5 @@ class AverageSpec:
 
 
 def evaluate_average(measure: MeasureSpec, functional: FunctionalSpec) -> AverageResult:
-    """Dispatch one (measure, functional) pair to its closed form."""
-    if functional.kind == "det_power":
-        return det_power_average(measure, functional.gammas)
-    if functional.kind == "complement_power":
-        return complement_power_average(measure, functional.delta)
-    if functional.kind == "exp_trace":
-        if measure.kind != "type1" or measure.k != 2:
-            raise ValueError("exp-trace average requires the k = 2 type-1 measure")
-        measure.validate()
-        return exp_trace_average(
-            measure.p,
-            measure.alphas,
-            functional.A,
-            functional.policy or DEFAULT_TRUNCATION,
-        )
-    if functional.kind == "phi6":
-        if measure.kind != "type2" or measure.k != 2:
-            raise ValueError("this average requires the k = 2 type-2 measure")
-        measure.validate()
-        return phi6_average(measure.p, measure.alphas, functional.A)
-    if functional.kind == "hermitian_form_moment":
-        if not measure.rectangular:
-            raise ValueError("Hermitian form moments require a rectangular measure")
-        measure.validate()
-        kind = "type1" if measure.kind == "rect_type1_p1" else "type2"
-        return hermitian_form_moment(kind, functional.h, measure.alphas, measure.ns)
-    raise ValueError(f"unknown functional {functional.kind!r}")
+    """The closed form of one (measure, functional) pair."""
+    return FUNCTIONALS[functional.kind].closed_form(measure, **functional.params())

@@ -372,29 +372,10 @@ def sample_matrix_gamma(p: int, alpha: float, seed: SeedSpec) -> HermitianMatrix
     return HermitianMatrix(_symmetrize(w)[0])
 
 
-def _single(spec: MeasureSpec, seed: SeedSpec) -> DirichletSample:
+def sample_one(spec: MeasureSpec, seed: SeedSpec) -> DirichletSample:
+    """One draw of the measure: the k matrices X_j, or at the rectangular
+    kinds the induced Hermitian form values u_j as 1 x 1 matrices."""
     batch = sample_batch(spec, seed, 1)
     return DirichletSample(
         matrices=tuple(HermitianMatrix(batch[j, 0]) for j in range(spec.k))
     )
-
-
-def sample_type1(spec: MeasureSpec, seed: SeedSpec) -> DirichletSample:
-    """One type-1 draw: each X_j and I - sum X_j Hermitian positive definite."""
-    if spec.kind != "type1":
-        raise ValueError(f"expected a type1 spec, got {spec.kind!r}")
-    return _single(spec, seed)
-
-
-def sample_type2(spec: MeasureSpec, seed: SeedSpec) -> DirichletSample:
-    """One type-2 draw: each X_j Hermitian positive definite."""
-    if spec.kind != "type2":
-        raise ValueError(f"expected a type2 spec, got {spec.kind!r}")
-    return _single(spec, seed)
-
-
-def sample_rect_p1(spec: MeasureSpec, seed: SeedSpec) -> DirichletSample:
-    """One rectangular p=1 draw of the induced Hermitian form values u_j."""
-    if not spec.rectangular:
-        raise ValueError(f"expected a rectangular spec, got {spec.kind!r}")
-    return _single(spec, seed)

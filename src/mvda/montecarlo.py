@@ -14,11 +14,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .averages import AverageSpec, FunctionalSpec, evaluate_average
+from .averages import FUNCTIONALS, FunctionalSpec, Integrand, evaluate_average
 from .errors import DomainError, MvdaError, NonFiniteIntegrand
 from .measures import MeasureSpec, sample_batch
 from .rng import SeedSpec
@@ -129,83 +129,9 @@ class VerifyCase:
 # integrands over sample batches
 
 
-def _det(x: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., p, p) stack of Hermitian matrices.
-
-    Written out at p = 1 and p = 2, where they are real; np.linalg.det
-    (complex) at p >= 3. Callers take the absolute value.
-    """
-    p = x.shape[-1]
-    if p == 1:
-        return x[..., 0, 0].real
-    if p == 2:
-        c = x[..., 1, 0]
-        return x[..., 0, 0].real * x[..., 1, 1].real - (c.real**2 + c.imag**2)
-    return np.linalg.det(x)
-
-
-def make_integrand(
-    measure: MeasureSpec, functional: FunctionalSpec
-) -> Callable[[np.ndarray], np.ndarray]:
+def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     """Vectorized evaluator of the functional on a (k, n, p, p) batch."""
-    p = measure.p
-    kind = functional.kind
-
-    if kind == "det_power":
-        gammas = functional.gammas
-
-        def det_power(batch: np.ndarray) -> np.ndarray:
-            out = np.ones(batch.shape[1])
-            for j, g in enumerate(gammas):
-                if g != 0.0:
-                    out = out * np.abs(_det(batch[j])) ** g
-            return out
-
-        return det_power
-
-    if kind == "complement_power":
-        delta = functional.delta
-        eye = np.eye(p, dtype=np.complex128)
-        type1 = measure.kind == "type1"
-
-        def complement_power(batch: np.ndarray) -> np.ndarray:
-            total = batch.sum(axis=0)
-            if type1:
-                return np.abs(_det(eye - total)) ** delta
-            return np.abs(_det(eye + total)) ** (-delta)
-
-        return complement_power
-
-    if kind == "exp_trace":
-        a = (functional.A.array if functional.A is not None
-             else np.eye(p, dtype=np.complex128))
-
-        def exp_trace(batch: np.ndarray) -> np.ndarray:
-            return np.exp(np.einsum("ab,nba->n", a, batch[0]).real)
-
-        return exp_trace
-
-    if kind == "phi6":
-        a = functional.A.array
-        expo = measure.alphas[0] + measure.alphas[2]
-        eye = np.eye(p, dtype=np.complex128)
-
-        def phi6(batch: np.ndarray) -> np.ndarray:
-            x1 = batch[0]
-            weight = np.abs(_det(eye + x1)) ** expo
-            return np.exp(-np.einsum("ab,nba->n", a, x1).real) * weight
-
-        return phi6
-
-    if kind == "hermitian_form_moment":
-        h = functional.h
-
-        def form_moment(batch: np.ndarray) -> np.ndarray:
-            return batch[:, :, 0, 0].real.sum(axis=0) ** h
-
-        return form_moment
-
-    raise ValueError(f"no integrand for functional {kind!r}")
+    return FUNCTIONALS[functional.kind].integrand(measure, functional)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +209,6 @@ def mc_estimate_full(
     return mean, se, n_used, diagnostics
 
 
-def mc_estimate(
-    measure: MeasureSpec,
-    functional: FunctionalSpec,
-    config: McConfig,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Sample mean and standard error of the functional under the measure."""
-    mean, se, _, _ = mc_estimate_full(measure, functional, config, workers)
-    return mean, se
-
-
 # ---------------------------------------------------------------------------
 # verification
 
@@ -332,7 +247,7 @@ def verify_case(case: VerifyCase, abs_floor: float = DEFAULT_ABS_FLOOR, workers:
         estimate, se, n_used, diagnostics = mc_estimate_full(
             case.measure, case.functional, case.mc, workers
         )
-    except (DomainError, MvdaError, ValueError) as exc:
+    except (MvdaError, ValueError) as exc:
         runtime_ms = int((time.perf_counter() - t0) * 1000)
         detail = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DomainError):

@@ -162,7 +162,8 @@ def test_criterion_3_scalar_reductions():
     # phi3: Kummer with c = a1 + a2 + a3
     for i in range(10):
         a1, a2, a3, x = 0.5 + 0.2 * i, 1.0, 1.5, -1.0 + 0.25 * i
-        res = exp_trace_average(1, (a1, a2, a3), HermitianMatrix([[x]]), wide)
+        m = MeasureSpec(kind="type1", p=1, k=2, alphas=(a1, a2, a3))
+        res = exp_trace_average(m, HermitianMatrix([[x]]), wide)
         close(res.value, float(mpmath.hyp1f1(a1, a1 + a2 + a3, x)))
 
     # phi4 / phi5: scalar type-2 moments
@@ -179,7 +180,8 @@ def test_criterion_3_scalar_reductions():
     # phi6: gamma ratio times a^(-alpha_1)
     for i in range(10):
         a1, a3, a = 0.5 + 0.2 * i, 1.5 + 0.3 * i, 0.5 + 0.25 * i
-        res = phi6_average(1, (a1, 2.0, a3), HermitianMatrix([[a]]))
+        m = MeasureSpec(kind="type2", p=1, k=2, alphas=(a1, 2.0, a3))
+        res = phi6_average(m, HermitianMatrix([[a]]))
         close(res.value, float(mpg(a1 + a3) / mpg(a3) * mpmath.power(a, -a1)))
 
     # phi7 / phi8: shifted scalar type-2 moments
@@ -198,9 +200,13 @@ def test_criterion_3_scalar_reductions():
         a1, a2, n1, h = 0.3 + 0.1 * i, 3.0 + 0.3 * i, 2, 0.5 + 0.2 * i
         s = a1 + n1
         want1 = mpg(s + h) / mpg(s) * mpg(s + a2) / mpg(s + a2 + h)
-        close(hermitian_form_moment("type1", h, (a1, a2), (n1,)).value, float(want1))
+        close(hermitian_form_moment(
+            MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(a1, a2), ns=(n1,)), h
+        ).value, float(want1))
         want2 = mpg(s + h) / mpg(s) * mpg(a2 - h) / mpg(a2)
-        close(hermitian_form_moment("type2", h, (a1, a2), (n1,)).value, float(want2))
+        close(hermitian_form_moment(
+            MeasureSpec(kind="rect_type2_p1", p=1, k=1, alphas=(a1, a2), ns=(n1,)), h
+        ).value, float(want2))
 
     report(3, checks >= 9 * 10, f"{checks} scalar-reduction identities at 1e-10 relative")
 
@@ -268,7 +274,9 @@ def test_criterion_6_nonexistence_handling(tmp_path):
 
     # type-2 form moment with h >= alpha_{k+1}
     try:
-        hermitian_form_moment("type2", 5.0, (0.5, 3.0), (2,))
+        hermitian_form_moment(
+            MeasureSpec(kind="rect_type2_p1", p=1, k=1, alphas=(0.5, 3.0), ns=(2,)), 5.0
+        )
         ok = False
     except DomainError as exc:
         ok = ok and "alpha_{k+1} - h > 0" in exc.violated

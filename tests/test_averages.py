@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gammaln
 
 from mvda.averages import (
+    FUNCTIONALS,
     AverageResult,
     AverageSpec,
     FunctionalSpec,
@@ -29,6 +30,10 @@ def t1(p, k, alphas):
 
 def t2(p, k, alphas):
     return MeasureSpec(kind="type2", p=p, k=k, alphas=alphas)
+
+
+def rect(kind, alphas, ns):
+    return MeasureSpec(kind=f"rect_{kind}_p1", p=1, k=len(ns), alphas=alphas, ns=ns)
 
 
 class TestNormalizer:
@@ -161,81 +166,81 @@ class TestComplementPower:
 
 class TestExpTrace:
     def test_zero_matrix(self):
-        res = exp_trace_average(2, (2.0, 2.0, 2.0), HermitianMatrix(np.zeros((2, 2))))
+        res = exp_trace_average(t1(2, 2, (2.0, 2.0, 2.0)), HermitianMatrix(np.zeros((2, 2))))
         assert res.value == 1.0
 
     def test_scalar_matches_kummer(self):
         res = exp_trace_average(
-            1, (1.0, 1.0, 1.0), HermitianMatrix([[0.5]]), TruncationPolicy(max_order=40)
+            t1(1, 2, (1.0, 1.0, 1.0)), HermitianMatrix([[0.5]]), TruncationPolicy(max_order=40)
         )
         assert res.value == pytest.approx(float(mpmath.hyp1f1(1.0, 3.0, 0.5)), rel=1e-10)
 
     def test_identity_default(self):
-        explicit = exp_trace_average(2, (2.0, 2.0, 2.0), HermitianMatrix.identity(2))
-        default = exp_trace_average(2, (2.0, 2.0, 2.0))
+        explicit = exp_trace_average(t1(2, 2, (2.0, 2.0, 2.0)), HermitianMatrix.identity(2))
+        default = exp_trace_average(t1(2, 2, (2.0, 2.0, 2.0)))
         assert explicit.value == default.value
 
     def test_diagnostics_present(self):
-        res = exp_trace_average(1, (1.0, 1.0, 1.0), HermitianMatrix([[0.2]]))
+        res = exp_trace_average(t1(1, 2, (1.0, 1.0, 1.0)), HermitianMatrix([[0.2]]))
         assert res.diagnostics["converged"]
         assert res.diagnostics["order_reached"] >= 1
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            exp_trace_average(2, (2.0, 0.5, 2.0))
+            exp_trace_average(t1(2, 2, (2.0, 0.5, 2.0)))
 
 
 class TestPhi6:
     def test_scalar_gamma_recurrence(self):
-        res = phi6_average(1, (1.0, 2.0, 2.5), HermitianMatrix([[1.0]]))
+        res = phi6_average(t2(1, 2, (1.0, 2.0, 2.5)), HermitianMatrix([[1.0]]))
         assert res.value == pytest.approx(2.5, rel=1e-12)
 
     def test_determinant_scaling(self):
         alphas = (2.0, 2.5, 3.0)
         a = HermitianMatrix.diagonal([1.0, 2.0])
-        base = phi6_average(2, alphas, a)
-        scaled = phi6_average(2, alphas, HermitianMatrix.diagonal([3.0, 6.0]))
+        base = phi6_average(t2(2, 2, alphas), a)
+        scaled = phi6_average(t2(2, 2, alphas), HermitianMatrix.diagonal([3.0, 6.0]))
         assert scaled.value == pytest.approx(base.value * 3.0 ** (-2 * alphas[0]), rel=1e-10)
 
     def test_requires_pd_parameter(self):
         with pytest.raises(DomainError) as err:
-            phi6_average(1, (2.0, 2.0, 2.0), HermitianMatrix([[-1.0]]))
+            phi6_average(t2(1, 2, (2.0, 2.0, 2.0)), HermitianMatrix([[-1.0]]))
         assert "A positive definite" in err.value.violated
 
 
 class TestHermitianFormMoment:
     def test_zero_h(self):
-        res = hermitian_form_moment("type1", 0.0, (0.5, 2.0), (2,))
+        res = hermitian_form_moment(rect("type1", (0.5, 2.0), (2,)), 0.0)
         assert res.log_value == 0.0
 
     def test_type1_beta_mean(self):
-        res = hermitian_form_moment("type1", 1.0, (0.5, 2.0), (2,))
+        res = hermitian_form_moment(rect("type1", (0.5, 2.0), (2,)), 1.0)
         assert res.value == pytest.approx(5 / 9, rel=1e-12)
 
     def test_type2_example(self):
-        res = hermitian_form_moment("type2", 1.0, (0.5, 3.0), (2,))
+        res = hermitian_form_moment(rect("type2", (0.5, 3.0), (2,)), 1.0)
         assert res.value == pytest.approx(1.25, rel=1e-12)
 
     def test_type2_nonexistent_named(self):
         with pytest.raises(DomainError) as err:
-            hermitian_form_moment("type2", 3.0, (0.5, 3.0), (2,))
+            hermitian_form_moment(rect("type2", (0.5, 3.0), (2,)), 3.0)
         assert "alpha_{k+1} - h > 0" in err.value.violated
         assert "does not exist" in str(err.value)
 
     def test_negative_alpha_with_positive_shift(self):
-        # alpha_1 + n_1 > 0 is the condition, as in MeasureSpec.validate
-        res = hermitian_form_moment("type1", 1.0, (-0.5, 2.0), (1,))
+        # alpha_1 + n_1 > 0 is the condition, checked by MeasureSpec.validate
+        res = hermitian_form_moment(rect("type1", (-0.5, 2.0), (1,)), 1.0)
         assert res.value == pytest.approx(0.2, rel=1e-12)
         with pytest.raises(DomainError) as err:
-            hermitian_form_moment("type2", 1.0, (-1.5, 3.0), (1,))
-        assert "alpha_1 + n_1 > 0" in err.value.violated
+            hermitian_form_moment(rect("type2", (-1.5, 3.0), (1,)), 1.0)
+        assert "alpha_1 + n_1 > 0 (got -0.5)" in err.value.violated
 
     def test_complementarity_with_det_power(self):
         # p=1 type-1 det power on (alpha_1' + n_1', alpha_2) equals the form
         # moment with the same shifted first parameter.
         h, a2 = 1.5, 2.0
         via_det = det_power_average(t1(1, 1, (2.5, a2)), (h,))
-        via_form = hermitian_form_moment("type1", h, (0.5, a2), (2,))
+        via_form = hermitian_form_moment(rect("type1", (0.5, a2), (2,)), h)
         assert via_det.value == pytest.approx(via_form.value, rel=1e-12)
 
 
@@ -272,6 +277,27 @@ class TestFunctionalSpec:
         assert back.kind == f.kind
         assert np.array_equal(back.A.array, f.A.array)
         assert back.policy == f.policy
+        # one spec per kind: the document holds exactly the set parameters
+        specs = [
+            FunctionalSpec(kind="det_power", gammas=(1.0, 0.5)),
+            FunctionalSpec(kind="complement_power", delta=1.5),
+            FunctionalSpec(kind="exp_trace"),
+            FunctionalSpec(kind="phi6", A=HermitianMatrix([[2.0, 0.5j], [-0.5j, 1.0]])),
+            FunctionalSpec(kind="hermitian_form_moment", h=0.75),
+        ]
+        assert {s.kind for s in specs} == set(FUNCTIONALS)
+        for spec in specs:
+            doc = spec.to_json()
+            assert FunctionalSpec.from_json(doc).to_json() == doc
+            set_fields = [n for n in ("gammas", "delta", "h", "A", "policy")
+                          if getattr(spec, n) is not None]
+            assert list(doc) == ["functional"] + set_fields
+        # policy keys left out take TruncationPolicy's defaults
+        partial = FunctionalSpec.from_json({"functional": "exp_trace", "policy": {"max_order": 30}})
+        assert partial.policy == TruncationPolicy(max_order=30)
+        assert FunctionalSpec.from_json(
+            {"functional": "exp_trace", "policy": {}}
+        ).policy == TruncationPolicy()
 
 
 class TestEvaluateAverage:

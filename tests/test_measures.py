@@ -19,9 +19,7 @@ from mvda.measures import (
     floor_event_count,
     sample_batch,
     sample_matrix_gamma,
-    sample_rect_p1,
-    sample_type1,
-    sample_type2,
+    sample_one,
 )
 from mvda.rng import SeedSpec
 
@@ -106,20 +104,15 @@ class TestType1:
 
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.5, 3.0))
-        s = sample_type1(spec, SeedSpec(7, 3))
+        s = sample_one(spec, SeedSpec(7, 3))
         assert isinstance(s, DirichletSample)
         assert len(s.matrices) == 2
         assert all(is_pd(m) for m in s.matrices)
         total = s.matrices[0].array + s.matrices[1].array
         assert is_pd(HermitianMatrix(np.eye(2) - total))
-        again = sample_type1(spec, SeedSpec(7, 3))
+        again = sample_one(spec, SeedSpec(7, 3))
         for a, b in zip(s.matrices, again.matrices):
             assert np.array_equal(a.array, b.array)
-
-    def test_kind_mismatch(self):
-        spec = MeasureSpec(kind="type2", p=1, k=1, alphas=(2.0, 2.0))
-        with pytest.raises(ValueError):
-            sample_type1(spec, SeedSpec(1))
 
 
 class TestType2:
@@ -146,7 +139,7 @@ class TestType2:
 
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="type2", p=2, k=1, alphas=(3.0, 4.0))
-        s = sample_type2(spec, SeedSpec(3, 1))
+        s = sample_one(spec, SeedSpec(3, 1))
         assert all(is_pd(m) for m in s.matrices)
 
 
@@ -180,7 +173,7 @@ class TestRectangular:
 
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
-        s = sample_rect_p1(spec, SeedSpec(5, 2))
+        s = sample_one(spec, SeedSpec(5, 2))
         u = s.scalars
         assert len(u) == 2 and all(x > 0 for x in u) and sum(u) < 1
 
@@ -289,7 +282,7 @@ class TestMeasureSpec:
 
     def test_sample_json_round_trip(self):
         spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(2.0, 2.0))
-        s = sample_type1(spec, SeedSpec(1, 1))
+        s = sample_one(spec, SeedSpec(1, 1))
         doc = s.to_json()
         back = [HermitianMatrix.from_json(m) for m in doc["matrices"]]
         assert np.allclose(back[0].array, s.matrices[0].array)

@@ -1,9 +1,10 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from mvda.averages import FunctionalSpec
+from mvda.averages import FunctionalSpec, _det
 from mvda.errors import NonFiniteIntegrand
 from mvda.linalg import HermitianMatrix
 from mvda.measures import MeasureSpec
@@ -16,9 +17,7 @@ from mvda.montecarlo import (
     build_report,
     default_suite,
     dump_suite,
-    _det,
     load_suite,
-    mc_estimate,
     mc_estimate_full,
     report_emit,
     reports_from_json,
@@ -43,35 +42,35 @@ def case(case_id, measure, functional, n=20_000, stream=0, chunk=5_000):
 
 class TestMcEstimate:
     def test_constant_integrand(self):
-        est, se = mc_estimate(
+        est, se = mc_estimate_full(
             scalar_type1(),
             FunctionalSpec(kind="det_power", gammas=(0.0, 0.0)),
             McConfig(samples=10_000, seed=SeedSpec(42, 0)),
-        )
+        )[:2]
         assert est == 1.0
         assert se == 0.0
 
     def test_scalar_dirichlet_mean(self):
-        est, se = mc_estimate(
+        est, se = mc_estimate_full(
             scalar_type1(),
             FunctionalSpec(kind="det_power", gammas=(1.0, 0.0)),
             McConfig(samples=100_000, seed=SeedSpec(42, 1)),
-        )
+        )[:2]
         assert abs(est - 1 / 3) <= 4 * se
 
     def test_bit_for_bit_determinism(self):
         cfg = McConfig(samples=30_000, seed=SeedSpec(7, 3), chunk=7_000)
         f = FunctionalSpec(kind="det_power", gammas=(1.0, 0.5))
-        a = mc_estimate(scalar_type1(), f, cfg)
-        b = mc_estimate(scalar_type1(), f, cfg)
+        a = mc_estimate_full(scalar_type1(), f, cfg)[:2]
+        b = mc_estimate_full(scalar_type1(), f, cfg)[:2]
         assert a == b
 
     def test_worker_count_independence(self):
         measure = MeasureSpec(kind="type1", p=2, k=1, alphas=(2.0, 2.0))
         f = FunctionalSpec(kind="det_power", gammas=(1.0,))
         cfg = McConfig(samples=30_000, seed=SeedSpec(42, 4), chunk=6_000)
-        serial = mc_estimate(measure, f, cfg, workers=1)
-        threaded = mc_estimate(measure, f, cfg, workers=4)
+        serial = mc_estimate_full(measure, f, cfg, workers=1)[:2]
+        threaded = mc_estimate_full(measure, f, cfg, workers=4)[:2]
         assert serial == threaded
 
     def test_p2_report_identical_across_workers(self):
@@ -91,7 +90,7 @@ class TestMcEstimate:
         measure = MeasureSpec(kind="type2", p=1, k=1, alphas=(2.0, 3.0))
         f = FunctionalSpec(kind="det_power", gammas=(5000.0,))
         with pytest.raises(NonFiniteIntegrand) as err:
-            mc_estimate(measure, f, McConfig(samples=2_000, seed=SeedSpec(42, 5)))
+            mc_estimate_full(measure, f, McConfig(samples=2_000, seed=SeedSpec(42, 5)))
         assert err.value.sample_index >= 0
 
     def test_kurtosis_boost_recorded(self):
@@ -127,11 +126,11 @@ class TestComparator:
         assert r2.verdict == "fail"
 
     def test_perturbed_closed_form_fails(self):
-        est, se = mc_estimate(
+        est, se = mc_estimate_full(
             scalar_type1(),
             FunctionalSpec(kind="det_power", gammas=(1.0, 0.0)),
             McConfig(samples=50_000, seed=SeedSpec(42, 7)),
-        )
+        )[:2]
         r = build_report("synthetic", est, se, 50_000, closed_form=est + 10 * se)
         assert r.verdict == "fail"
 
@@ -213,6 +212,9 @@ class TestVerifySuite:
         cases = default_suite()
         back = load_suite(dump_suite(cases))
         assert [c.to_json() for c in back] == [c.to_json() for c in cases]
+        # key order and number formatting survive too: the shipped file re-emits as is
+        shipped = resources.files("mvda").joinpath("data/default_suite.json").read_bytes()
+        assert dump_suite(cases).encode("utf-8") == shipped
 
 
 class TestReportEmit:
