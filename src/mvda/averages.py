@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .linalg import HermitianMatrix, is_pd, logdet_abs
@@ -131,61 +130,48 @@ def _det(x: np.ndarray) -> np.ndarray:
     return np.linalg.det(x)
 
 
+def _labels(measure: MeasureSpec) -> tuple[list[str], str, str]:
+    """Condition text for a closed form over measure.scalar_alphas: the
+    names of its first k entries, the bound each shifted parameter must
+    exceed (p - 1, which is 0 at the rectangular kinds), and the context
+    of a moment that does not exist."""
+    k = measure.k
+    context = f"type-{1 if measure.type1 else 2} moment does not exist"
+    if measure.rectangular:
+        return [f"alpha_{j} + n_{j}" for j in range(1, k + 1)], "0", f"rectangular {context}"
+    return [f"alpha_{j}" for j in range(1, k + 1)], "p - 1", context
+
+
 def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
     """E of the product of |det X_j| powers under the measure.
 
     Type-1 shifts every alpha_j up by gamma_j in the normalizer; type-2
     additionally pulls sum(gamma) out of the last parameter, which is why
-    only a few of those moments exist. The rectangular type-2 case is the
-    type-2 formula with alpha_j + n_j in place of alpha_j.
+    only a few of those moments exist. The rectangular kinds are the p = 1
+    case at the scalar parameters alpha_j + n_j.
     """
     measure.validate()
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) != measure.k:
         raise ValueError(f"need k = {measure.k} exponents, got {len(gammas)}")
-    p, k, alphas = measure.p, measure.k, measure.alphas
+    p, k, alphas = measure.p, measure.k, measure.scalar_alphas
+    names, bound, context = _labels(measure)
     gsum = sum(gammas)
-
-    if measure.kind in ("type1", "type2"):
-        conditions = [
-            (
-                f"alpha_{j + 1} + gamma_{j + 1} > p - 1",
-                alphas[j] + gammas[j] > p - 1,
-            )
-            for j in range(k)
-        ]
-        if measure.kind == "type2":
-            conditions.append(("alpha_{k+1} - sum(gamma) > p - 1", alphas[-1] - gsum > p - 1))
-        _require(conditions, context=f"type-{measure.kind[-1]} moment does not exist")
-        total = sum(
-            gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
-        )
-        if measure.kind == "type1":
-            total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + gsum)
-        else:
-            total += gamma_p_ln(p, alphas[-1] - gsum) - gamma_p_ln(p, alphas[-1])
-        return _ok(total)
-
-    if measure.kind == "rect_type2_p1":
-        shifted = [alphas[j] + measure.ns[j] for j in range(k)]
-        _require(
-            [
-                (
-                    f"alpha_{j + 1} + n_{j + 1} + gamma_{j + 1} > 0",
-                    shifted[j] + gammas[j] > 0,
-                )
-                for j in range(k)
-            ]
-            + [("alpha_{k+1} - sum(gamma) > 0", alphas[-1] - gsum > 0)],
-            context="rectangular type-2 moment does not exist",
-        )
-        total = sum(
-            float(gammaln(shifted[j] + gammas[j]) - gammaln(shifted[j])) for j in range(k)
-        )
-        total += float(gammaln(alphas[-1] - gsum) - gammaln(alphas[-1]))
-        return _ok(total)
-
-    raise ValueError(f"determinant power average not defined for {measure.kind!r}")
+    conditions = [
+        (f"{names[j]} + gamma_{j + 1} > {bound}", alphas[j] + gammas[j] > p - 1)
+        for j in range(k)
+    ]
+    if not measure.type1:
+        conditions.append((f"alpha_{{k+1}} - sum(gamma) > {bound}", alphas[-1] - gsum > p - 1))
+    _require(conditions, context)
+    total = sum(
+        gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
+    )
+    if measure.type1:
+        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + gsum)
+    else:
+        total += gamma_p_ln(p, alphas[-1] - gsum) - gamma_p_ln(p, alphas[-1])
+    return _ok(total)
 
 
 def _det_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
@@ -214,34 +200,18 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
     """
     measure.validate()
     delta = float(delta)
-    p, alphas = measure.p, measure.alphas
-
-    if measure.kind in ("type1", "type2"):
-        _require(
-            [("alpha_{k+1} + delta > p - 1", alphas[-1] + delta > p - 1)],
-            context=f"type-{measure.kind[-1]} moment does not exist",
-        )
-        total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
-        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
-        return _ok(total)
-
-    if measure.kind == "rect_type2_p1":
-        _require(
-            [("alpha_{k+1} + delta > 0", alphas[-1] + delta > 0)],
-            context="rectangular type-2 moment does not exist",
-        )
-        big = sum(alphas) + sum(measure.ns)
-        total = float(gammaln(alphas[-1] + delta) - gammaln(alphas[-1]))
-        total += float(gammaln(big) - gammaln(big + delta))
-        return _ok(total)
-
-    raise ValueError(f"complement power average not defined for {measure.kind!r}")
+    p, alphas = measure.p, measure.scalar_alphas
+    _, bound, context = _labels(measure)
+    _require([(f"alpha_{{k+1}} + delta > {bound}", alphas[-1] + delta > p - 1)], context)
+    total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
+    total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
+    return _ok(total)
 
 
 def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     delta = functional.delta
     eye = np.eye(measure.p, dtype=np.complex128)
-    type1 = measure.kind == "type1"
+    type1 = measure.type1
 
     def complement_power(batch: np.ndarray) -> np.ndarray:
         total = batch.sum(axis=0)
@@ -359,17 +329,14 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
     alphas = measure.alphas
     a = sum(alphas[:-1]) + sum(measure.ns)
     conditions = [("sum(alpha_j + n_j) + h > 0", a + h > 0)]
-    if measure.kind == "rect_type1_p1":
-        _require(conditions, context="type-1 moment does not exist")
-        total = float(gammaln(a + h) - gammaln(a))
-        total += float(gammaln(a + alphas[-1]) - gammaln(a + alphas[-1] + h))
-        return _ok(total)
-    _require(
-        conditions + [("alpha_{k+1} - h > 0", alphas[-1] - h > 0)],
-        context="type-2 moment does not exist",
-    )
-    total = float(gammaln(a + h) - gammaln(a))
-    total += float(gammaln(alphas[-1] - h) - gammaln(alphas[-1]))
+    if not measure.type1:
+        conditions.append(("alpha_{k+1} - h > 0", alphas[-1] - h > 0))
+    _require(conditions, context=f"type-{1 if measure.type1 else 2} moment does not exist")
+    total = gamma_p_ln(1, a + h) - gamma_p_ln(1, a)
+    if measure.type1:
+        total += gamma_p_ln(1, a + alphas[-1]) - gamma_p_ln(1, a + alphas[-1] + h)
+    else:
+        total += gamma_p_ln(1, alphas[-1] - h) - gamma_p_ln(1, alphas[-1])
     return _ok(total)
 
 

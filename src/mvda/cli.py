@@ -286,7 +286,5 @@ def main(argv=None) -> int:
         return 4
 
 
-cli_main = main
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -84,6 +84,15 @@ class HermitianMatrix:
             raise ValueError(f"matrix arrays must be {p}x{p} row-major")
         return cls(re + 1j * im)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HermitianMatrix):
+            return NotImplemented
+        return self._a.shape == other._a.shape and bool(np.array_equal(self._a, other._a))
+
+    def __hash__(self) -> int:
+        # from the entry values, so that 0.0 and -0.0 hash alike, as they compare
+        return hash(tuple(self._a.ravel().tolist()))
+
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
 

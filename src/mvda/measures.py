@@ -15,9 +15,10 @@ Hermitian 2 x 2 matrices; p >= 3 uses batched eigh.
 
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
-laws with the shifted parameters alpha_j + n_j. Sampler correctness is not
-assumed: the Monte Carlo harness cross-checks every construction against
-the closed-form averages.
+laws with the shifted parameters alpha_j + n_j (MeasureSpec.scalar_alphas).
+So every kind at p = 1 is drawn the same way, as a ratio of scalar gammas.
+Sampler correctness is not assumed: the Monte Carlo harness cross-checks
+every construction against the closed-form averages.
 """
 
 from __future__ import annotations
@@ -75,6 +76,22 @@ class MeasureSpec:
     @property
     def rectangular(self) -> bool:
         return self.kind.startswith("rect_")
+
+    @property
+    def type1(self) -> bool:
+        """True for the type-1 kinds, type1 and rect_type1_p1."""
+        return self.kind in ("type1", "rect_type1_p1")
+
+    @property
+    def scalar_alphas(self) -> tuple[float, ...]:
+        """Parameters of the scalar Dirichlet law at p = 1.
+
+        The rectangular form values u_j follow it at (alpha_1 + n_1, ...,
+        alpha_k + n_k, alpha_{k+1}); the other kinds at their own alphas.
+        """
+        if not self.rectangular:
+            return self.alphas
+        return tuple(a + n for a, n in zip(self.alphas, self.ns)) + self.alphas[-1:]
 
     def validate(self) -> None:
         """Raise DomainError naming every violated existence condition."""
@@ -161,11 +178,8 @@ class DirichletSample:
 
 
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
-    """n draws of the p x p complex matrix gamma, as an (n, p, p) stack."""
-    if p == 1:
-        return rng.gammas(alpha, n).reshape(n, 1, 1).astype(np.complex128)
-    if p == 2:
-        return _pack_2x2(*_matrix_gamma_2x2(rng, alpha, n))
+    """n draws of the p x p complex matrix gamma, as an (n, p, p) stack,
+    by the triangular construction at every p."""
     t = np.zeros((n, p, p), dtype=np.complex128)
     for j in range(p):
         t[:, j, j] = np.sqrt(rng.gammas(alpha - j, n))
@@ -290,50 +304,33 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
     spec.validate()
     rng = seed.child(chunk)
     k, p = spec.k, spec.p
-    alphas = spec.alphas
-
-    if spec.kind == "rect_type1_p1":
-        shapes = [alphas[j] + spec.ns[j] for j in range(k)]
-        g = np.stack([rng.gammas(a, n) for a in shapes])
-        g0 = rng.gammas(alphas[-1], n)
-        u = g / (g.sum(axis=0) + g0)
-        _check_rect_support(u, g0)
-        return u.reshape(k, n, 1, 1).astype(np.complex128)
-
-    if spec.kind == "rect_type2_p1":
-        shapes = [alphas[j] + spec.ns[j] for j in range(k)]
-        g = np.stack([rng.gammas(a, n) for a in shapes])
-        g0 = rng.gammas(alphas[-1], n)
-        u = g / g0
-        _check_rect_support(u)
-        return u.reshape(k, n, 1, 1).astype(np.complex128)
 
     if p == 1:
-        w = np.stack([rng.gammas(a, n) for a in alphas])
-        if spec.kind == "type1":
-            x = w[:k] / w.sum(axis=0)
-        else:
-            x = w[:k] / w[-1]
+        # the scalar Dirichlet law: k gammas, then the closing one
+        w = np.stack([rng.gammas(a, n) for a in spec.scalar_alphas])
+        with np.errstate(all="ignore"):  # _check_p1_support reports 0, inf and nan
+            x = w[:k] / (w.sum(axis=0) if spec.type1 else w[-1])
+        _check_p1_support(x, w[-1] if spec.type1 else None)
         return x.reshape(k, n, 1, 1).astype(np.complex128)
 
     if p == 2:
-        w = [_matrix_gamma_2x2(rng, a, n) for a in alphas]
-        if spec.kind == "type1":
+        w = [_matrix_gamma_2x2(rng, a, n) for a in spec.alphas]
+        if spec.type1:
             r = _inv_sqrt_2x2(*(sum(parts) for parts in zip(*w)))
         else:
             r = _inv_sqrt_2x2(*w[-1])
         x = [np.stack(parts) for parts in zip(*(_congruence_2x2(r, wj) for wj in w[:k]))]
-        if spec.kind == "type1":
+        if spec.type1:
             _check_type1_support_2x2(*x)
         return _pack_2x2(*x)
 
-    w = [_matrix_gamma_batch(rng, p, a, n) for a in alphas]
-    if spec.kind == "type1":
+    w = [_matrix_gamma_batch(rng, p, a, n) for a in spec.alphas]
+    if spec.type1:
         r = _inv_sqrt_batch(np.sum(w, axis=0))
     else:
         r = _inv_sqrt_batch(w[-1])
     out = np.stack([_symmetrize(r @ wj @ r) for wj in w[:k]])
-    if spec.kind == "type1":
+    if spec.type1:
         # I - sum X_j > O forces the traces to sum below p.
         tr = np.einsum("knii->n", out).real
         if np.any(tr > p + 1e-9):
@@ -343,18 +340,23 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
     return out
 
 
-def _check_rect_support(u: np.ndarray, g0: Optional[np.ndarray] = None) -> None:
-    """Raise unless every form value is positive and, at type-1, the
-    complement 1 - sum(u) = g0 / (G + g0) is positive.
+def _check_p1_support(x: np.ndarray, closing: Optional[np.ndarray] = None) -> None:
+    """Raise unless every p = 1 value x_j is positive and finite and, at
+    type-1, the closing gamma is positive.
 
-    The complement is checked through g0 because a Gamma(alpha_{k+1} < 1)
-    draw can be too small next to the others for the rounded sum of u to
-    stay below 1, although the draw is inside the support.
+    A gamma draw at a shape below 1 can underflow to 0, which puts x_j at
+    0 or at inf. The type-1 complement 1 - sum(x) = closing / sum(gammas)
+    is checked through the closing gamma: next to the other gammas it can
+    be too small for the rounded sum of x to stay below 1, although the
+    draw is inside the support.
     """
-    if np.any(u <= 0):
-        raise SamplerError("rectangular sample with non-positive form value")
-    if g0 is not None and np.any(g0 <= 0):
-        raise SamplerError("rectangular type-1 sample with form values summing to 1")
+    if not (x.min() > 0 and x.max() < np.inf):  # a nan fails both
+        bad = ~((x > 0) & (x < np.inf)).all(axis=0)
+        raise SamplerError(f"p = 1 value not positive and finite at sample {int(np.argmax(bad))}")
+    if closing is not None and np.any(closing <= 0):
+        raise SamplerError(
+            f"type-1 complement 1 - sum x_j is 0 at sample {int(np.argmax(closing <= 0))}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from mvda.averages import (
 from mvda.errors import DomainError
 from mvda.linalg import HermitianMatrix
 from mvda.measures import MeasureSpec
+from mvda.montecarlo import McConfig, VerifyCase, verify_suite
+from mvda.rng import SeedSpec
 from mvda.special import TruncationPolicy
 
 
@@ -109,11 +111,6 @@ class TestDetPower:
         want = math.exp(gammaln(3.5) - gammaln(2.5) + gammaln(5.0) - gammaln(6.0))
         assert res.value == pytest.approx(want, rel=1e-12)
 
-    def test_rect_type1_unsupported(self):
-        spec = MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(0.5, 2.0), ns=(2,))
-        with pytest.raises(ValueError):
-            det_power_average(spec, (1.0,))
-
     def test_gamma_count(self):
         with pytest.raises(ValueError):
             det_power_average(t1(1, 2, (1.0, 1.0, 1.0)), (1.0,))
@@ -162,6 +159,72 @@ class TestComplementPower:
         with pytest.raises(DomainError) as err:
             complement_power_average(t1(1, 1, (1.0, 1.0)), -1.0)
         assert "alpha_{k+1} + delta > p - 1" in err.value.violated
+
+
+def dirichlet_moment(b, gammas, delta):
+    """E[prod u_j^gamma_j (1 - sum u_j)^delta] under the scalar Dirichlet law
+    with parameters b = (b_1, ..., b_k; b_{k+1}), by mpmath."""
+    k = len(b) - 1
+    b = [mpmath.mpf(x) for x in b]
+    lg = mpmath.loggamma
+    val = lg(sum(b)) - lg(sum(b) + sum(gammas) + delta)
+    val += sum(lg(b[j] + gammas[j]) - lg(b[j]) for j in range(k))
+    val += lg(b[-1] + delta) - lg(b[-1])
+    return float(mpmath.exp(val))
+
+
+# rect_type1_p1 det-power and complement cases: (alphas, ns, functional)
+RECT_TYPE1_CASES = [
+    ((0.5, 2.0), (2,), FunctionalSpec(kind="det_power", gammas=(1.0,))),
+    ((0.5, 1.0, 2.0), (2, 3), FunctionalSpec(kind="det_power", gammas=(0.5, 1.5))),
+    ((-0.5, 1.5), (1,), FunctionalSpec(kind="det_power", gammas=(0.5,))),
+    ((0.5, 2.0), (2,), FunctionalSpec(kind="complement_power", delta=1.5)),
+    ((0.5, 1.0, 0.7), (2, 3), FunctionalSpec(kind="complement_power", delta=2.0)),
+]
+
+
+class TestRectType1:
+    """det_power and complement_power on rect_type1_p1: the scalar Dirichlet
+    law at alpha_j + n_j."""
+
+    @pytest.mark.parametrize("alphas,ns,functional", RECT_TYPE1_CASES)
+    def test_matches_dirichlet_gamma_ratio(self, alphas, ns, functional):
+        b = [a + n for a, n in zip(alphas, ns)] + [alphas[-1]]
+        gammas = functional.gammas or (0.0,) * len(ns)
+        want = dirichlet_moment(b, gammas, functional.delta or 0.0)
+        res = evaluate_average(rect("type1", alphas, ns), functional)
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+    def test_sampled_averages_agree(self):
+        cases = [
+            VerifyCase(
+                case_id=f"rect1_{j}",
+                measure=rect("type1", alphas, ns),
+                functional=functional,
+                mc=McConfig(samples=100_000, seed=SeedSpec(42, 40 + j)),
+            )
+            for j, (alphas, ns, functional) in enumerate(RECT_TYPE1_CASES)
+        ]
+        reports = verify_suite(cases)
+        assert [r.verdict for r in reports] == ["pass"] * len(cases), reports
+
+    def test_conditions_keep_form_sizes(self):
+        m1 = rect("type1", (0.5, 2.0), (2,))
+        with pytest.raises(DomainError) as err:
+            det_power_average(m1, (-3.0,))
+        assert err.value.violated == ("alpha_1 + n_1 + gamma_1 > 0",)
+        assert str(err.value).startswith("rectangular type-1 moment does not exist")
+        with pytest.raises(DomainError) as err:
+            complement_power_average(m1, -2.5)
+        assert err.value.violated == ("alpha_{k+1} + delta > 0",)
+        m2 = rect("type2", (0.5, 1.0, 2.0), (2, 3))
+        with pytest.raises(DomainError) as err:
+            det_power_average(m2, (-3.0, 5.5))
+        assert err.value.violated == (
+            "alpha_1 + n_1 + gamma_1 > 0",
+            "alpha_{k+1} - sum(gamma) > 0",
+        )
+        assert str(err.value).startswith("rectangular type-2 moment does not exist")
 
 
 class TestExpTrace:
@@ -277,6 +340,7 @@ class TestFunctionalSpec:
         assert back.kind == f.kind
         assert np.array_equal(back.A.array, f.A.array)
         assert back.policy == f.policy
+        assert back == f and hash(back) == hash(f)
         # one spec per kind: the document holds exactly the set parameters
         specs = [
             FunctionalSpec(kind="det_power", gammas=(1.0, 0.5)),
@@ -288,7 +352,9 @@ class TestFunctionalSpec:
         assert {s.kind for s in specs} == set(FUNCTIONALS)
         for spec in specs:
             doc = spec.to_json()
-            assert FunctionalSpec.from_json(doc).to_json() == doc
+            back = FunctionalSpec.from_json(doc)
+            assert back == spec and hash(back) == hash(spec)
+            assert back.to_json() == doc
             set_fields = [n for n in ("gammas", "delta", "h", "A", "policy")
                           if getattr(spec, n) is not None]
             assert list(doc) == ["functional"] + set_fields

@@ -68,6 +68,17 @@ class TestHermitianMatrix:
         h2 = HermitianMatrix.from_json(doc)
         assert np.allclose(h.array, h2.array)
 
+    def test_equality_and_hash_by_value(self):
+        a = HermitianMatrix([[2.0, 0.5j], [-0.5j, 1.0]])
+        b = HermitianMatrix.from_json(a.to_json())
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert HermitianMatrix([[0.0]]) == HermitianMatrix([[-0.0]])
+        assert hash(HermitianMatrix([[0.0]])) == hash(HermitianMatrix([[-0.0]]))
+        assert a != HermitianMatrix([[2.0, 0.5j], [-0.5j, 1.5]])
+        assert HermitianMatrix.identity(1) != HermitianMatrix.identity(2)
+        assert HermitianMatrix([[1.0]]) != [[1.0]]
+
     def test_json_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             HermitianMatrix.from_json({"p": 2, "re": [[1, 2], [0, 1]], "im": [[0, 0], [0, 0]]})

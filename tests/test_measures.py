@@ -14,6 +14,7 @@ from mvda.measures import (
     _congruence_2x2,
     _inv_sqrt_2x2,
     _inv_sqrt_batch,
+    _matrix_gamma_2x2,
     _matrix_gamma_batch,
     _pack_2x2,
     floor_event_count,
@@ -177,6 +178,37 @@ class TestRectangular:
         u = s.scalars
         assert len(u) == 2 and all(x > 0 for x in u) and sum(u) < 1
 
+    def test_type1_is_gamma_ratio_at_shifted_alphas(self):
+        # k gammas at alpha_j + n_j, then the closing gamma, from one stream
+        spec = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
+        rng = SeedSpec(42, 12).child(0)
+        g = np.stack([rng.gammas(2.5, 1_000), rng.gammas(4.0, 1_000)])
+        g0 = rng.gammas(2.0, 1_000)
+        u = sample_batch(spec, SeedSpec(42, 12), 1_000)[:, :, 0, 0].real
+        assert np.array_equal(u, g / (g.sum(axis=0) + g0))
+
+
+class TestScalarSupport:
+    """Every p = 1 kind raises on a draw outside its support, with a message
+    that does not depend on the kind. Gamma(0.01) draws underflow to 0
+    about once in 2000."""
+
+    @pytest.mark.parametrize(
+        "kind,alphas,message",
+        [
+            ("type1", (0.01, 0.01), "not positive and finite"),  # x_1 = 0
+            ("type2", (0.01, 0.01), "not positive and finite"),  # x_1 = inf
+            ("rect_type2_p1", (0.5, 0.01), "not positive and finite"),  # closing 0: u = inf
+            ("rect_type1_p1", (0.5, 0.01), "complement"),  # closing 0: u = 1
+        ],
+    )
+    def test_draw_outside_support_raises(self, kind, alphas, message):
+        ns = (1,) if kind.startswith("rect") else None
+        spec = MeasureSpec(kind=kind, p=1, k=1, alphas=alphas, ns=ns)
+        with pytest.raises(SamplerError, match=message) as err:
+            sample_batch(spec, SeedSpec(42), N)
+        assert "rect" not in str(err.value)
+
 
 def _random_hermitian_2x2(rng, n, lo=0.5, hi=2.0):
     """n positive definite 2 x 2 matrices with eigenvalues in [lo, hi]."""
@@ -197,15 +229,10 @@ def _max_rel(x, ref):
 
 class TestClosedForm2x2:
     def test_matrix_gamma_matches_triangular_product(self):
-        # T T* built from the same stream, in the order the sampler draws it
+        # the triangular construction T T* reads the stream in the same order
         alpha, n = 3.5, 2_000
-        rng = SeedSpec(21).child(0)
-        t = np.zeros((n, 2, 2), dtype=np.complex128)
-        t[:, 0, 0] = np.sqrt(rng.gammas(alpha, n))
-        t[:, 1, 1] = np.sqrt(rng.gammas(alpha - 1, n))
-        t[:, 1, 0] = rng.complex_normals(n)
-        ref = t @ t.conj().transpose(0, 2, 1)
-        w = _matrix_gamma_batch(SeedSpec(21).child(0), 2, alpha, n)
+        ref = _matrix_gamma_batch(SeedSpec(21).child(0), 2, alpha, n)
+        w = _pack_2x2(*_matrix_gamma_2x2(SeedSpec(21).child(0), alpha, n))
         assert _max_rel(w, ref) <= 1e-14
 
     def test_inv_sqrt_matches_eigh(self):
@@ -258,6 +285,14 @@ class TestMeasureSpec:
         spec = MeasureSpec(kind="rect_type1_p1", p=2, k=1, alphas=(0.5, 2.0), ns=(2,))
         with pytest.raises(DomainError):
             spec.validate()
+
+    def test_scalar_law(self):
+        rect = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, -0.5, 2.0), ns=(2, 3))
+        assert rect.scalar_alphas == (2.5, 2.5, 2.0) and rect.type1
+        t2 = MeasureSpec(kind="type2", p=2, k=1, alphas=(2.0, 3.0))
+        assert t2.scalar_alphas == (2.0, 3.0) and not t2.type1
+        assert MeasureSpec(kind="type1", p=1, k=1, alphas=(1.0, 1.0)).type1
+        assert not MeasureSpec(kind="rect_type2_p1", p=1, k=1, alphas=(1.0, 1.0), ns=(1,)).type1
 
     def test_alpha_count(self):
         with pytest.raises(ValueError):
