@@ -210,7 +210,7 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
 
 def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     delta = functional.delta
-    eye = np.eye(measure.p, dtype=np.complex128)
+    eye = np.eye(measure.p)
     type1 = measure.type1
 
     def complement_power(batch: np.ndarray) -> np.ndarray:
@@ -301,7 +301,7 @@ def phi6_average(measure: MeasureSpec, A: HermitianMatrix) -> AverageResult:
 def _phi6_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     a = functional.A.array
     expo = measure.alphas[0] + measure.alphas[2]
-    eye = np.eye(measure.p, dtype=np.complex128)
+    eye = np.eye(measure.p)
 
     def phi6(batch: np.ndarray) -> np.ndarray:
         x1 = batch[0]

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error (nonexistent moment
 or invalid parameter domain), 3 verification failure, 4 internal or
-numerical error. The default seed is 42; the MVDA_SEED environment
-variable overrides it and an explicit --seed flag wins over both.
+numerical error. `mvda sample` seeds with MVDA_SEED, or 42 when unset;
+`mvda verify` takes each case's seed from the suite. --seed wins in both.
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("verify", help="run the Monte Carlo verification suite")
-    p.add_argument("--suite", choices=["default"], default="default")
     p.add_argument("--config", help="custom suite config (JSON array of cases)")
     p.add_argument("--samples", type=int, default=None, help="override per-case sample count")
     p.add_argument("--seed", type=int, default=None, help="override per-case seed")

@@ -296,7 +296,8 @@ def _check_type1_support_2x2(a: np.ndarray, d: np.ndarray, c: np.ndarray) -> Non
 
 
 def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> np.ndarray:
-    """n draws from the measure as a (k, n, p, p) complex stack.
+    """n draws from the measure as a (k, n, p, p) stack, complex at p >= 2
+    and real float64 at p = 1.
 
     The output is a pure function of (seed, stream, chunk, n), which is
     what makes chunked Monte Carlo independent of worker scheduling.
@@ -311,7 +312,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
         with np.errstate(all="ignore"):  # _check_p1_support reports 0, inf and nan
             x = w[:k] / (w.sum(axis=0) if spec.type1 else w[-1])
         _check_p1_support(x, w[-1] if spec.type1 else None)
-        return x.reshape(k, n, 1, 1).astype(np.complex128)
+        return x.reshape(k, n, 1, 1)
 
     if p == 2:
         w = [_matrix_gamma_2x2(rng, a, n) for a in spec.alphas]

@@ -153,25 +153,23 @@ def _chunk_sums(measure, integrand, config, c, start, size):
     )
 
 
-def _run_pass(measure, integrand, config: McConfig, n: int, workers: int):
-    spans = []
-    start = 0
-    c = 0
-    while start < n:
-        size = min(config.chunk, n - start)
-        spans.append((c, start, size))
-        start += size
-        c += 1
-
+def _run_pass(measure, integrand, config: McConfig, n: int, workers: int, reuse=()):
+    """(mean, se, kurtosis, chunk sums) of an n-draw pass; reuse holds the
+    sums of its first chunks from an earlier pass, which are not redrawn."""
+    spans = [
+        (c, c * config.chunk, min(config.chunk, n - c * config.chunk))
+        for c in range(len(reuse), -(-n // config.chunk))
+    ]
     if workers <= 1:
-        parts = [_chunk_sums(measure, integrand, config, c, s, z) for c, s, z in spans]
+        drawn = [_chunk_sums(measure, integrand, config, c, s, z) for c, s, z in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_chunk_sums, measure, integrand, config, c, s, z)
                 for c, s, z in spans
             ]
-            parts = [f.result() for f in futures]
+            drawn = [f.result() for f in futures]
+    parts = [*reuse, *drawn]
 
     s1 = s2 = s3 = s4 = 0.0
     for a, b, cc, d in parts:  # fixed reduction order: chunk index
@@ -188,7 +186,7 @@ def _run_pass(measure, integrand, config: McConfig, n: int, workers: int):
         kurt = n * m4 / (m2 * m2)
     else:
         kurt = 0.0
-    return mean, se, kurt
+    return mean, se, kurt, parts
 
 
 def mc_estimate_full(
@@ -199,12 +197,14 @@ def mc_estimate_full(
 ) -> tuple[float, float, int, dict]:
     """Estimate with diagnostics: (estimate, std_error, n_used, diagnostics)."""
     integrand = make_integrand(measure, functional)
-    mean, se, kurt = _run_pass(measure, integrand, config, config.samples, workers)
+    mean, se, kurt, parts = _run_pass(measure, integrand, config, config.samples, workers)
     diagnostics = {"kurtosis": kurt, "boosted": False}
     n_used = config.samples
     if kurt > KURTOSIS_LIMIT:
         n_used = config.samples * KURTOSIS_BOOST
-        mean, se, kurt2 = _run_pass(measure, integrand, config, n_used, workers)
+        # the first pass's full-size chunks are the rerun's first chunks
+        full = parts[: config.samples // config.chunk]
+        mean, se, kurt2, _ = _run_pass(measure, integrand, config, n_used, workers, full)
         diagnostics = {"kurtosis": kurt, "boosted": True, "kurtosis_boosted": kurt2}
     return mean, se, n_used, diagnostics
 

@@ -1,11 +1,12 @@
 """Deterministic random variate generation.
 
 All randomness flows from a counter-based Philox generator keyed by a
-(seed, stream) pair, so a given SeedSpec always reproduces the same
-sequence regardless of process, worker count, or platform. Uniform doubles
-are derived from the raw 64-bit counter output here (not through a
-Generator object), normals by the Box-Muller transform, and gamma variates
-by Marsaglia-Tsang rejection with the usual shape boost below 1.
+(seed, stream, chunk) triple. Uniform doubles come from its raw 64-bit
+output, normals from numpy's Generator (a ziggurat) on the same bit
+generator, and gammas from Marsaglia-Tsang rejection with the usual shape
+boost below 1. Draws are bit-exact per triple, whatever the process or
+worker count, on one numpy version: NumPy (NEP 19) does not promise the
+same Generator output across versions.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class CounterRng:
     def __init__(self, seed: SeedSpec, chunk: int = 0):
         ss = np.random.SeedSequence(entropy=seed.seed, spawn_key=(seed.stream, chunk))
         self._bits = np.random.Philox(ss)
+        self._gen = np.random.Generator(self._bits)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1]; never exactly zero, so logs are finite."""
@@ -60,15 +62,8 @@ class CounterRng:
         return ((raw >> np.uint64(11)) + np.uint64(1)) * (2.0**-53)
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on consecutive uniform pairs."""
-        m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        r = np.sqrt(-2.0 * np.log(u[:m]))
-        theta = (2.0 * math.pi) * u[m:]
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        """n standard normals from numpy's ziggurat on this instance's stream."""
+        return self._gen.standard_normal(n)
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
         """n draws from Gamma(shape, 1) for any shape > 0.
@@ -100,9 +95,7 @@ class CounterRng:
             pending = pending[~accept]
         return out
 
-    def complex_normals(self, n: int, var_per_part: float = 0.5) -> np.ndarray:
-        """n complex draws whose real and imaginary parts are centered
-        normals with the given per-component variance."""
-        s = math.sqrt(var_per_part)
-        z = self.normals(2 * n)
-        return s * (z[0::2] + 1j * z[1::2])
+    def complex_normals(self, n: int) -> np.ndarray:
+        """n standard complex normals: consecutive pairs of normals, scaled
+        by sqrt(1/2), as real and imaginary parts (so E|z|^2 = 1)."""
+        return math.sqrt(0.5) * self.normals(2 * n).view(np.complex128)

@@ -188,6 +188,24 @@ class TestRectangular:
         assert np.array_equal(u, g / (g.sum(axis=0) + g0))
 
 
+class TestP1Batch:
+    @pytest.mark.parametrize("kind", ["type1", "type2", "rect_type1_p1", "rect_type2_p1"])
+    def test_real_stack_is_gamma_ratio(self, kind):
+        # the old complex stack's real part, with no complex round trip
+        ns = (2, 3) if kind.startswith("rect") else None
+        spec = MeasureSpec(kind=kind, p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=ns)
+        rng = SeedSpec(42, 13).child(0)
+        w = np.stack([rng.gammas(a, 1_000) for a in spec.scalar_alphas])
+        x = w[:2] / (w.sum(axis=0) if spec.type1 else w[-1])
+        batch = sample_batch(spec, SeedSpec(42, 13), 1_000)
+        assert batch.dtype == np.float64 and batch.shape == (2, 1_000, 1, 1)
+        assert np.array_equal(batch[:, :, 0, 0], x)
+        # single draws still come out as complex Hermitian matrices
+        m = sample_one(spec, SeedSpec(42, 13)).matrices[0]
+        assert m.array.dtype == np.complex128
+        assert m.array[0, 0] == sample_batch(spec, SeedSpec(42, 13), 1)[0, 0, 0, 0]
+
+
 class TestScalarSupport:
     """Every p = 1 kind raises on a draw outside its support, with a message
     that does not depend on the kind. Gamma(0.01) draws underflow to 0

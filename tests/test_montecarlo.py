@@ -4,10 +4,11 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from mvda import montecarlo
 from mvda.averages import FunctionalSpec, _det
 from mvda.errors import NonFiniteIntegrand
 from mvda.linalg import HermitianMatrix
-from mvda.measures import MeasureSpec
+from mvda.measures import MeasureSpec, sample_batch
 from mvda.montecarlo import (
     CSV_HEADER,
     McConfig,
@@ -18,6 +19,7 @@ from mvda.montecarlo import (
     default_suite,
     dump_suite,
     load_suite,
+    make_integrand,
     mc_estimate_full,
     report_emit,
     reports_from_json,
@@ -103,6 +105,33 @@ class TestMcEstimate:
             assert n_used == 200_000
         else:
             assert n_used == 20_000
+
+
+class TestKurtosisBoost:
+    # heavy tailed on SeedSpec(42, 6): the first pass's kurtosis exceeds the limit
+    MEASURE = MeasureSpec(kind="type2", p=1, k=1, alphas=(1.5, 3.5))
+    FUNCTIONAL = FunctionalSpec(kind="det_power", gammas=(1.0,))
+
+    @pytest.mark.parametrize("chunk", [5_000, 3_000])
+    def test_rerun_reuses_full_chunks(self, chunk, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["chunk"])
+            return sample_batch(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_batch", counting)
+        config = McConfig(samples=20_000, seed=SeedSpec(42, 6), chunk=chunk)
+        est, se, n_used, diag = mc_estimate_full(self.MEASURE, self.FUNCTIONAL, config)
+        assert diag["boosted"] and n_used == 200_000
+        first = -(-20_000 // chunk)  # chunks of the first pass
+        full = 20_000 // chunk  # its full-size ones, which the rerun reuses
+        assert calls == [*range(first), *range(full, -(-200_000 // chunk))]
+        if 20_000 % chunk == 0:
+            assert len(calls) == 10 * first
+        integrand = make_integrand(self.MEASURE, self.FUNCTIONAL)
+        direct = montecarlo._run_pass(self.MEASURE, integrand, config, 200_000, 1)
+        assert (est, se) == direct[:2]
 
 
 class TestDet:

@@ -65,6 +65,26 @@ class TestNormals:
         assert len(SeedSpec(4).child(0).normals(7)) == 7
 
 
+class TestSharedStream:
+    def test_normals_are_numpy_standard_normal_after_uniforms(self):
+        # one Philox stream: uniforms take raw words, normals continue from there
+        rng = SeedSpec(11, 2).child(3)
+        rng.uniforms(5)
+        z = rng.normals(1_001)
+        ss = np.random.SeedSequence(entropy=11, spawn_key=(2, 3))
+        bits = np.random.Philox(ss)
+        bits.random_raw(5)
+        assert np.array_equal(z, np.random.Generator(bits).standard_normal(1_001))
+
+    def test_complex_normals_are_scaled_consecutive_normals(self):
+        z = SeedSpec(12).child(0).complex_normals(501)
+        x = SeedSpec(12).child(0).normals(1_002)
+        assert np.array_equal(z.real, math.sqrt(0.5) * x[0::2])
+        assert np.array_equal(z.imag, math.sqrt(0.5) * x[1::2])
+        with pytest.raises(TypeError):  # the variance is fixed at 1/2 per part
+            SeedSpec(12).child(0).complex_normals(501, 0.5)
+
+
 class TestGammas:
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.7])
     def test_first_four_moments(self, shape):
