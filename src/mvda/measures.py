@@ -3,15 +3,25 @@
 The matrix gamma draw builds a lower-triangular factor T with chi-type
 diagonal entries (squared diagonals are gamma variates with shapes
 alpha - j + 1) and complex Gaussian strict-lower entries, then returns
-T T*. Type-1 and type-2 Dirichlet samples are gamma ratios: with
-independent W_1..W_{k+1},
+T T*. Type-1 and type-2 Dirichlet samples are congruences X_j = C W_j C*
+of independent gamma draws W_j = T_j T_j*, j = 1..k+1. A change of
+variables in the densities shows that any factor C with
 
-    type-1:  X_j = S^{-1/2} W_j S^{-1/2},  S = W_1 + ... + W_{k+1}
-    type-2:  X_j = W_{k+1}^{-1/2} W_j W_{k+1}^{-1/2}
+    type-1:  C S C* = I,  S = W_1 + ... + W_{k+1}
+    type-2:  C C* = W_{k+1}^{-1}
 
-At p = 2 the whole chain (matrix gamma, inverse square root, congruence,
-type-1 support check) is written out in closed form on the entries of
-Hermitian 2 x 2 matrices; p >= 3 uses batched eigh.
+gives the measure's law, so both kinds take triangular factors:
+
+    type-1:  C = L^{-1} with S = L L*  (Olkin & Rubin, 1964), and
+             X_j = U_j U_j* with U_j = L^{-1} T_j by forward substitution;
+    type-2:  C = T_{k+1}^{-*}, and X_j = G_j G_j* with G_j = T_{k+1}^{-*} T_j.
+
+At type-1 the complement I - sum X_j = L^{-1} W_{k+1} L^{-*} is positive
+semidefinite by construction. Every p >= 2 runs one entrywise path on p x p
+grids of arrays over the draws (Cholesky, forward substitution, triangular
+inverse, Gram products) and calls no LAPACK. A squared pivot below
+EIG_FLOOR_RTOL times the largest diagonal entry of S (type-1) or W_{k+1}
+(type-2) is raised to that value and counted by floor_event_count().
 
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
@@ -37,14 +47,14 @@ logger = logging.getLogger(__name__)
 
 KINDS = ("type1", "type2", "rect_type1_p1", "rect_type2_p1")
 
-# Relative eigenvalue floor applied before inverting near-singular gamma sums.
+# Relative floor on the squared pivots of the factored gamma sums.
 EIG_FLOOR_RTOL = 1e-13
 
 _floor_events = 0
 
 
 def floor_event_count() -> int:
-    """Number of eigenvalues floored during inverse square roots so far."""
+    """Number of squared pivots raised to the floor so far."""
     return _floor_events
 
 
@@ -174,125 +184,111 @@ class DirichletSample:
 
 
 # ---------------------------------------------------------------------------
-# batch generation (the Monte Carlo workhorses)
-
-
-def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
-    """n draws of the p x p complex matrix gamma, as an (n, p, p) stack,
-    by the triangular construction at every p."""
-    t = np.zeros((n, p, p), dtype=np.complex128)
-    for j in range(p):
-        t[:, j, j] = np.sqrt(rng.gammas(alpha - j, n))
-    for i in range(1, p):
-        for j in range(i):
-            t[:, i, j] = rng.complex_normals(n)
-    return t @ t.conj().transpose(0, 2, 1)
-
-
-def _inv_sqrt_batch(s: np.ndarray) -> np.ndarray:
-    """Hermitian inverse square roots of an (n, p, p) positive definite stack.
-
-    Eigenvalues below EIG_FLOOR_RTOL * lambda_max are floored (and counted)
-    so that one near-singular sum cannot abort a long run.
-    """
-    global _floor_events
-    w, v = np.linalg.eigh(s)
-    floor = EIG_FLOOR_RTOL * w[:, -1:]
-    n_floored = int(np.count_nonzero(w < floor))
-    if n_floored:
-        _floor_events += n_floored
-        logger.warning("floored %d near-zero eigenvalues in inverse sqrt", n_floored)
-        w = np.maximum(w, floor)
-    return (v * (1.0 / np.sqrt(w))[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
-def _symmetrize(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().transpose(0, 2, 1)) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# closed-form 2 x 2 Hermitian kernels
+# entrywise p x p kernels
 #
-# A stack of Hermitian 2 x 2 matrices is held as a struct of arrays (a, d, c):
-# the real diagonal entries a = S[0, 0] and d = S[1, 1] and the complex entry
-# below the diagonal c = S[1, 0], each an array over the draws.
+# A stack of n lower-triangular or Hermitian p x p matrices is held as a grid
+# of rows, row i holding the entries (i, 0) .. (i, i) as length-n arrays: real
+# on the diagonal, complex below it. A Hermitian grid keeps its lower triangle.
+# A full grid (rows of length p) holds the general products C T_j.
 
 
-def _pack_2x2(a: np.ndarray, d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The (..., 2, 2) complex stack of the Hermitian matrices (a, d, c)."""
-    out = np.empty(a.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = a
-    out[..., 1, 1] = d
-    out[..., 1, 0] = c
-    out[..., 0, 1] = np.conj(c)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z * z if np.isrealobj(z) else z.real**2 + z.imag**2
+
+
+def _pivot(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The pivot sqrt(d2), with squared pivots below EIG_FLOOR_RTOL * scale
+    raised to that value (and counted), so that one near-singular matrix
+    cannot abort a long run."""
+    global _floor_events
+    floor = EIG_FLOOR_RTOL * scale
+    low = d2 < floor
+    n_low = int(np.count_nonzero(low))
+    if n_low:
+        _floor_events += n_low
+        logger.warning("raised %d near-zero squared pivots to the floor", n_low)
+        d2 = np.where(low, floor, d2)
+    return np.sqrt(d2)
+
+
+def _triangular_factor(rng: CounterRng, p: int, alpha: float, n: int) -> list:
+    """The lower-triangular factor T of n matrix gamma draws W = T T*.
+
+    Squared diagonal entries are gammas at shapes alpha, alpha - 1, ...,
+    drawn first; the complex normals below the diagonal follow row by row.
+    """
+    diag = [np.sqrt(rng.gammas(alpha - i, n)) for i in range(p)]
+    return [[rng.complex_normals(n) for _ in range(i)] + [diag[i]] for i in range(p)]
+
+
+def _gram(rows: list) -> list:
+    """The Hermitian grid R R* of a triangular or full grid R."""
+    out = []
+    for i, ri in enumerate(rows):
+        out_i = []
+        for rj in rows[:i]:  # row j is zero past its own length
+            out_i.append(sum(a * np.conj(b) for a, b in zip(ri, rj)))
+        out_i.append(sum(_abs2(a) for a in ri))
+        out.append(out_i)
     return out
 
 
-def _matrix_gamma_2x2(rng: CounterRng, alpha: float, n: int):
-    """n matrix gamma draws at p = 2 as (a, d, c).
-
-    T T* for T = [[t11, 0], [t21, t22]] has a = t11^2, d = |t21|^2 + t22^2
-    and c = t21 t11. The variates are drawn in the order of the triangular
-    construction at p >= 3: diagonal gammas first, then the normals below.
-    """
-    g11 = rng.gammas(alpha, n)
-    g22 = rng.gammas(alpha - 1, n)
-    t21 = rng.complex_normals(n)
-    return g11, t21.real**2 + t21.imag**2 + g22, t21 * np.sqrt(g11)
-
-
-def _inv_sqrt_2x2(a: np.ndarray, d: np.ndarray, c: np.ndarray):
-    """Hermitian inverse square roots of positive definite (a, d, c).
-
-    With s = sqrt(det S) and t = sqrt(tr S + 2 s), sqrt(S) = (S + s I) / t,
-    so S^{-1/2} = [[d + s, -conj(c)], [-c, a + s]] / (s t). Rows whose
-    smallest eigenvalue lies below EIG_FLOOR_RTOL * lambda_max go through
-    _inv_sqrt_batch, which floors and counts them exactly as at p >= 3.
-    """
-    cc = c.real**2 + c.imag**2
-    det = a * d - cc
-    lmax = 0.5 * (a + d) + np.sqrt((0.5 * (a - d)) ** 2 + cc)
-    low = det / lmax < EIG_FLOOR_RTOL * lmax
-    floored = np.flatnonzero(low)
-    if floored.size:
-        det = np.where(low, 1.0, det)  # placeholder; these rows are replaced below
-    s = np.sqrt(det)
-    scale = 1.0 / (s * np.sqrt(a + d + 2.0 * s))
-    ra, rd, rc = (d + s) * scale, (a + s) * scale, -c * scale
-    if floored.size:
-        r = _inv_sqrt_batch(_pack_2x2(a[floored], d[floored], c[floored]))
-        ra[floored] = r[:, 0, 0].real
-        rd[floored] = r[:, 1, 1].real
-        rc[floored] = r[:, 1, 0]
-    return ra, rd, rc
+def _cholesky(s: list) -> list:
+    """The lower-triangular L with S = L L* of a positive definite Hermitian
+    grid S, with pivots floored against the largest diagonal entry of S."""
+    scale = np.max([row[-1] for row in s], axis=0)
+    l = []
+    for i, si in enumerate(s):
+        row = []
+        for j in range(i):
+            acc = sum(row[m] * np.conj(l[j][m]) for m in range(j))
+            row.append((si[j] - acc) / l[j][j])
+        row.append(_pivot(si[i] - sum(_abs2(z) for z in row), scale))
+        l.append(row)
+    return l
 
 
-def _congruence_2x2(r, w):
-    """R W R for Hermitian (a, d, c) stacks R and W, entry by entry."""
-    ra, rd, rc = r
-    wa, wd, wc = w
-    rc2 = rc.real**2 + rc.imag**2
-    cross = 2.0 * (rc.real * wc.real + rc.imag * wc.imag)  # 2 Re(conj(rc) wc)
-    return (
-        ra * ra * wa + ra * cross + rc2 * wd,
-        rc2 * wa + rd * cross + rd * rd * wd,
-        rc * (ra * wa + rd * wd) + (ra * rd) * wc + rc * rc * np.conj(wc),
-    )
+def _forward(l: list, t: list) -> list:
+    """L^{-1} T for lower-triangular grids L and T, by forward substitution."""
+    u = []
+    for i, ti in enumerate(t):
+        u.append([
+            (ti[j] - sum(l[i][m] * u[m][j] for m in range(j, i))) / l[i][i]
+            for j in range(i + 1)
+        ])
+    return u
 
 
-def _check_type1_support_2x2(a: np.ndarray, d: np.ndarray, c: np.ndarray) -> None:
-    """Raise unless I - sum X_j is positive semidefinite (to 1e-9) at p = 2.
+def _inverse(t: list) -> list:
+    """T^{-1} of a lower-triangular grid T."""
+    return _forward(t, [[float(i == j) for j in range(i + 1)] for i in range(len(t))])
 
-    a, d, c are the entries of the k components stacked as (k, n) arrays.
-    """
-    ta, td, tc = a.sum(axis=0), d.sum(axis=0), c.sum(axis=0)
-    half_gap = np.sqrt((0.5 * (ta - td)) ** 2 + (tc.real**2 + tc.imag**2))
-    lmin = 1.0 - 0.5 * (ta + td) - half_gap
-    bad = lmin < -1e-9
-    if np.any(bad):
-        raise SamplerError(
-            f"type-1 complement I - sum X_j not positive semidefinite at sample {int(np.argmax(bad))}"
-        )
+
+def _adjoint_product(m: list, t: list) -> list:
+    """The full grid M* T of lower-triangular grids M and T."""
+    p = len(t)
+    return [
+        [sum(np.conj(m[r][i]) * t[r][j] for r in range(max(i, j), p)) for j in range(p)]
+        for i in range(p)
+    ]
+
+
+def _pack(grids: list) -> np.ndarray:
+    """The (k, n, p, p) complex stack of k Hermitian grids."""
+    p = len(grids[0])
+    out = np.empty((len(grids),) + np.shape(grids[0][0][0]) + (p, p), dtype=np.complex128)
+    for o, h in zip(out, grids):
+        for i, row in enumerate(h):
+            o[..., i, i] = row[i]
+            for j, z in enumerate(row[:i]):
+                o[..., i, j] = z
+                np.conjugate(z, out=o[..., j, i])
+    return out
+
+
+def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
+    """n draws of the p x p complex matrix gamma, as an (n, p, p) stack."""
+    return _pack([_gram(_triangular_factor(rng, p, alpha, n))])[0]
 
 
 def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> np.ndarray:
@@ -314,31 +310,20 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
         _check_p1_support(x, w[-1] if spec.type1 else None)
         return x.reshape(k, n, 1, 1)
 
-    if p == 2:
-        w = [_matrix_gamma_2x2(rng, a, n) for a in spec.alphas]
-        if spec.type1:
-            r = _inv_sqrt_2x2(*(sum(parts) for parts in zip(*w)))
-        else:
-            r = _inv_sqrt_2x2(*w[-1])
-        x = [np.stack(parts) for parts in zip(*(_congruence_2x2(r, wj) for wj in w[:k]))]
-        if spec.type1:
-            _check_type1_support_2x2(*x)
-        return _pack_2x2(*x)
-
-    w = [_matrix_gamma_batch(rng, p, a, n) for a in spec.alphas]
+    t = [_triangular_factor(rng, p, a, n) for a in spec.alphas]
     if spec.type1:
-        r = _inv_sqrt_batch(np.sum(w, axis=0))
+        # C = L^{-1} with S = L L*
+        s = [[sum(e) for e in zip(*rows)] for rows in zip(*map(_gram, t))]
+        l = _cholesky(s)
+        x = [_gram(_forward(l, tj)) for tj in t[:k]]
     else:
-        r = _inv_sqrt_batch(w[-1])
-    out = np.stack([_symmetrize(r @ wj @ r) for wj in w[:k]])
-    if spec.type1:
-        # I - sum X_j > O forces the traces to sum below p.
-        tr = np.einsum("knii->n", out).real
-        if np.any(tr > p + 1e-9):
-            raise SamplerError(
-                f"type-1 trace aggregate exceeded p at sample {int(np.argmax(tr > p + 1e-9))}"
-            )
-    return out
+        # C = T_{k+1}^{-*}; the squared pivots of W_{k+1} are T_{k+1}'s diagonal
+        last = t[-1]
+        scale = np.max([sum(_abs2(z) for z in row) for row in last], axis=0)
+        last = [row[:-1] + [_pivot(_abs2(row[-1]), scale)] for row in last]
+        m = _inverse(last)
+        x = [_gram(_adjoint_product(m, tj)) for tj in t[:k]]
+    return _pack(x)
 
 
 def _check_p1_support(x: np.ndarray, closing: Optional[np.ndarray] = None) -> None:
@@ -371,8 +356,7 @@ def sample_matrix_gamma(p: int, alpha: float, seed: SeedSpec) -> HermitianMatrix
             [f"alpha > p - 1 (got {alpha!r}, p = {p})"],
             context="matrix gamma sampler",
         )
-    w = _matrix_gamma_batch(seed.child(0), p, float(alpha), 1)
-    return HermitianMatrix(_symmetrize(w)[0])
+    return HermitianMatrix(_matrix_gamma_batch(seed.child(0), p, float(alpha), 1)[0])
 
 
 def sample_one(spec: MeasureSpec, seed: SeedSpec) -> DirichletSample:

@@ -4,24 +4,27 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from mvda.averages import FunctionalSpec
 from mvda.errors import DomainError, SamplerError
 from mvda.linalg import HermitianMatrix, is_pd
 from mvda.measures import (
     EIG_FLOOR_RTOL,
     DirichletSample,
     MeasureSpec,
-    _check_type1_support_2x2,
-    _congruence_2x2,
-    _inv_sqrt_2x2,
-    _inv_sqrt_batch,
-    _matrix_gamma_2x2,
+    _adjoint_product,
+    _cholesky,
+    _forward,
+    _gram,
+    _inverse,
     _matrix_gamma_batch,
-    _pack_2x2,
+    _pack,
+    _triangular_factor,
     floor_event_count,
     sample_batch,
     sample_matrix_gamma,
     sample_one,
 )
+from mvda.montecarlo import McConfig, VerifyCase, verify_suite
 from mvda.rng import SeedSpec
 
 N = 100_000
@@ -228,64 +231,195 @@ class TestScalarSupport:
         assert "rect" not in str(err.value)
 
 
-def _random_hermitian_2x2(rng, n, lo=0.5, hi=2.0):
-    """n positive definite 2 x 2 matrices with eigenvalues in [lo, hi]."""
-    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    q, _ = np.linalg.qr(z)
-    w = rng.uniform(lo, hi, size=(n, 1, 2))
-    s = (q * w) @ q.conj().transpose(0, 2, 1)
-    return (s + s.conj().transpose(0, 2, 1)) / 2
+def _random_lower(rng, n, p):
+    """n lower-triangular p x p matrices with positive real diagonals."""
+    t = np.tril(rng.normal(size=(n, p, p)) + 1j * rng.normal(size=(n, p, p)), -1)
+    t[:, range(p), range(p)] = rng.uniform(0.5, 2.0, size=(n, p))
+    return t
 
 
-def _entries(s):
-    return s[:, 0, 0].real, s[:, 1, 1].real, s[:, 1, 0]
+def _grid(a, full=False):
+    """The grid of an (n, p, p) stack: its lower triangle, or every entry,
+    with real diagonal entries."""
+    p = a.shape[-1]
+    return [
+        [a[:, i, j].real if i == j else a[:, i, j] for j in range(p if full else i + 1)]
+        for i in range(p)
+    ]
+
+
+def _dense(rows):
+    """The (n, p, p) stack of a triangular or full grid, zero above the rows."""
+    p = len(rows)
+    out = np.zeros(np.shape(rows[0][0]) + (p, p), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            out[..., i, j] = z
+    return out
 
 
 def _max_rel(x, ref):
     return np.max(np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2)))
 
 
-class TestClosedForm2x2:
-    def test_matrix_gamma_matches_triangular_product(self):
-        # the triangular construction T T* reads the stream in the same order
-        alpha, n = 3.5, 2_000
-        ref = _matrix_gamma_batch(SeedSpec(21).child(0), 2, alpha, n)
-        w = _pack_2x2(*_matrix_gamma_2x2(SeedSpec(21).child(0), alpha, n))
-        assert _max_rel(w, ref) <= 1e-14
+def _herm(a):
+    return a.conj().transpose(0, 2, 1)
 
-    def test_inv_sqrt_matches_eigh(self):
-        s = _random_hermitian_2x2(np.random.default_rng(1), 20_000)
-        r = _pack_2x2(*_inv_sqrt_2x2(*_entries(s)))
-        assert _max_rel(r, _inv_sqrt_batch(s)) <= 1e-12
 
-    def test_congruence_matches_matmul(self):
-        rng = np.random.default_rng(2)
-        r = _random_hermitian_2x2(rng, 20_000)
-        w = _random_hermitian_2x2(rng, 20_000, 0.01, 5.0)
-        x = _pack_2x2(*_congruence_2x2(_entries(r), _entries(w)))
-        assert _max_rel(x, r @ w @ r) <= 1e-12
+class TestEntrywiseKernels:
+    """Each kernel against numpy's LAPACK or matmul to 1e-12."""
 
-    def test_floor_events_counted_as_on_eigh_path(self):
-        s = _random_hermitian_2x2(np.random.default_rng(3), 1_000)
-        w, v = np.linalg.eigh(s[:5])
-        w[:, 0] = w[:, 1] * EIG_FLOOR_RTOL * 1e-3  # far below the floor
-        s[:5] = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    N = 2_000
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_gram_matches_matmul(self, p):
+        rng = np.random.default_rng(p)
+        t = _random_lower(rng, self.N, p)
+        assert _max_rel(_pack([_gram(_grid(t))])[0], t @ _herm(t)) <= 1e-12
+        g = t + _herm(_random_lower(rng, self.N, p))  # a general square factor
+        assert _max_rel(_pack([_gram(_grid(g, full=True))])[0], g @ _herm(g)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_cholesky_matches_lapack(self, p):
+        t = _random_lower(np.random.default_rng(10 + p), self.N, p)
+        s = t @ _herm(t)
+        assert _max_rel(_dense(_cholesky(_grid(s))), np.linalg.cholesky(s)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_forward_substitution_matches_solve(self, p):
+        rng = np.random.default_rng(20 + p)
+        l, t = _random_lower(rng, self.N, p), _random_lower(rng, self.N, p)
+        u = _dense(_forward(_grid(l), _grid(t)))
+        assert _max_rel(u, np.linalg.solve(l, t)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_triangular_inverse_matches_inv(self, p):
+        t = _random_lower(np.random.default_rng(30 + p), self.N, p)
+        assert _max_rel(_dense(_inverse(_grid(t))), np.linalg.inv(t)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_adjoint_product_matches_matmul(self, p):
+        rng = np.random.default_rng(40 + p)
+        m, t = _random_lower(rng, self.N, p), _random_lower(rng, self.N, p)
+        g = _dense(_adjoint_product(_grid(m), _grid(t)))
+        assert _max_rel(g, _herm(m) @ t) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_pack_rebuilds_hermitian_stacks(self, p):
+        rng = np.random.default_rng(50 + p)
+        s = [t @ _herm(t) for t in (_random_lower(rng, self.N, p) for _ in range(3))]
+        packed = _pack([_grid(x) for x in s])
+        assert packed.shape == (3, self.N, p, p)
+        assert np.array_equal(packed, packed.conj().swapaxes(-1, -2))
+        assert np.array_equal(np.tril(packed, -1), np.tril(np.stack(s), -1))
+        assert _max_rel(packed.reshape(-1, p, p), np.concatenate(s)) <= 1e-12
+
+    def test_matrix_gamma_reads_stream_in_triangular_order(self):
+        # diagonal gammas at alpha, alpha - 1, ..., then the normals row by row
+        p, alpha, n = 3, 3.5, 2_000
+        rng = SeedSpec(21).child(0)
+        t = np.zeros((n, p, p), dtype=np.complex128)
+        for i in range(p):
+            t[:, i, i] = np.sqrt(rng.gammas(alpha - i, n))
+        for i in range(1, p):
+            for j in range(i):
+                t[:, i, j] = rng.complex_normals(n)
+        w = _matrix_gamma_batch(SeedSpec(21).child(0), p, alpha, n)
+        assert _max_rel(w, t @ _herm(t)) <= 1e-14
+
+
+class TestPivotFloor:
+    """A squared pivot below EIG_FLOOR_RTOL times the largest diagonal entry
+    is raised to that value and counted once."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cholesky_pivot_raised_and_counted(self, p):
+        # integer factor with a zero second pivot: S = L0 L0* is exact in
+        # floating point, so that pivot comes out exactly 0 and the rest exact
+        l0 = np.array([[2, 0, 0], [1 + 1j, 0, 0], [1, 3 - 1j, 1]])[:p, :p]
+        t = _random_lower(np.random.default_rng(60 + p), 1_000, p)
+        t[:5] = l0
+        s = t @ _herm(t)
         before = floor_event_count()
-        ref = _inv_sqrt_batch(s)
-        by_eigh = floor_event_count() - before
-        r = _pack_2x2(*_inv_sqrt_2x2(*_entries(s)))
-        by_closed_form = floor_event_count() - before - by_eigh
-        assert by_eigh == by_closed_form == 5
-        assert _max_rel(r[:5], ref[:5]) <= 1e-12
-        assert _max_rel(r[5:], ref[5:]) <= 1e-12
+        l = _cholesky(_grid(s))
+        assert floor_event_count() - before == 5
+        scale = np.max(np.einsum("nii->ni", s).real, axis=1)
+        assert np.allclose(l[1][1][:5] ** 2, EIG_FLOOR_RTOL * scale[:5], rtol=1e-12, atol=0)
+        assert _max_rel(_dense(l)[5:], np.linalg.cholesky(s[5:])) <= 1e-12
 
-    def test_type1_support_uses_smallest_eigenvalue(self):
-        # trace 1.6 < p, but I - X has the eigenvalue -0.5
-        x = np.diag([1.5, 0.1]).astype(np.complex128)[None, None]
-        a, d, c = x[..., 0, 0].real, x[..., 1, 1].real, x[..., 1, 0]
-        with pytest.raises(SamplerError):
-            _check_type1_support_2x2(a, d, c)
-        _check_type1_support_2x2(a / 2, d, c)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_type2_pivot_raised_and_counted(self, p):
+        # Gamma(0.001) at the last diagonal entry of T_{k+1} falls below the
+        # floor in most draws; only that pivot can.
+        spec = MeasureSpec(kind="type2", p=p, k=1, alphas=(p + 1.0, p - 1 + 1e-3))
+        n = 2_000
+        rng = SeedSpec(42, 14).child(0)
+        _triangular_factor(rng, p, spec.alphas[0], n)
+        last = _dense(_triangular_factor(rng, p, spec.alphas[1], n))
+        pivots2 = np.einsum("nii->ni", last).real ** 2
+        scale = np.max(np.einsum("nii->ni", last @ _herm(last)).real, axis=1)
+        expected = int(np.count_nonzero(pivots2 < EIG_FLOOR_RTOL * scale[:, None]))
+        assert expected == int(np.count_nonzero(pivots2[:, -1] < EIG_FLOOR_RTOL * scale)) > 0
+        before = floor_event_count()
+        x = sample_batch(spec, SeedSpec(42, 14), n)
+        assert floor_event_count() - before == expected
+        assert np.all(np.isfinite(x))
+
+
+class TestSupportByConstruction:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_type1_complement_psd_near_the_alpha_bound(self, p):
+        # I - sum X_j = L^{-1} W_{k+1} L^{-*} with alpha_{k+1} just above p - 1
+        spec = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p, p - 1 + 0.03))
+        x = sample_batch(spec, SeedSpec(42, 15), 50_000)
+        assert np.linalg.eigvalsh(np.eye(p) - x.sum(axis=0)).min() >= -1e-12
+
+
+def _banded(diagonal, coupling):
+    """Hermitian matrix with the given diagonal and coupling * (1 + i) just
+    below it."""
+    a = np.diag(np.asarray(diagonal, dtype=np.complex128))
+    idx = np.arange(len(diagonal) - 1)
+    a[idx + 1, idx] = coupling * (1 + 1j)
+    a[idx, idx + 1] = coupling * (1 - 1j)
+    return HermitianMatrix(a)
+
+
+class TestFactorDependentLaws:
+    """The functionals whose value on a draw depends on the factor C in
+    X_j = C W_j C*, at a non-diagonal, non-scalar A. The type-2 law holds
+    for every C with C C* = W_{k+1}^{-1}; C = T_{k+1}^{-1} (the Cholesky
+    ratio L^{-1} W L^{-*} of W_{k+1}) fails phi6 by tens of standard errors,
+    because its diagonal-dominant A sees the anisotropy of T* T."""
+
+    # phi6 at p: (alpha_3, half-width of A's diagonal around (alpha_1 + alpha_3) I,
+    # coupling). A near (alpha_1 + alpha_3) I nearly cancels the determinant
+    # weight, which keeps the integrand's kurtosis below the rerun limit.
+    PHI6 = {3: (20.0, 0.2, 0.1), 4: (30.0, 0.15, 0.05)}
+
+    @classmethod
+    def cases(cls, p):
+        a3, half, coupling = cls.PHI6[p]
+        c = p + 0.5 + a3
+        return [
+            (MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, a3)),
+             FunctionalSpec(kind="phi6", A=_banded(c * np.linspace(1 - half, 1 + half, p), coupling * c))),
+            (MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0)),
+             FunctionalSpec(kind="complement_power", delta=0.5)),
+            (MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5)),
+             FunctionalSpec(kind="exp_trace", A=_banded(np.linspace(-0.5, 1.0, p), 0.2))),
+        ]
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_type2_phi6_complement_and_type1_exp_trace(self, p):
+        suite = [
+            VerifyCase(f"{f.kind}_{m.kind}_p{p}", m, f, McConfig(400_000, SeedSpec(42, 30 + 3 * p + i)))
+            for i, (m, f) in enumerate(self.cases(p))
+        ]
+        reports = verify_suite(suite, workers=2)
+        assert [r.verdict for r in reports] == ["pass"] * 3, [
+            (r.case_id, r.estimate, r.closed_form, r.std_error, r.diagnostics) for r in reports
+        ]
 
 
 class TestMeasureSpec:

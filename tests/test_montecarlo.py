@@ -76,16 +76,31 @@ class TestMcEstimate:
         assert serial == threaded
 
     def test_p2_report_identical_across_workers(self):
-        c = case(
-            "p2",
-            MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.5, 3.0)),
-            FunctionalSpec(kind="complement_power", delta=1.5),
-            stream=8,
-        )
-        serial = report_emit(verify_suite([c], workers=1), canonical=True)
-        threaded = report_emit(verify_suite([c], workers=2), canonical=True)
+        # and at p = 3, where the default suite has no case
+        cases = [
+            case(
+                "p2",
+                MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.5, 3.0)),
+                FunctionalSpec(kind="complement_power", delta=1.5),
+                stream=8,
+            ),
+            case(
+                "p3_type1",
+                MeasureSpec(kind="type1", p=3, k=2, alphas=(3.0, 3.5, 4.0)),
+                FunctionalSpec(kind="complement_power", delta=1.5),
+                stream=9,
+            ),
+            case(
+                "p3_type2",
+                MeasureSpec(kind="type2", p=3, k=2, alphas=(3.5, 4.0, 8.0)),
+                FunctionalSpec(kind="complement_power", delta=0.5),
+                stream=10,
+            ),
+        ]
+        serial = report_emit(verify_suite(cases, workers=1), canonical=True)
+        threaded = report_emit(verify_suite(cases, workers=2), canonical=True)
         assert serial == threaded
-        assert json.loads(serial)[0]["verdict"] == "pass"
+        assert [r["verdict"] for r in json.loads(serial)] == ["pass"] * 3
 
     def test_non_finite_integrand_reports_index(self):
         # enormous determinant powers overflow to inf on type-2 tails
