@@ -116,18 +116,17 @@ def normalizer_ln(measure: MeasureSpec) -> float:
 
 
 def _det(x: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., p, p) stack of Hermitian matrices.
-
-    Written out at p = 1 and p = 2, where they are real; np.linalg.det
-    (complex) at p >= 3. Callers take the absolute value.
+    """Real determinants of a (..., p, p) Hermitian stack: the product of the
+    pivots of an elimination without row exchanges, each the real corner of
+    the last Schur complement. Every leading pivot must be nonzero, as for
+    X_j, the type-1 I - sum X_j (positive semidefinite by construction),
+    I + sum X_j and I + X_1 wherever they are nonsingular.
     """
-    p = x.shape[-1]
-    if p == 1:
-        return x[..., 0, 0].real
-    if p == 2:
-        c = x[..., 1, 0]
-        return x[..., 0, 0].real * x[..., 1, 1].real - (c.real**2 + c.imag**2)
-    return np.linalg.det(x)
+    det = x[..., 0, 0].real
+    for _ in range(1, x.shape[-1]):
+        x = x[..., 1:, 1:] - x[..., 1:, :1] * (x[..., :1, 1:] / x[..., :1, :1].real)
+        det = det * x[..., 0, 0].real
+    return det
 
 
 def _labels(measure: MeasureSpec) -> tuple[list[str], str, str]:

@@ -67,14 +67,14 @@ def _emit_json(args, doc) -> None:
     _write(args, json.dumps(doc, indent=2) + "\n")
 
 
-def _load_matrix(spec: str) -> HermitianMatrix:
+def _load_doc(spec: str, decode):
+    """decode of the JSON document in file spec, or in spec itself when it
+    starts with "{"; a document of the wrong shape is a usage error."""
     text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
-    return HermitianMatrix.from_json(json.loads(text))
-
-
-def _load_doc(spec: str) -> dict:
-    text = spec if spec.lstrip().startswith(("{", "[")) else Path(spec).read_text()
-    return json.loads(text)
+    try:
+        return decode(json.loads(text))
+    except (AttributeError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed document: {exc}") from exc
 
 
 def _parse_partition(text: str) -> Partition:
@@ -109,7 +109,7 @@ def _cmd_pochhammer(args) -> int:
 
 
 def _cmd_zonal(args) -> int:
-    v = zonal_c(_parse_partition(args.partition), _load_matrix(args.matrix))
+    v = zonal_c(_parse_partition(args.partition), _load_doc(args.matrix, HermitianMatrix.from_json))
     _emit_json(args, {"value": v})
     return 0
 
@@ -120,7 +120,7 @@ def _cmd_hyp1f1(args) -> int:
         rel_stop=args.rel_stop,
         consecutive_orders=args.consecutive_orders,
     )
-    res = hyp1f1_matrix(args.a, args.c, _load_matrix(args.matrix), policy)
+    res = hyp1f1_matrix(args.a, args.c, _load_doc(args.matrix, HermitianMatrix.from_json), policy)
     _emit_json(
         args,
         {
@@ -140,7 +140,7 @@ def _cmd_power_mean(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    measure = MeasureSpec.from_json(_load_doc(args.spec))
+    measure = _load_doc(args.spec, MeasureSpec.from_json)
     seed = SeedSpec(seed=args.seed if args.seed is not None else _env_seed(),
                     stream=args.stream)
     batch = sample_batch(measure, seed, args.n)
@@ -153,7 +153,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_average(args) -> int:
-    spec = AverageSpec.from_json(_load_doc(args.spec))
+    spec = _load_doc(args.spec, AverageSpec.from_json)
     try:
         result = evaluate_average(spec.measure, spec.functional)
     except DomainError as exc:
@@ -165,7 +165,7 @@ def _cmd_average(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.config:
-        cases = load_suite(Path(args.config).read_text())
+        cases = _load_doc(args.config, lambda docs: load_suite(json.dumps(docs)))
     else:
         cases = default_suite()
     if args.samples is not None or args.seed is not None:
@@ -177,11 +177,7 @@ def _cmd_verify(args) -> int:
             patched.append(replace(case, mc=McConfig(samples=n, seed=seed, chunk=mc.chunk)))
         cases = patched
     reports = verify_suite(cases, abs_floor=args.abs_floor, workers=args.workers)
-    data = report_emit(reports, format=args.format, canonical=args.canonical)
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+    _write(args, report_emit(reports, format=args.format, canonical=args.canonical).decode())
     return 0 if all_passed(reports) else 3
 
 

@@ -299,6 +299,8 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
     what makes chunked Monte Carlo independent of worker scheduling.
     """
     spec.validate()
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (got {n})")
     rng = seed.child(chunk)
     k, p = spec.k, spec.p
 
@@ -336,7 +338,8 @@ def _check_p1_support(x: np.ndarray, closing: Optional[np.ndarray] = None) -> No
     be too small for the rounded sum of x to stay below 1, although the
     draw is inside the support.
     """
-    if not (x.min() > 0 and x.max() < np.inf):  # a nan fails both
+    # initial=1.0 passes an empty batch (n = 0); a nan fails both
+    if not (x.min(initial=1.0) > 0 and x.max(initial=1.0) < np.inf):
         bad = ~((x > 0) & (x < np.inf)).all(axis=0)
         raise SamplerError(f"p = 1 value not positive and finite at sample {int(np.argmax(bad))}")
     if closing is not None and np.any(closing <= 0):

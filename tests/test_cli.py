@@ -79,6 +79,27 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["sample", "--spec"], [1, 2]),
+            (["average", "--spec"], [1]),
+            (["average", "--spec"], {"measure": [1], "functional": "det_power"}),
+            (["hyp1f1", "--a", "1", "--c", "2", "--matrix"], [1, 0]),
+            (["zonal", "--partition", "1", "--matrix"], {"p": [1], "re": [], "im": []}),
+            (["verify", "--config"], [1]),
+        ],
+    )
+    def test_document_of_wrong_shape_exit_1(self, tmp_path, capsys, argv, doc):
+        assert main(argv + [write_json(tmp_path / "doc.json", doc)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: malformed document")
+
+    @pytest.mark.parametrize("spec", ["[1, 2]", '{"measure": [1], "functional": "det_power"}'])
+    def test_inline_document_of_wrong_shape_exit_1(self, capsys, spec):
+        # only "{" marks an inline document; anything else names a file
+        assert main(["average", "--spec", spec]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestSample:
     SPEC = {"kind": "type1", "p": 1, "k": 2, "alphas": [1.0, 1.0, 1.0]}
@@ -202,3 +223,11 @@ class TestVerify:
         code = main(["verify", "--config", cfg, "--samples", "5000", "--out", str(out_file)])
         assert code == 0
         assert json.loads(out_file.read_text())
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary):
+        cfg = self.small_config(tmp_path)
+        args = ["verify", "--config", cfg, "--samples", "5000", "--canonical"]
+        out_file = tmp_path / "report.json"
+        assert main(args + ["--out", str(out_file)]) == 0
+        assert main(args) == 0
+        assert out_file.read_bytes() == capsysbinary.readouterr().out

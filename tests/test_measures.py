@@ -209,6 +209,20 @@ class TestP1Batch:
         assert m.array[0, 0] == sample_batch(spec, SeedSpec(42, 13), 1)[0, 0, 0, 0]
 
 
+class TestDrawCount:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_zero_draws_is_an_empty_stack(self, kind, p):
+        spec = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0))
+        assert sample_batch(spec, SeedSpec(42), 0).shape == (2, 0, p, p)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_negative_count_names_n(self, p):
+        spec = MeasureSpec(kind="type1", p=p, k=1, alphas=(p + 0.5, p + 1.0))
+        with pytest.raises(ValueError, match=r"n must be >= 0 \(got -1\)"):
+            sample_batch(spec, SeedSpec(42), -1)
+
+
 class TestScalarSupport:
     """Every p = 1 kind raises on a draw outside its support, with a message
     that does not depend on the kind. Gamma(0.01) draws underflow to 0

@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -160,6 +161,27 @@ class TestDet:
         shifted = np.eye(p) - h
         ref = np.abs(np.linalg.det(shifted))
         assert np.allclose(np.abs(_det(shifted)), ref, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_matches_mpmath(self, p):
+        rng = np.random.default_rng(p)
+        z = rng.normal(size=(2, 40, p, p)) + 1j * rng.normal(size=(2, 40, p, p))
+        h = z @ z.conj().swapaxes(-1, -2)
+        shifted = np.eye(p) - h
+        got = _det(np.stack([h, shifted]))
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.re(mpmath.det(mpmath.matrix(m.tolist()))))
+                            for m in np.stack([h, shifted]).reshape(-1, p, p)])
+        assert got.dtype == np.float64
+        assert np.allclose(got.ravel(), ref, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_type1_complement_real_and_finite(self, p):
+        measure = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p - 0.97))
+        batch = sample_batch(measure, SeedSpec(7), 20_000)
+        d = _det(np.eye(p) - batch.sum(axis=0))
+        assert d.dtype == np.float64 and d.shape == (20_000,)
+        assert np.isfinite(d).all()
 
 
 class TestComparator:
