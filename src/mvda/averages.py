@@ -162,6 +162,7 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
     ]
     if not measure.type1:
         conditions.append((f"alpha_{{k+1}} - sum(gamma) > {bound}", alphas[-1] - gsum > p - 1))
+    conditions += [(f"gamma_{j + 1} finite", math.isfinite(g)) for j, g in enumerate(gammas)]
     _require(conditions, context)
     total = sum(
         gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
@@ -201,7 +202,8 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
     delta = float(delta)
     p, alphas = measure.p, measure.scalar_alphas
     _, bound, context = _labels(measure)
-    _require([(f"alpha_{{k+1}} + delta > {bound}", alphas[-1] + delta > p - 1)], context)
+    conditions = [(f"alpha_{{k+1}} + delta > {bound}", alphas[-1] + delta > p - 1)]
+    _require(conditions + [("delta finite", math.isfinite(delta))], context)
     total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
     total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
     return _ok(total)
@@ -330,6 +332,7 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
     conditions = [("sum(alpha_j + n_j) + h > 0", a + h > 0)]
     if not measure.type1:
         conditions.append(("alpha_{k+1} - h > 0", alphas[-1] - h > 0))
+    conditions.append(("h finite", math.isfinite(h)))
     _require(conditions, context=f"type-{1 if measure.type1 else 2} moment does not exist")
     total = gamma_p_ln(1, a + h) - gamma_p_ln(1, a)
     if measure.type1:
@@ -423,6 +426,9 @@ class FunctionalSpec:
             raise ValueError(f"unknown functional {self.kind!r}")
         if self.gammas is not None:
             object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        for name in ("delta", "h"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         for name in _PARAMS:
             present = getattr(self, name) is not None
             if present and name not in entry.required + entry.optional:

@@ -4,24 +4,22 @@ The matrix gamma draw builds a lower-triangular factor T with chi-type
 diagonal entries (squared diagonals are gamma variates with shapes
 alpha - j + 1) and complex Gaussian strict-lower entries, then returns
 T T*. Type-1 and type-2 Dirichlet samples are congruences X_j = C W_j C*
-of independent gamma draws W_j = T_j T_j*, j = 1..k+1. A change of
-variables in the densities shows that any factor C with
+of independent gamma draws W_j = T_j T_j*, j = 1..k+1. By a change of
+variables in the densities, both kinds take C = L^{-1} for a lower-triangular
+L with
 
-    type-1:  C S C* = I,  S = W_1 + ... + W_{k+1}
-    type-2:  C C* = W_{k+1}^{-1}
+    type-1:  L L* = S = W_1 + ... + W_{k+1}  (Olkin & Rubin, 1964)
+    type-2:  L* L = J W_{k+1} J,  L = J T_{k+1}* J
 
-gives the measure's law, so both kinds take triangular factors:
-
-    type-1:  C = L^{-1} with S = L L*  (Olkin & Rubin, 1964), and
-             X_j = U_j U_j* with U_j = L^{-1} T_j by forward substitution;
-    type-2:  C = T_{k+1}^{-*}, and X_j = G_j G_j* with G_j = T_{k+1}^{-*} T_j.
+where J reverses the order of rows and columns (J W_{k+1} J has the law of
+W_{k+1}), so X_j = U_j U_j* with U_j = L^{-1} T_j by forward substitution.
 
 At type-1 the complement I - sum X_j = L^{-1} W_{k+1} L^{-*} is positive
 semidefinite by construction. Every p >= 2 runs one entrywise path on p x p
-grids of arrays over the draws (Cholesky, forward substitution, triangular
-inverse, Gram products) and calls no LAPACK. A squared pivot below
-EIG_FLOOR_RTOL times the largest diagonal entry of S (type-1) or W_{k+1}
-(type-2) is raised to that value and counted by floor_event_count().
+grids of arrays over the draws (Cholesky, forward substitution, Gram
+products) and calls no LAPACK. A squared pivot below EIG_FLOOR_RTOL times
+the largest diagonal entry of S (type-1) or W_{k+1} (type-2) is raised to
+that value and counted by floor_event_count().
 
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
@@ -34,6 +32,7 @@ every construction against the closed-form averages.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -140,6 +139,8 @@ class MeasureSpec:
                     )
             if not self.alphas[-1] > 0:
                 bad.append(f"alpha_{{k+1}} > 0 (got {self.alphas[-1]!r})")
+        bad += [f"alpha_{j} finite (got inf)"
+                for j, a in enumerate(self.alphas, start=1) if a == math.inf]
         if bad:
             raise DomainError(bad, context=f"invalid {self.kind} measure")
 
@@ -222,7 +223,7 @@ def _triangular_factor(rng: CounterRng, p: int, alpha: float, n: int) -> list:
 
 
 def _gram(rows: list) -> list:
-    """The Hermitian grid R R* of a triangular or full grid R."""
+    """The Hermitian grid R R* of a lower-triangular grid R."""
     out = []
     for i, ri in enumerate(rows):
         out_i = []
@@ -257,20 +258,6 @@ def _forward(l: list, t: list) -> list:
             for j in range(i + 1)
         ])
     return u
-
-
-def _inverse(t: list) -> list:
-    """T^{-1} of a lower-triangular grid T."""
-    return _forward(t, [[float(i == j) for j in range(i + 1)] for i in range(len(t))])
-
-
-def _adjoint_product(m: list, t: list) -> list:
-    """The full grid M* T of lower-triangular grids M and T."""
-    p = len(t)
-    return [
-        [sum(np.conj(m[r][i]) * t[r][j] for r in range(max(i, j), p)) for j in range(p)]
-        for i in range(p)
-    ]
 
 
 def _pack(grids: list) -> np.ndarray:
@@ -314,17 +301,19 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
 
     t = [_triangular_factor(rng, p, a, n) for a in spec.alphas]
     if spec.type1:
-        # C = L^{-1} with S = L L*
+        # S = L L*
         s = [[sum(e) for e in zip(*rows)] for rows in zip(*map(_gram, t))]
         l = _cholesky(s)
-        x = [_gram(_forward(l, tj)) for tj in t[:k]]
     else:
-        # C = T_{k+1}^{-*}; the squared pivots of W_{k+1} are T_{k+1}'s diagonal
+        # L = J T_{k+1}* J; its squared pivots are W_{k+1}'s, in reverse order
         last = t[-1]
         scale = np.max([sum(_abs2(z) for z in row) for row in last], axis=0)
-        last = [row[:-1] + [_pivot(_abs2(row[-1]), scale)] for row in last]
-        m = _inverse(last)
-        x = [_gram(_adjoint_product(m, tj)) for tj in t[:k]]
+        l = [
+            [np.conj(last[p - 1 - j][p - 1 - i]) for j in range(i)]
+            + [_pivot(_abs2(last[p - 1 - i][p - 1 - i]), scale)]
+            for i in range(p)
+        ]
+    x = [_gram(_forward(l, tj)) for tj in t[:k]]
     return _pack(x)
 
 

@@ -66,13 +66,13 @@ class CounterRng:
         return self._gen.standard_normal(n)
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
-        """n draws from Gamma(shape, 1) for any shape > 0.
+        """n draws from Gamma(shape, 1) for any finite shape > 0.
 
         Marsaglia-Tsang squeeze-free rejection for shape >= 1; smaller
         shapes are boosted by one and scaled back with a uniform power.
         """
-        if not shape > 0:
-            raise ValueError(f"shape must be > 0, got {shape!r}")
+        if not 0 < shape < math.inf:
+            raise ValueError(f"shape must be finite and > 0, got {shape!r}")
         if n == 0:
             return np.empty(0)
         if shape < 1.0:

@@ -115,6 +115,11 @@ class TestDetPower:
         with pytest.raises(ValueError):
             det_power_average(t1(1, 2, (1.0, 1.0, 1.0)), (1.0,))
 
+    def test_infinite_gamma_named(self):
+        with pytest.raises(DomainError) as err:
+            det_power_average(t1(2, 1, (2.5, 3.0)), (math.inf,))
+        assert err.value.violated == ("gamma_1 finite",)
+
 
 class TestComplementPower:
     def test_zero_delta(self):
@@ -159,6 +164,11 @@ class TestComplementPower:
         with pytest.raises(DomainError) as err:
             complement_power_average(t1(1, 1, (1.0, 1.0)), -1.0)
         assert "alpha_{k+1} + delta > p - 1" in err.value.violated
+
+    def test_infinite_delta_named(self):
+        with pytest.raises(DomainError) as err:
+            complement_power_average(t1(2, 1, (2.5, 3.0)), math.inf)
+        assert err.value.violated == ("delta finite",)
 
 
 def dirichlet_moment(b, gammas, delta):
@@ -290,6 +300,11 @@ class TestHermitianFormMoment:
         assert "alpha_{k+1} - h > 0" in err.value.violated
         assert "does not exist" in str(err.value)
 
+    def test_type1_infinite_h_named(self):
+        with pytest.raises(DomainError) as err:
+            hermitian_form_moment(rect("type1", (0.5, 2.0), (2,)), math.inf)
+        assert err.value.violated == ("h finite",)
+
     def test_negative_alpha_with_positive_shift(self):
         # alpha_1 + n_1 > 0 is the condition, checked by MeasureSpec.validate
         res = hermitian_form_moment(rect("type1", (-0.5, 2.0), (1,)), 1.0)
@@ -329,6 +344,12 @@ class TestFunctionalSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             FunctionalSpec(kind="nope")
+
+    def test_scalar_parameters_coerced_to_float(self):
+        assert FunctionalSpec(kind="complement_power", delta="0.5").delta == 0.5
+        assert FunctionalSpec(kind="hermitian_form_moment", h=1).h == 1.0
+        with pytest.raises(TypeError):
+            FunctionalSpec(kind="complement_power", delta=[1])
 
     def test_json_round_trip(self):
         f = FunctionalSpec(

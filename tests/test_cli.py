@@ -88,6 +88,8 @@ class TestUsageErrors:
             (["hyp1f1", "--a", "1", "--c", "2", "--matrix"], [1, 0]),
             (["zonal", "--partition", "1", "--matrix"], {"p": [1], "re": [], "im": []}),
             (["verify", "--config"], [1]),
+            (["average", "--spec"], {"measure": {"kind": "type1", "p": 1, "k": 1, "alphas": [1, 1]},
+                                     "functional": "complement_power", "delta": [1]}),
         ],
     )
     def test_document_of_wrong_shape_exit_1(self, tmp_path, capsys, argv, doc):
@@ -122,6 +124,12 @@ class TestSample:
         _, first = run(capsys, args)
         _, second = run(capsys, args)
         assert first == second
+
+    def test_infinite_alpha_exit_2(self, capsys):
+        # the spec itself is refused: no draw is asked for
+        spec = {"kind": "type1", "p": 1, "k": 1, "alphas": [math.inf, 2.0]}
+        assert main(["sample", "--spec", json.dumps(spec), "--n", "0"]) == 2
+        assert "alpha_1 finite (got inf)" in capsys.readouterr().err
 
     def test_env_seed_override(self, capsys, monkeypatch):
         args = ["sample", "--spec", json.dumps(self.SPEC), "--n", "1"]
@@ -199,6 +207,16 @@ class TestVerify:
         reports = json.loads(out)
         assert reports[1]["verdict"] == "fail"
         assert reports[0]["verdict"] == "pass"
+
+    def test_string_delta_case_passes(self, tmp_path, capsys):
+        # a string parameter is read as its float, as from a hand-written config
+        case = next(c for c in default_suite() if c.case_id == "phi2_type1_p1_k1")
+        doc = json.loads(dump_suite([case]))
+        doc[0]["delta"] = "0.5"
+        cfg = write_json(tmp_path / "suite.json", doc)
+        code, out = run(capsys, ["verify", "--config", cfg, "--samples", "20000"])
+        assert code == 0
+        assert [r["verdict"] for r in json.loads(out)] == ["pass"]
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = self.small_config(tmp_path)

@@ -105,6 +105,12 @@ class TestGammas:
         with pytest.raises(ValueError):
             SeedSpec(7).child(0).gammas(0.0, 10)
 
+    @pytest.mark.parametrize("shape", [math.inf, math.nan])
+    def test_non_finite_shape(self, shape):
+        # the shape is checked before the draw count, so an empty request fails too
+        with pytest.raises(ValueError, match="finite"):
+            SeedSpec(7).child(0).gammas(shape, 0)
+
 
 def test_complex_normals_variance():
     z = SeedSpec(8).child(0).complex_normals(100000)
