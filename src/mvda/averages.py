@@ -13,7 +13,7 @@ closed form, and its integrand for the Monte Carlo harness.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -393,10 +393,11 @@ def _same(value):
 
 
 def _policy_from_json(doc: dict) -> TruncationPolicy:
-    """Keys the document leaves out take TruncationPolicy's defaults."""
-    return TruncationPolicy(
-        **{f.name: type(f.default)(doc[f.name]) for f in fields(TruncationPolicy) if f.name in doc}
-    )
+    """A document without max_order takes TruncationPolicy's default."""
+    extra = sorted(set(doc) - {"max_order"})
+    if extra:
+        raise ValueError(f"policy takes only max_order, got {extra}")
+    return TruncationPolicy(**{key: int(value) for key, value in doc.items()})
 
 
 # FunctionalSpec's parameter fields in JSON key order: (to JSON, from JSON)

@@ -29,7 +29,6 @@ from .errors import (
 from .linalg import HermitianMatrix
 from .measures import MeasureSpec, sample_batch
 from .montecarlo import (
-    DEFAULT_ABS_FLOOR,
     McConfig,
     all_passed,
     default_suite,
@@ -115,12 +114,8 @@ def _cmd_zonal(args) -> int:
 
 
 def _cmd_hyp1f1(args) -> int:
-    policy = TruncationPolicy(
-        max_order=args.max_order,
-        rel_stop=args.rel_stop,
-        consecutive_orders=args.consecutive_orders,
-    )
-    res = hyp1f1_matrix(args.a, args.c, _load_doc(args.matrix, HermitianMatrix.from_json), policy)
+    matrix = _load_doc(args.matrix, HermitianMatrix.from_json)
+    res = hyp1f1_matrix(args.a, args.c, matrix, TruncationPolicy(max_order=args.max_order))
     _emit_json(
         args,
         {
@@ -176,7 +171,7 @@ def _cmd_verify(args) -> int:
             n = mc.samples if args.samples is None else args.samples
             patched.append(replace(case, mc=McConfig(samples=n, seed=seed, chunk=mc.chunk)))
         cases = patched
-    reports = verify_suite(cases, abs_floor=args.abs_floor, workers=args.workers)
+    reports = verify_suite(cases, workers=args.workers)
     _write(args, report_emit(reports, format=args.format, canonical=args.canonical).decode())
     return 0 if all_passed(reports) else 3
 
@@ -221,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-order", type=int, default=DEFAULT_TRUNCATION.max_order)
-    p.add_argument("--rel-stop", type=float, default=DEFAULT_TRUNCATION.rel_stop)
-    p.add_argument("--consecutive-orders", type=int,
-                   default=DEFAULT_TRUNCATION.consecutive_orders)
     _add_out(p)
     p.set_defaults(func=_cmd_hyp1f1)
 
@@ -252,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None, help="override per-case sample count")
     p.add_argument("--seed", type=int, default=None, help="override per-case seed")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--abs-floor", type=float, default=DEFAULT_ABS_FLOOR)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--canonical", action="store_true",
                    help="zero the wall-clock runtime field for reproducible bytes")

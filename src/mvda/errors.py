@@ -11,10 +11,6 @@ class NotPositiveDefinite(MvdaError):
     """A matrix required to be Hermitian positive definite is not."""
 
 
-class NoConvergence(MvdaError):
-    """An iterative reduction did not converge within its budget."""
-
-
 class DomainError(MvdaError):
     """Parameter values violate the existence conditions of a quantity.
 

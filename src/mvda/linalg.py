@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 # Construction-time gate on conjugate symmetry of raw input.
 HERMITIAN_ATOL = 1e-12
@@ -158,11 +158,7 @@ def logdet_abs(h: HermitianMatrix) -> float:
 
 def eigvals_hermitian(h: HermitianMatrix) -> np.ndarray:
     """Real eigenvalues of H in non-increasing order."""
-    try:
-        w = np.linalg.eigvalsh(h.array)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - malformed input only
-        raise NoConvergence(str(exc)) from exc
-    return w[::-1].copy()
+    return np.linalg.eigvalsh(h.array)[::-1].copy()
 
 
 def is_pd(h: HermitianMatrix) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,6 +141,8 @@ class MeasureSpec:
                 bad.append(f"alpha_{{k+1}} > 0 (got {self.alphas[-1]!r})")
         bad += [f"alpha_{j} finite (got inf)"
                 for j, a in enumerate(self.alphas, start=1) if a == math.inf]
+        if all(map(math.isfinite, self.alphas)) and math.isinf(sum(self.scalar_alphas)):
+            bad.append("sum(alphas) finite (got inf)")
         if bad:
             raise DomainError(bad, context=f"invalid {self.kind} measure")
 
@@ -168,20 +170,6 @@ class MeasureSpec:
             ns=tuple(doc["ns"]) if doc.get("ns") is not None else None,
             Bs=tuple(HermitianMatrix.from_json(b) for b in bs) if bs else None,
         )
-
-
-@dataclass(frozen=True)
-class DirichletSample:
-    """One draw from a Dirichlet measure: k Hermitian matrices (1x1 => scalars)."""
-
-    matrices: tuple[HermitianMatrix, ...] = field(default_factory=tuple)
-
-    @property
-    def scalars(self) -> tuple[float, ...]:
-        return tuple(float(m.array[0, 0].real) for m in self.matrices)
-
-    def to_json(self) -> dict:
-        return {"matrices": [m.to_json() for m in self.matrices]}
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +339,8 @@ def sample_matrix_gamma(p: int, alpha: float, seed: SeedSpec) -> HermitianMatrix
     return HermitianMatrix(_matrix_gamma_batch(seed.child(0), p, float(alpha), 1)[0])
 
 
-def sample_one(spec: MeasureSpec, seed: SeedSpec) -> DirichletSample:
+def sample_one(spec: MeasureSpec, seed: SeedSpec) -> tuple[HermitianMatrix, ...]:
     """One draw of the measure: the k matrices X_j, or at the rectangular
     kinds the induced Hermitian form values u_j as 1 x 1 matrices."""
     batch = sample_batch(spec, seed, 1)
-    return DirichletSample(
-        matrices=tuple(HermitianMatrix(batch[j, 0]) for j in range(spec.k))
-    )
+    return tuple(HermitianMatrix(batch[j, 0]) for j in range(spec.k))

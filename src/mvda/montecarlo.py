@@ -28,7 +28,8 @@ from .rng import SeedSpec
 KURTOSIS_LIMIT = 50.0
 KURTOSIS_BOOST = 10
 
-DEFAULT_ABS_FLOOR = 1e-4
+# Comparator floor: a case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR).
+ABS_FLOOR = 1e-4
 
 CSV_HEADER = "case_id,estimate,std_error,closed_form,abs_diff,tolerance,verdict,n,runtime_ms"
 
@@ -83,21 +84,6 @@ class McReport:
             "runtime_ms": 0 if canonical else self.runtime_ms,
             "diagnostics": self.diagnostics,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "McReport":
-        return cls(
-            case_id=doc["case_id"],
-            estimate=doc["estimate"],
-            std_error=doc["std_error"],
-            closed_form=doc["closed_form"],
-            abs_diff=doc["abs_diff"],
-            tolerance=doc["tolerance"],
-            verdict=doc["verdict"],
-            n=int(doc["n"]),
-            runtime_ms=int(doc["runtime_ms"]),
-            diagnostics=doc.get("diagnostics"),
-        )
 
 
 @dataclass(frozen=True)
@@ -219,12 +205,11 @@ def build_report(
     std_error: float,
     n: int,
     closed_form: float,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
     runtime_ms: int = 0,
     diagnostics: dict | None = None,
 ) -> McReport:
-    """Comparator: pass iff |estimate - closed_form| <= max(4 SE, abs_floor)."""
-    tolerance = max(4.0 * std_error, abs_floor)
+    """Comparator: pass iff |estimate - closed_form| <= max(4 SE, ABS_FLOOR)."""
+    tolerance = max(4.0 * std_error, ABS_FLOOR)
     abs_diff = abs(estimate - closed_form)
     return McReport(
         case_id=case_id,
@@ -240,7 +225,7 @@ def build_report(
     )
 
 
-def verify_case(case: VerifyCase, abs_floor: float = DEFAULT_ABS_FLOOR, workers: int = 1) -> McReport:
+def verify_case(case: VerifyCase, workers: int = 1) -> McReport:
     t0 = time.perf_counter()
     try:
         closed = evaluate_average(case.measure, case.functional)
@@ -271,7 +256,6 @@ def verify_case(case: VerifyCase, abs_floor: float = DEFAULT_ABS_FLOOR, workers:
         se,
         n_used,
         closed.value,
-        abs_floor=abs_floor,
         runtime_ms=runtime_ms,
         diagnostics=diagnostics,
     )
@@ -283,16 +267,12 @@ def verify_case(case: VerifyCase, abs_floor: float = DEFAULT_ABS_FLOOR, workers:
     return report
 
 
-def verify_suite(
-    cases: Sequence[VerifyCase],
-    abs_floor: float = DEFAULT_ABS_FLOOR,
-    workers: int = 1,
-) -> list[McReport]:
+def verify_suite(cases: Sequence[VerifyCase], workers: int = 1) -> list[McReport]:
     """One McReport per case; errors are recorded per case, never raised."""
     ids = [c.case_id for c in cases]
     if len(set(ids)) != len(ids):
         raise ValueError("case_id values must be unique within a suite")
-    return [verify_case(c, abs_floor=abs_floor, workers=workers) for c in cases]
+    return [verify_case(c, workers=workers) for c in cases]
 
 
 def all_passed(reports: Sequence[McReport]) -> bool:
@@ -343,8 +323,3 @@ def report_emit(
             lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")
-
-
-def reports_from_json(data: bytes | str) -> list[McReport]:
-    docs = json.loads(data)
-    return [McReport.from_json(d) for d in docs]

@@ -73,6 +73,21 @@ class TestNormalizer:
         with pytest.raises(DomainError):
             normalizer_ln(t1(2, 1, (1.0, 3.0)))
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            normalizer_ln,
+            lambda m: det_power_average(m, (1.0,)),
+            lambda m: complement_power_average(m, 1.0),
+        ],
+        ids=["normalizer_ln", "det_power", "complement_power"],
+    )
+    def test_overflowing_alpha_sum_named(self, evaluate):
+        # each alpha is finite, but their sum is inf: refused, not NaN
+        with pytest.raises(DomainError) as err:
+            evaluate(t1(2, 1, (1e308, 1e308)))
+        assert err.value.violated == ("sum(alphas) finite (got inf)",)
+
 
 class TestDetPower:
     def test_beta_mean(self):
@@ -379,7 +394,7 @@ class TestFunctionalSpec:
             set_fields = [n for n in ("gammas", "delta", "h", "A", "policy")
                           if getattr(spec, n) is not None]
             assert list(doc) == ["functional"] + set_fields
-        # policy keys left out take TruncationPolicy's defaults
+        # a policy without max_order takes TruncationPolicy's default
         partial = FunctionalSpec.from_json({"functional": "exp_trace", "policy": {"max_order": 30}})
         assert partial.policy == TruncationPolicy(max_order=30)
         assert FunctionalSpec.from_json(

@@ -20,6 +20,8 @@ def write_json(path, doc):
 
 
 MATRIX_05 = json.dumps(HermitianMatrix([[0.5]]).to_json())
+EXP_TRACE = {"measure": {"kind": "type1", "p": 1, "k": 2, "alphas": [1.0, 1.0, 1.0]},
+             "functional": "exp_trace"}
 
 
 class TestScalarCommands:
@@ -95,6 +97,27 @@ class TestUsageErrors:
     def test_document_of_wrong_shape_exit_1(self, tmp_path, capsys, argv, doc):
         assert main(argv + [write_json(tmp_path / "doc.json", doc)]) == 1
         assert capsys.readouterr().err.startswith("usage error: malformed document")
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["verify", "--abs-floor", "1e-3"], None),
+            (["hyp1f1", "--a", "1", "--c", "2", "--matrix", MATRIX_05, "--rel-stop", "1e-10"], None),
+            (["hyp1f1", "--a", "1", "--c", "2", "--matrix", MATRIX_05,
+              "--consecutive-orders", "2"], None),
+            (["average", "--spec"], {**EXP_TRACE, "policy": {"rel_stop": 1e-10}}),
+            (["verify", "--config"], [{"case_id": "x", **EXP_TRACE, "policy": {"rel_stop": 1e-10},
+                                       "mc": {"samples": 10, "seed": {"seed": 1, "stream": 0}}}]),
+        ],
+        ids=["abs-floor", "rel-stop", "consecutive-orders", "average-policy", "verify-policy"],
+    )
+    def test_fixed_comparator_and_stopping_rule_exit_1(self, tmp_path, capsys, argv, doc):
+        # the comparator floor and the series stopping rule are not settable
+        if doc is not None:
+            argv = argv + [write_json(tmp_path / "doc.json", doc)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "policy takes only max_order" in err
 
     @pytest.mark.parametrize("spec", ["[1, 2]", '{"measure": [1], "functional": "det_power"}'])
     def test_inline_document_of_wrong_shape_exit_1(self, capsys, spec):
@@ -172,6 +195,15 @@ class TestAverage:
         assert doc["conditions_ok"] is False
         assert "log_value" not in doc and "value" not in doc
         assert any("alpha_{k+1} - sum(gamma)" in c for c in doc["violated_conditions"])
+
+    def test_overflowing_alpha_sum_exit_2(self, capsys):
+        spec = {"measure": {"kind": "type1", "p": 2, "k": 1, "alphas": [1e308, 1e308]},
+                "functional": "complement_power", "delta": 1}
+        code, out = run(capsys, ["average", "--spec", json.dumps(spec)])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["conditions_ok"] is False and "value" not in doc
+        assert doc["violated_conditions"] == ["sum(alphas) finite (got inf)"]
 
 
 class TestVerify:

@@ -9,7 +9,6 @@ from mvda.errors import DomainError, SamplerError
 from mvda.linalg import HermitianMatrix, is_pd
 from mvda.measures import (
     EIG_FLOOR_RTOL,
-    DirichletSample,
     MeasureSpec,
     _cholesky,
     _forward,
@@ -107,14 +106,10 @@ class TestType1:
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.5, 3.0))
         s = sample_one(spec, SeedSpec(7, 3))
-        assert isinstance(s, DirichletSample)
-        assert len(s.matrices) == 2
-        assert all(is_pd(m) for m in s.matrices)
-        total = s.matrices[0].array + s.matrices[1].array
-        assert is_pd(HermitianMatrix(np.eye(2) - total))
-        again = sample_one(spec, SeedSpec(7, 3))
-        for a, b in zip(s.matrices, again.matrices):
-            assert np.array_equal(a.array, b.array)
+        assert isinstance(s, tuple) and len(s) == 2
+        assert all(isinstance(m, HermitianMatrix) and is_pd(m) for m in s)
+        assert is_pd(HermitianMatrix(np.eye(2) - s[0].array - s[1].array))
+        assert sample_one(spec, SeedSpec(7, 3)) == s
 
 
 class TestType2:
@@ -142,7 +137,7 @@ class TestType2:
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="type2", p=2, k=1, alphas=(3.0, 4.0))
         s = sample_one(spec, SeedSpec(3, 1))
-        assert all(is_pd(m) for m in s.matrices)
+        assert all(is_pd(m) for m in s)
 
 
 class TestRectangular:
@@ -175,8 +170,7 @@ class TestRectangular:
 
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
-        s = sample_one(spec, SeedSpec(5, 2))
-        u = s.scalars
+        u = [m.array[0, 0].real for m in sample_one(spec, SeedSpec(5, 2))]
         assert len(u) == 2 and all(x > 0 for x in u) and sum(u) < 1
 
     def test_type1_is_gamma_ratio_at_shifted_alphas(self):
@@ -202,7 +196,7 @@ class TestP1Batch:
         assert batch.dtype == np.float64 and batch.shape == (2, 1_000, 1, 1)
         assert np.array_equal(batch[:, :, 0, 0], x)
         # single draws still come out as complex Hermitian matrices
-        m = sample_one(spec, SeedSpec(42, 13)).matrices[0]
+        m = sample_one(spec, SeedSpec(42, 13))[0]
         assert m.array.dtype == np.complex128
         assert m.array[0, 0] == sample_batch(spec, SeedSpec(42, 13), 1)[0, 0, 0, 0]
 
@@ -453,6 +447,15 @@ class TestMeasureSpec:
             spec.validate()
         assert err.value.violated == ("alpha_1 finite (got inf)",)
 
+    @pytest.mark.parametrize(
+        "kind,p,ns", [("type1", 2, None), ("type2", 1, None), ("rect_type1_p1", 1, (2,))]
+    )
+    def test_overflowing_alpha_sum_named(self, kind, p, ns):
+        spec = MeasureSpec(kind=kind, p=p, k=1, alphas=(1e308, 1e308), ns=ns)
+        with pytest.raises(DomainError) as err:
+            spec.validate()
+        assert err.value.violated == ("sum(alphas) finite (got inf)",)
+
     def test_rect_needs_ns(self):
         with pytest.raises(ValueError):
             MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(0.5, 2.0)).validate()
@@ -493,7 +496,5 @@ class TestMeasureSpec:
 
     def test_sample_json_round_trip(self):
         spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(2.0, 2.0))
-        s = sample_one(spec, SeedSpec(1, 1))
-        doc = s.to_json()
-        back = [HermitianMatrix.from_json(m) for m in doc["matrices"]]
-        assert np.allclose(back[0].array, s.matrices[0].array)
+        (x,) = sample_one(spec, SeedSpec(1, 1))
+        assert HermitianMatrix.from_json(x.to_json()) == x

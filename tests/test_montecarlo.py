@@ -23,7 +23,6 @@ from mvda.montecarlo import (
     make_integrand,
     mc_estimate_full,
     report_emit,
-    reports_from_json,
     verify_suite,
 )
 from mvda.rng import SeedSpec
@@ -256,6 +255,18 @@ class TestVerifySuite:
         assert cut.abs_diff <= cut.tolerance
         assert cut.diagnostics["reason"] == "closed-form series did not converge by order 2"
 
+    def test_cancelled_closed_form_fails(self):
+        # The series at the mixed-sign A meets the stopping rule at order 74,
+        # 8e-9 off, but its order terms leave too few digits to call it
+        # converged; the estimate alone would pass.
+        m = MeasureSpec(kind="type1", p=2, k=2, alphas=(1.5, 1.2, 1.3))
+        a = HermitianMatrix.diagonal([-20.0, 1.0])
+        f = FunctionalSpec(kind="exp_trace", A=a, policy=TruncationPolicy(max_order=150))
+        (r,) = verify_suite([case("cancelled", m, f)])
+        assert r.verdict == "fail"
+        assert r.abs_diff <= r.tolerance
+        assert r.diagnostics["reason"] == "closed-form series did not converge by order 74"
+
     def test_duplicate_ids_rejected(self):
         f = FunctionalSpec(kind="det_power", gammas=(1.0,))
         m = MeasureSpec(kind="type1", p=1, k=1, alphas=(1.0, 1.0))
@@ -300,8 +311,9 @@ class TestReportEmit:
         assert lines[0] == CSV_HEADER
 
     def test_json_parse_reemit_identical(self):
+        # the JSON keys are McReport's fields, so a parsed report rebuilds as is
         data = report_emit(self.make_reports(), format="json")
-        again = report_emit(reports_from_json(data), format="json")
+        again = report_emit([McReport(**d) for d in json.loads(data)], format="json")
         assert data == again
 
     def test_canonical_zeroes_runtime_only(self):
@@ -338,4 +350,4 @@ class TestMcConfig:
 
     def test_report_json_round_trip(self):
         r = build_report("a", 1.0, 0.01, 100, 1.005, runtime_ms=17)
-        assert McReport.from_json(r.to_json()) == r
+        assert McReport(**r.to_json()) == r

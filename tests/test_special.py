@@ -10,6 +10,8 @@ from scipy.special import gammaln
 from mvda.errors import BadSupport, BadWeights, DomainError, PochhammerPole
 from mvda.linalg import HermitianMatrix
 from mvda.special import (
+    CONSECUTIVE_ORDERS,
+    REL_STOP,
     Partition,
     TruncationPolicy,
     gamma_p_ln,
@@ -71,9 +73,9 @@ def ssyt_sum(shape, variables):
 def reference_hyp1f1(a, c, lam, policy):
     """Per-partition zonal series, one Jacobi-Trudi determinant at a time.
 
-    The oracle for the batched series in mvda.special: the same partitions
-    and stopping rule, with Pochhammer symbols, SYT counts and Schur values
-    taken partition by partition.
+    The oracle for the batched series in mvda.special: the same partitions,
+    stopping rule and rounding condition, with Pochhammer symbols, SYT
+    counts and Schur values taken partition by partition.
     """
     lam = np.asarray(lam, dtype=float)
     p = lam.size
@@ -93,7 +95,7 @@ def reference_hyp1f1(a, c, lam, policy):
                     jt[i, j] = h[d]
         return float(np.linalg.det(jt))
 
-    total, inv_mfact, streak, last_inc = 1.0 + 0.0j, 1.0, 0, 0.0
+    total, abs_sum, inv_mfact, streak, last_inc = 1.0 + 0.0j, 1.0, 1.0, 0, 0.0
     order_reached, converged = 0, False
     for m in range(1, policy.max_order + 1):
         inv_mfact /= m
@@ -104,10 +106,11 @@ def reference_hyp1f1(a, c, lam, policy):
         term *= inv_mfact
         total += term
         order_reached, last_inc = m, abs(term)
-        if last_inc < policy.rel_stop * abs(total):
+        abs_sum += last_inc
+        if last_inc < REL_STOP * abs(total):
             streak += 1
-            if streak >= policy.consecutive_orders:
-                converged = True
+            if streak >= CONSECUTIVE_ORDERS:
+                converged = 2.0**-52 * abs_sum <= REL_STOP * abs(total)
                 break
         else:
             streak = 0
@@ -410,6 +413,21 @@ class TestHyp1F1:
                 want = float(mpmath.hyp1f1(a, c, x))
             assert res.value == pytest.approx(want, rel=1e-10), x
 
+    @pytest.mark.parametrize("eigs", [[-30.0, 0.5], [-20.0, 1.0], [-25.0, 2.0]])
+    def test_mixed_sign_cancellation_is_not_converged(self, eigs):
+        # The alternating series meets the stopping rule (order < 150) while
+        # its order terms are too large for the sum to hold its digits.
+        res = hyp1f1_matrix(1.5, 3.2, eigs, TruncationPolicy(max_order=150))
+        assert res.order_reached < 150
+        assert res.converged is False
+        assert res.value != pytest.approx(gross_richards(1.5, 3.2, eigs), rel=1e-6)
+
+    def test_mild_mixed_sign_spectrum_converges(self):
+        eigs = [-3.0, 2.0]
+        res = hyp1f1_matrix(1.5, 3.2, eigs, TruncationPolicy(max_order=150))
+        assert res.converged is True
+        assert res.value == pytest.approx(gross_richards(1.5, 3.2, eigs), rel=1e-12)
+
     def test_kummer_on_negative_definite_matrix(self):
         eigs = [-0.4, -1.1, -2.3]
         res = hyp1f1_matrix(3.5, 6.0, eigs, WIDE_SERIES)
@@ -431,8 +449,6 @@ class TestHyp1F1:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(max_order=-1)
-        with pytest.raises(ValueError):
-            TruncationPolicy(rel_stop=0.0)
 
 
 def test_zonal_from_eigs_matches_matrix_route():
