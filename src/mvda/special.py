@@ -11,13 +11,13 @@ That scaling is the unique one for which the weight-m class sums to
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, loggamma, logsumexp
 
 from .errors import BadSupport, BadWeights, DomainError, PochhammerPole
 from .linalg import HermitianMatrix, eigvals_hermitian
@@ -110,7 +110,13 @@ def syt_count(parts: tuple[int, ...]) -> int:
 def power_mean(w: Sequence[float], z: Sequence[float], b: float) -> float:
     """Weighted power mean [sum w_j z_j^b]^(1/b), with the b=0 geometric limit.
 
-    Evaluated in log space so large |b| neither overflows nor underflows.
+    With the weights normalized to sum to 1 and z_c the value that
+    maximizes b log z_j, the mean is
+    z_c exp(log1p(sum w_j expm1(b (log z_j - log z_c))) / b): every expm1
+    argument is <= 0, so no |b| overflows, and as b -> 0 the expression
+    tends to the geometric mean without a jump. Once every |b log(z_j / z_c)|
+    is below 2**-53, the geometric mean is the value to double precision
+    and is returned as such, so subnormal b does not lose digits.
     """
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -122,10 +128,13 @@ def power_mean(w: Sequence[float], z: Sequence[float], b: float) -> float:
         raise BadWeights(f"weights must sum to 1, got {float(np.sum(w))!r}")
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise BadSupport("all values must be finite and > 0")
+    w = w / np.sum(w)
     logz = np.log(z)
-    if b == 0.0:
-        return float(np.exp(np.sum(w * logz)))
-    return float(np.exp(logsumexp(np.log(w) + b * logz) / b))
+    if abs(b) * np.ptp(logz) < 2.0**-53:
+        return float(np.exp(np.dot(w, logz)))
+    c = int(np.argmax(logz) if b > 0 else np.argmin(logz))
+    s = np.dot(w, np.expm1(b * (logz - logz[c])))
+    return float(z[c] * np.exp(np.log1p(s) / b))
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +145,34 @@ def gamma_p_ln(p: int, alpha: complex) -> complex | float:
     """log of the complex matrix-variate gamma function of dimension p.
 
     Equals (p(p-1)/2) log pi plus the sum of log-gammas at alpha - j + 1
-    for j = 1..p. Real input yields a real result.
+    for j = 1..p. Real input yields a real result; a log value that
+    overflows raises DomainError instead of returning inf.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    re = alpha.real if isinstance(alpha, complex) else float(alpha)
-    if not re > p - 1:
+    if not isinstance(alpha, complex):
+        alpha = float(alpha)
+    if not alpha.real > p - 1:
         raise DomainError(
-            [f"Re(alpha) > p - 1 (got Re(alpha) = {re!r}, p = {p})"],
+            [f"Re(alpha) > p - 1 (got Re(alpha) = {alpha.real!r}, p = {p})"],
             context="matrix gamma function undefined",
         )
     head = 0.5 * p * (p - 1) * LOG_PI
-    if isinstance(alpha, complex) and alpha.imag != 0.0:
-        return head + complex(sum(loggamma(alpha - j) for j in range(p)))
-    a = float(re)
-    return head + float(sum(gammaln(a - j) for j in range(p)))
+    if alpha.imag != 0.0:
+        from scipy.special import loggamma  # only complex alpha needs scipy
+
+        total = complex(sum(loggamma(alpha - j) for j in range(p)))
+    else:
+        try:
+            total = sum(math.lgamma(alpha.real - j) for j in range(p))
+        except OverflowError:
+            total = math.inf
+    if not cmath.isfinite(total):
+        raise DomainError(
+            [f"log Gamma_p(alpha) finite (alpha = {alpha!r}, p = {p})"],
+            context="matrix gamma function overflows",
+        )
+    return head + total
 
 
 def _pochhammer_table(a: complex, rows: int, order: int) -> np.ndarray:

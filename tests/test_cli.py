@@ -58,6 +58,12 @@ class TestScalarCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(3.0, rel=1e-12)
 
+    def test_power_mean_near_zero_exponent_is_geometric(self, capsys):
+        code, out = run(capsys, ["power-mean", "--weights", "0.3,0.7", "--values", "2,3",
+                                 "-b", "1e-300"])
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(2.0**0.3 * 3.0**0.7, rel=1e-12)
+
     def test_power_mean_bad_weights_exit_2(self):
         assert main(["power-mean", "--weights", "0.5,0.6", "--values", "2,4", "-b", "1"]) == 2
 
@@ -204,6 +210,19 @@ class TestAverage:
         doc = json.loads(out)
         assert doc["conditions_ok"] is False and "value" not in doc
         assert doc["violated_conditions"] == ["sum(alphas) finite (got inf)"]
+
+    @pytest.mark.parametrize("alpha,overflows", [(1e306, "1e+306"), (1e305, "2e+305")])
+    def test_overflowing_log_gamma_exit_2(self, capsys, alpha, overflows):
+        # at 1e306 one log-gamma overflows; at 1e305 each is finite, their p = 2 sum is not
+        spec = {"measure": {"kind": "type1", "p": 2, "k": 1, "alphas": [alpha, alpha]},
+                "functional": "complement_power", "delta": 1}
+        code, out = run(capsys, ["average", "--spec", json.dumps(spec)])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["conditions_ok"] is False and "value" not in doc
+        assert doc["violated_conditions"] == [
+            f"log Gamma_p(alpha) finite (alpha = {overflows}, p = 2)"
+        ]
 
 
 class TestVerify:

@@ -211,6 +211,24 @@ class TestPowerMean:
         v = power_mean((0.5, 0.5), (2.0, 4.0), 400.0)
         assert 2.0 < v <= 4.0
 
+    @pytest.mark.parametrize("b", [1e-300, -1e-300, 1e-12, -1e-12, 1e-310, 5e-324, -5e-324])
+    def test_continuous_at_zero(self, b):
+        # 0.3 + 0.7 is 1 - 5.5e-17 in binary; that sum raised to 1/b would be 0
+        w, z = (0.3, 0.7), (2.0, 3.0)
+        assert power_mean(w, z, b) == pytest.approx(power_mean(w, z, 0.0), rel=1e-12)
+
+    @pytest.mark.parametrize("b,want", [(1.7e308, 3.0), (-1.7e308, 2.0)])
+    def test_huge_exponent_gives_max_or_min(self, b, want):
+        assert power_mean((0.3, 0.7), (2.0, 3.0), b) == want
+
+    @pytest.mark.parametrize("b", [0.5, -1.0, 50.0, -50.0, 1e4, -1e4])
+    def test_matches_mpmath(self, b):
+        w, z = (0.125, 0.375, 0.5), (0.7, 2.5, 9.0)  # weights sum to 1 exactly
+        with mpmath.workdps(60):
+            s = mpmath.fsum(mpmath.mpf(wj) * mpmath.mpf(zj) ** b for wj, zj in zip(w, z))
+            want = float(s ** (1 / mpmath.mpf(b)))
+        assert power_mean(w, z, b) == pytest.approx(want, rel=1e-14)
+
 
 class TestGammaP:
     def test_scalar_factorial(self):
@@ -225,6 +243,27 @@ class TestGammaP:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             gamma_p_ln(3, 2.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_real_alpha_matches_mpmath(self, p):
+        alphas = [math.nextafter(p - 1.0, math.inf), p - 1 + 1e-9, p - 0.5, float(p),
+                  p + 3.7, 42.5, 1e3 + 0.1, 1e8 + 0.3, 1e20, 1e100, 1e300]
+        if p == 1:
+            alphas.append(1e-300)
+        for alpha in alphas:
+            with mpmath.workdps(50):
+                a = mpmath.mpf(alpha)
+                want = float(p * (p - 1) / 2 * mpmath.log(mpmath.pi)
+                             + mpmath.fsum(mpmath.loggamma(a - j) for j in range(p)))
+            got = gamma_p_ln(p, alpha)
+            assert abs(got - want) <= 4e-15 * p * max(1.0, abs(want)), (alpha, got, want)
+
+    @pytest.mark.parametrize("p,alpha", [(1, 1e306), (2, 2e305)])
+    def test_overflow_is_a_domain_error(self, p, alpha):
+        # lgamma(1e306) overflows; at 2e305 each term is finite but the sum is not
+        with pytest.raises(DomainError) as info:
+            gamma_p_ln(p, alpha)
+        assert info.value.violated == (f"log Gamma_p(alpha) finite (alpha = {alpha!r}, p = {p})",)
 
     def test_complex_argument(self):
         v = gamma_p_ln(2, 3.0 + 0.5j)
