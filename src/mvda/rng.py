@@ -2,9 +2,8 @@
 
 All randomness flows from a counter-based Philox generator keyed by a
 (seed, stream, chunk) triple. Uniform doubles come from its raw 64-bit
-output, normals from numpy's Generator (a ziggurat) on the same bit
-generator, and gammas from Marsaglia-Tsang rejection with the usual shape
-boost below 1. Draws are bit-exact per triple, whatever the process or
+output; normals (a ziggurat) and gammas come from numpy's Generator on the
+same bit generator. Draws are bit-exact per triple, whatever the process or
 worker count, on one numpy version: NumPy (NEP 19) does not promise the
 same Generator output across versions.
 """
@@ -57,7 +56,11 @@ class CounterRng:
         self._gen = np.random.Generator(self._bits)
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles uniform on (0, 1]; never exactly zero, so logs are finite."""
+        """n doubles uniform on (0, 1]; never exactly zero, so logs are finite.
+
+        No sampler draws from this; it is kept for callers that want raw
+        uniforms on the same stream.
+        """
         raw = self._bits.random_raw(n)
         return ((raw >> np.uint64(11)) + np.uint64(1)) * (2.0**-53)
 
@@ -66,34 +69,11 @@ class CounterRng:
         return self._gen.standard_normal(n)
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
-        """n draws from Gamma(shape, 1) for any finite shape > 0.
-
-        Marsaglia-Tsang squeeze-free rejection for shape >= 1; smaller
-        shapes are boosted by one and scaled back with a uniform power.
-        """
+        """n draws from Gamma(shape, 1) for any finite shape > 0, from numpy's
+        standard_gamma on this instance's stream."""
         if not 0 < shape < math.inf:
             raise ValueError(f"shape must be finite and > 0, got {shape!r}")
-        if n == 0:
-            return np.empty(0)
-        if shape < 1.0:
-            g = self.gammas(shape + 1.0, n)
-            u = self.uniforms(n)
-            return g * u ** (1.0 / shape)
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(n)
-        pending = np.arange(n)
-        while pending.size:
-            m = pending.size
-            x = self.normals(m)
-            u = self.uniforms(m)
-            v = (1.0 + c * x) ** 3
-            ok = v > 0.0
-            logv = np.log(np.where(ok, v, 1.0))
-            accept = ok & (np.log(u) < 0.5 * x * x + d - d * v + d * logv)
-            out[pending[accept]] = d * v[accept]
-            pending = pending[~accept]
-        return out
+        return self._gen.standard_gamma(shape, n)
 
     def complex_normals(self, n: int) -> np.ndarray:
         """n standard complex normals: consecutive pairs of normals, scaled

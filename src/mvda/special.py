@@ -116,7 +116,9 @@ def power_mean(w: Sequence[float], z: Sequence[float], b: float) -> float:
     argument is <= 0, so no |b| overflows, and as b -> 0 the expression
     tends to the geometric mean without a jump. Once every |b log(z_j / z_c)|
     is below 2**-53, the geometric mean is the value to double precision
-    and is returned as such, so subnormal b does not lose digits.
+    and is returned as such, so subnormal b does not lose digits. At
+    b = +inf and -inf the mean is its limit, max z and min z; b = NaN
+    raises DomainError.
     """
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -128,6 +130,10 @@ def power_mean(w: Sequence[float], z: Sequence[float], b: float) -> float:
         raise BadWeights(f"weights must sum to 1, got {float(np.sum(w))!r}")
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise BadSupport("all values must be finite and > 0")
+    if math.isnan(b):
+        raise DomainError([f"b is a number (b = {b!r})"], context="power mean undefined")
+    if math.isinf(b):
+        return float(np.max(z) if b > 0 else np.min(z))
     w = w / np.sum(w)
     logz = np.log(z)
     if abs(b) * np.ptp(logz) < 2.0**-53:

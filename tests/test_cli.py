@@ -64,6 +64,17 @@ class TestScalarCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(2.0**0.3 * 3.0**0.7, rel=1e-12)
 
+    @pytest.mark.parametrize("b,want", [("inf", 3.0), ("-inf", 2.0)])
+    def test_power_mean_infinite_exponent_is_max_or_min(self, capsys, b, want):
+        code, out = run(capsys, ["power-mean", "--weights", "0.3,0.7", "--values", "2,3",
+                                 f"-b={b}"])
+        assert code == 0
+        assert json.loads(out)["value"] == want
+
+    def test_power_mean_nan_exponent_exit_2(self, capsys):
+        assert main(["power-mean", "--weights", "0.3,0.7", "--values", "2,3", "-b=nan"]) == 2
+        assert "b is a number (b = nan)" in capsys.readouterr().err
+
     def test_power_mean_bad_weights_exit_2(self):
         assert main(["power-mean", "--weights", "0.5,0.6", "--values", "2,4", "-b", "1"]) == 2
 

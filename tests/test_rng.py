@@ -86,7 +86,7 @@ class TestSharedStream:
 
 
 class TestGammas:
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.7, 0.05, 0.3, 0.999, 40.0])
     def test_first_four_moments(self, shape):
         g = SeedSpec(5).child(0).gammas(shape, 100000)
         exact = [
@@ -96,6 +96,19 @@ class TestGammas:
             shape * (shape + 1) * (shape + 2) * (shape + 3),
         ]
         moments_match(g, exact, f"gamma({shape})")
+
+    def test_gammas_are_numpy_standard_gamma(self):
+        g = SeedSpec(13, 2).child(3).gammas(0.7, 1_001)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(13, spawn_key=(2, 3))))
+        assert np.array_equal(g, gen.standard_gamma(0.7, 1_001))
+
+    def test_gammas_continue_the_stream_after_normals(self):
+        rng = SeedSpec(14).child(1)
+        rng.normals(5)
+        g = rng.gammas(2.5, 1_001)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(14, spawn_key=(0, 1))))
+        gen.standard_normal(5)
+        assert np.array_equal(g, gen.standard_gamma(2.5, 1_001))
 
     def test_positive(self):
         g = SeedSpec(6).child(0).gammas(0.3, 50000)

@@ -217,9 +217,14 @@ class TestPowerMean:
         w, z = (0.3, 0.7), (2.0, 3.0)
         assert power_mean(w, z, b) == pytest.approx(power_mean(w, z, 0.0), rel=1e-12)
 
-    @pytest.mark.parametrize("b,want", [(1.7e308, 3.0), (-1.7e308, 2.0)])
+    @pytest.mark.parametrize("b,want", [(1.7e308, 3.0), (-1.7e308, 2.0),
+                                        (math.inf, 3.0), (-math.inf, 2.0)])
     def test_huge_exponent_gives_max_or_min(self, b, want):
         assert power_mean((0.3, 0.7), (2.0, 3.0), b) == want
+
+    def test_nan_exponent_named(self):
+        with pytest.raises(DomainError, match=r"b is a number \(b = nan\)"):
+            power_mean((0.3, 0.7), (2.0, 3.0), math.nan)
 
     @pytest.mark.parametrize("b", [0.5, -1.0, 50.0, -50.0, 1e4, -1e4])
     def test_matches_mpmath(self, b):
