@@ -1,11 +1,11 @@
 """Deterministic random variate generation.
 
-All randomness flows from a counter-based Philox generator keyed by a
-(seed, stream, chunk) triple. Uniform doubles come from its raw 64-bit
-output; normals (a ziggurat) and gammas come from numpy's Generator on the
-same bit generator. Draws are bit-exact per triple, whatever the process or
-worker count, on one numpy version: NumPy (NEP 19) does not promise the
-same Generator output across versions.
+All randomness flows from numpy's SFC64 bit generator, whose state a
+SeedSequence derives from a (seed, stream, chunk) triple. Uniform doubles
+come from its raw 64-bit output; normals (a ziggurat) and gammas come from
+numpy's Generator on the same bit generator. Draws are bit-exact per
+triple, whatever the process or worker count, on one numpy version: NumPy
+(NEP 19) does not promise the same Generator output across versions.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ class SeedSpec:
 class CounterRng:
     """Variate source for one (seed, stream, chunk) triple.
 
-    Within an instance, generation is sequential; distinct triples give
-    statistically independent, non-overlapping streams.
+    Within an instance, generation is sequential; distinct triples hash to
+    distinct SFC64 states, whose streams are statistically independent.
     """
 
     def __init__(self, seed: SeedSpec, chunk: int = 0):
         ss = np.random.SeedSequence(entropy=seed.seed, spawn_key=(seed.stream, chunk))
-        self._bits = np.random.Philox(ss)
+        self._bits = np.random.SFC64(ss)
         self._gen = np.random.Generator(self._bits)
 
     def uniforms(self, n: int) -> np.ndarray:

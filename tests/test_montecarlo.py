@@ -122,6 +122,35 @@ class TestMcEstimate:
             assert n_used == 20_000
 
 
+class TestMomentSums:
+    def test_chunk_sums_match_powers(self):
+        vals = SeedSpec(31).child(0).gammas(0.6, 25_000) - 0.4  # both signs
+        sums = montecarlo._chunk_sums(
+            scalar_type1(), lambda batch: vals, McConfig(len(vals), SeedSpec(31)), 0, 0, len(vals)
+        )
+        for r, got in enumerate(sums, start=1):
+            want = np.sum(vals**r)
+            assert abs(got - want) <= 1e-12 * abs(want), (r, got, want)
+
+    def test_kurtosis_matches_direct(self):
+        measure = scalar_type1()
+        functional = FunctionalSpec(kind="det_power", gammas=(1.0, 0.0))
+        config = McConfig(samples=20_000, seed=SeedSpec(42, 3), chunk=6_000)
+        est, se, n_used, diag = mc_estimate_full(measure, functional, config)
+        assert not diag["boosted"] and n_used == 20_000
+        integrand = make_integrand(measure, functional)
+        vals = np.concatenate(
+            [
+                integrand(sample_batch(measure, config.seed, size, chunk=c))
+                for c, size in enumerate([6_000, 6_000, 6_000, 2_000])
+            ]
+        )
+        d = vals - vals.mean()
+        direct = len(d) * np.sum(d**4) / np.sum(d**2) ** 2
+        assert est == pytest.approx(vals.mean(), rel=1e-12)
+        assert diag["kurtosis"] == pytest.approx(direct, rel=1e-9)
+
+
 class TestKurtosisBoost:
     # heavy tailed on SeedSpec(42, 6): the first pass's kurtosis exceeds the limit
     MEASURE = MeasureSpec(kind="type2", p=1, k=1, alphas=(1.5, 3.5))

@@ -67,12 +67,12 @@ class TestNormals:
 
 class TestSharedStream:
     def test_normals_are_numpy_standard_normal_after_uniforms(self):
-        # one Philox stream: uniforms take raw words, normals continue from there
+        # one SFC64 stream: uniforms take raw words, normals continue from there
         rng = SeedSpec(11, 2).child(3)
         rng.uniforms(5)
         z = rng.normals(1_001)
         ss = np.random.SeedSequence(entropy=11, spawn_key=(2, 3))
-        bits = np.random.Philox(ss)
+        bits = np.random.SFC64(ss)
         bits.random_raw(5)
         assert np.array_equal(z, np.random.Generator(bits).standard_normal(1_001))
 
@@ -99,14 +99,14 @@ class TestGammas:
 
     def test_gammas_are_numpy_standard_gamma(self):
         g = SeedSpec(13, 2).child(3).gammas(0.7, 1_001)
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(13, spawn_key=(2, 3))))
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(13, spawn_key=(2, 3))))
         assert np.array_equal(g, gen.standard_gamma(0.7, 1_001))
 
     def test_gammas_continue_the_stream_after_normals(self):
         rng = SeedSpec(14).child(1)
         rng.normals(5)
         g = rng.gammas(2.5, 1_001)
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(14, spawn_key=(0, 1))))
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(14, spawn_key=(0, 1))))
         gen.standard_normal(5)
         assert np.array_equal(g, gen.standard_gamma(2.5, 1_001))
 
@@ -123,6 +123,27 @@ class TestGammas:
         # the shape is checked before the draw count, so an empty request fails too
         with pytest.raises(ValueError, match="finite"):
             SeedSpec(7).child(0).gammas(shape, 0)
+
+
+class TestKeyedSubstreams:
+    N = 100_000
+
+    @pytest.mark.parametrize(
+        "key_a, key_b",
+        [((21, 3, 7), (21, 3, 8)), ((21, 3, 7), (21, 4, 7))],
+        ids=["adjacent_chunks", "adjacent_streams"],
+    )
+    def test_normals_uncorrelated(self, key_a, key_b):
+        x = SeedSpec(*key_a[:2]).child(key_a[2]).normals(self.N)
+        y = SeedSpec(*key_b[:2]).child(key_b[2]).normals(self.N)
+        assert abs(np.corrcoef(x, y)[0, 1]) <= 4 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("key", [(21, 3, 7), (22, 0, 1)])
+    def test_small_shape_gamma_moments(self, key):
+        shape = 0.3
+        g = SeedSpec(*key[:2]).child(key[2]).gammas(shape, self.N)
+        exact = [math.prod(shape + i for i in range(r)) for r in range(1, 5)]
+        moments_match(g, exact, f"gamma({shape}) at {key}")
 
 
 def test_complex_normals_variance():
