@@ -363,23 +363,27 @@ class Functional:
     FunctionalSpec fields named in required or optional that are set;
     integrand(measure, functional) returns the functional as a function
     of a (k, n, p, p) batch of draws, for the Monte Carlo harness.
+    exponent names the parameter that squaring the functional doubles, so
+    its second moment is the closed form there; None for exp_trace (bounded
+    on 0 < X_1 < I) and phi6 (finite for every positive definite A).
     """
 
     required: tuple[str, ...]
     optional: tuple[str, ...]
     closed_form: Callable[..., AverageResult]
     integrand: Callable[[MeasureSpec, FunctionalSpec], Integrand]
+    exponent: Optional[str] = None
 
 
 FUNCTIONALS: dict[str, Functional] = {
-    "det_power": Functional(("gammas",), (), det_power_average, _det_power_integrand),
+    "det_power": Functional(("gammas",), (), det_power_average, _det_power_integrand, "gammas"),
     "complement_power": Functional(
-        ("delta",), (), complement_power_average, _complement_power_integrand
+        ("delta",), (), complement_power_average, _complement_power_integrand, "delta"
     ),
     "exp_trace": Functional((), ("A", "policy"), exp_trace_average, _exp_trace_integrand),
     "phi6": Functional(("A",), (), phi6_average, _phi6_integrand),
     "hermitian_form_moment": Functional(
-        ("h",), (), hermitian_form_moment, _form_moment_integrand
+        ("h",), (), hermitian_form_moment, _form_moment_integrand, "h"
     ),
 }
 

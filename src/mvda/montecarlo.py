@@ -5,6 +5,11 @@ and draws from its own (seed, stream, c) substream, so the estimate is a
 pure function of the configuration. Workers only change who computes a
 chunk, never what the chunk contains, and the reduction runs in chunk
 order, which makes reports bit-reproducible across worker counts.
+
+A case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR). The SE
+is a standard error only when the integrand has a finite second moment. For
+the power functionals that moment is the closed form at twice the exponent,
+so a case where it does not exist fails by name before any draw.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -22,11 +28,6 @@ from .averages import FUNCTIONALS, FunctionalSpec, Integrand, evaluate_average
 from .errors import DomainError, MvdaError, NonFiniteIntegrand
 from .measures import MeasureSpec, sample_batch
 from .rng import SeedSpec
-
-# Heavy-tail guard: when the plain kurtosis of a first pass exceeds this,
-# the estimate is rerun at ten times the sample count.
-KURTOSIS_LIMIT = 50.0
-KURTOSIS_BOOST = 10
 
 # Comparator floor: a case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR).
 ABS_FLOOR = 1e-4
@@ -54,7 +55,7 @@ class McConfig:
         return cls(
             samples=int(doc["samples"]),
             seed=SeedSpec.from_json(doc["seed"]),
-            chunk=int(doc.get("chunk", 25000)),
+            chunk=int(doc.get("chunk", cls.chunk)),
         )
 
 
@@ -124,76 +125,38 @@ def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integran
 # chunked estimation
 
 
-def _chunk_sums(measure, integrand, config, c, start, size):
-    batch = sample_batch(measure, config.seed, size, chunk=c)
+def _chunk_sums(measure, integrand, config, c):
+    start = c * config.chunk
+    batch = sample_batch(measure, config.seed, min(config.chunk, config.samples - start), chunk=c)
     with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteIntegrand below
         vals = integrand(batch)
     finite = np.isfinite(vals)
     if not np.all(finite):
         raise NonFiniteIntegrand(start + int(np.argmin(finite)))
-    sq = vals * vals  # products, not pow: numpy's pow is slow at exponents 3 and 4
-    return (
-        float(np.sum(vals)),
-        float(np.sum(sq)),
-        float(np.sum(sq * vals)),
-        float(np.sum(sq * sq)),
-    )
-
-
-def _run_pass(measure, integrand, config: McConfig, n: int, workers: int, reuse=()):
-    """(mean, se, kurtosis, chunk sums) of an n-draw pass; reuse holds the
-    sums of its first chunks from an earlier pass, which are not redrawn."""
-    spans = [
-        (c, c * config.chunk, min(config.chunk, n - c * config.chunk))
-        for c in range(len(reuse), -(-n // config.chunk))
-    ]
-    if workers <= 1:
-        drawn = [_chunk_sums(measure, integrand, config, c, s, z) for c, s, z in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_chunk_sums, measure, integrand, config, c, s, z)
-                for c, s, z in spans
-            ]
-            drawn = [f.result() for f in futures]
-    parts = [*reuse, *drawn]
-
-    s1 = s2 = s3 = s4 = 0.0
-    for a, b, cc, d in parts:  # fixed reduction order: chunk index
-        s1 += a
-        s2 += b
-        s3 += cc
-        s4 += d
-    mean = s1 / n
-    m2 = max(s2 - n * mean * mean, 0.0)
-    var = m2 / (n - 1) if n > 1 else 0.0
-    se = (var / n) ** 0.5
-    if m2 > 0.0:
-        m4 = s4 - 4.0 * mean * s3 + 6.0 * mean * mean * s2 - 3.0 * n * mean**4
-        kurt = n * m4 / (m2 * m2)
-    else:
-        kurt = 0.0
-    return mean, se, kurt, parts
+    return float(np.sum(vals)), float(np.sum(vals * vals))
 
 
 def mc_estimate_full(
-    measure: MeasureSpec,
-    functional: FunctionalSpec,
-    config: McConfig,
-    workers: int = 1,
+    measure: MeasureSpec, functional: FunctionalSpec, config: McConfig, workers: int = 1
 ) -> tuple[float, float, int, dict]:
-    """Estimate with diagnostics: (estimate, std_error, n_used, diagnostics)."""
-    integrand = make_integrand(measure, functional)
-    mean, se, kurt, parts = _run_pass(measure, integrand, config, config.samples, workers)
-    diagnostics = {"kurtosis": kurt, "boosted": False}
-    n_used = config.samples
-    if kurt > KURTOSIS_LIMIT:
-        n_used = config.samples * KURTOSIS_BOOST
-        # the first pass's full-size chunks are the rerun's first chunks
-        full = parts[: config.samples // config.chunk]
-        mean, se, kurt2, _ = _run_pass(measure, integrand, config, n_used, workers, full)
-        diagnostics = {"kurtosis": kurt, "boosted": True, "kurtosis_boosted": kurt2}
-    return mean, se, n_used, diagnostics
+    """(estimate, std_error, n, diagnostics) from n = config.samples draws:
+    the sample mean, the sample standard deviation over sqrt(n), and {}."""
+    run = partial(_chunk_sums, measure, make_integrand(measure, functional), config)
+    chunks = range(-(-config.samples // config.chunk))
+    if workers <= 1:
+        parts = [run(c) for c in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, chunks))
+
+    n = config.samples
+    s1 = s2 = 0.0
+    for a, b in parts:  # fixed reduction order: chunk index
+        s1 += a
+        s2 += b
+    mean = s1 / n
+    var = max(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
+    return mean, (var / n) ** 0.5, n, {}
 
 
 # ---------------------------------------------------------------------------
@@ -226,30 +189,51 @@ def build_report(
     )
 
 
+def _squared(functional: FunctionalSpec) -> Optional[FunctionalSpec]:
+    """The functional f**2, when it is f at twice its exponent parameter."""
+    name = FUNCTIONALS[functional.kind].exponent
+    if name is None:
+        return None
+    value = getattr(functional, name)
+    doubled = tuple(2.0 * v for v in value) if isinstance(value, tuple) else 2.0 * value
+    return replace(functional, **{name: doubled})
+
+
+def _failed(case: VerifyCase, t0: float, exc: Exception, **extra) -> McReport:
+    detail = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, DomainError):
+        detail["violated_conditions"] = list(exc.violated)
+    return McReport(
+        case_id=case.case_id,
+        estimate=None,
+        std_error=None,
+        closed_form=None,
+        abs_diff=None,
+        tolerance=None,
+        verdict="fail",
+        n=0,
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+        diagnostics={**detail, **extra},
+    )
+
+
 def verify_case(case: VerifyCase, workers: int = 1) -> McReport:
+    """One case's closed form against its estimate, drawn only when the
+    second moment is known to exist (see the module docstring)."""
     t0 = time.perf_counter()
     try:
         closed = evaluate_average(case.measure, case.functional)
+        squared = _squared(case.functional)
+        if squared is not None:
+            try:
+                evaluate_average(case.measure, squared)
+            except DomainError as exc:
+                return _failed(case, t0, exc, reason="second moment does not exist")
         estimate, se, n_used, diagnostics = mc_estimate_full(
             case.measure, case.functional, case.mc, workers
         )
     except (MvdaError, ValueError) as exc:
-        runtime_ms = int((time.perf_counter() - t0) * 1000)
-        detail = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, DomainError):
-            detail["violated_conditions"] = list(exc.violated)
-        return McReport(
-            case_id=case.case_id,
-            estimate=None,
-            std_error=None,
-            closed_form=None,
-            abs_diff=None,
-            tolerance=None,
-            verdict="fail",
-            n=0,
-            runtime_ms=runtime_ms,
-            diagnostics=detail,
-        )
+        return _failed(case, t0, exc)
     runtime_ms = int((time.perf_counter() - t0) * 1000)
     report = build_report(
         case.case_id,
@@ -273,6 +257,8 @@ def verify_suite(cases: Sequence[VerifyCase], workers: int = 1) -> list[McReport
     ids = [c.case_id for c in cases]
     if len(set(ids)) != len(ids):
         raise ValueError("case_id values must be unique within a suite")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     return [verify_case(c, workers=workers) for c in cases]
 
 

@@ -270,6 +270,30 @@ class TestVerify:
         assert reports[1]["verdict"] == "fail"
         assert reports[0]["verdict"] == "pass"
 
+    def test_missing_second_moment_exit_3(self, tmp_path, capsys):
+        # E x = 1 exists under type-2 alphas (1.5, 1.5); E x^2 does not
+        doc = [{
+            "case_id": "no_second_moment",
+            "measure": {"kind": "type2", "p": 1, "k": 1, "alphas": [1.5, 1.5]},
+            "functional": "det_power",
+            "gammas": [1.0],
+            "mc": {"samples": 5000, "seed": {"seed": 42, "stream": 0}},
+        }]
+        cfg = write_json(tmp_path / "suite.json", doc)
+        code, out = run(capsys, ["verify", "--config", cfg])
+        assert code == 3
+        (report,) = json.loads(out)
+        assert report["verdict"] == "fail" and report["n"] == 0
+        assert report["diagnostics"]["reason"] == "second moment does not exist"
+        assert report["diagnostics"]["violated_conditions"] == ["alpha_{k+1} - sum(gamma) > p - 1"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        cfg = self.small_config(tmp_path)
+        code, out = run(capsys, ["verify", "--config", cfg, "--samples", "5000", "--workers", workers])
+        assert code == 1
+        assert out == ""
+
     def test_string_delta_case_passes(self, tmp_path, capsys):
         # a string parameter is read as its float, as from a hand-written config
         case = next(c for c in default_suite() if c.case_id == "phi2_type1_p1_k1")

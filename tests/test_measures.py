@@ -403,7 +403,7 @@ class TestFactorDependentLaws:
 
     # phi6 at p: (alpha_3, half-width of A's diagonal around (alpha_1 + alpha_3) I,
     # coupling). A near (alpha_1 + alpha_3) I nearly cancels the determinant
-    # weight, which keeps the integrand's kurtosis below the rerun limit.
+    # weight, which keeps the integrand's spread, and with it the SE, small.
     PHI6 = {3: (20.0, 0.2, 0.1), 4: (30.0, 0.15, 0.05)}
 
     @classmethod

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mvda import montecarlo
-from mvda.averages import FunctionalSpec, _det
+from mvda.averages import FUNCTIONALS, FunctionalSpec, _det, evaluate_average
 from mvda.errors import NonFiniteIntegrand
 from mvda.linalg import HermitianMatrix
 from mvda.measures import MeasureSpec, sample_batch
@@ -110,34 +110,23 @@ class TestMcEstimate:
             mc_estimate_full(measure, f, McConfig(samples=2_000, seed=SeedSpec(42, 5)))
         assert err.value.sample_index >= 0
 
-    def test_kurtosis_boost_recorded(self):
-        measure = MeasureSpec(kind="type2", p=1, k=1, alphas=(1.5, 5.5))
-        f = FunctionalSpec(kind="det_power", gammas=(1.0,))
-        est, se, n_used, diag = mc_estimate_full(
-            measure, f, McConfig(samples=20_000, seed=SeedSpec(42, 6))
-        )
-        if diag["boosted"]:
-            assert n_used == 200_000
-        else:
-            assert n_used == 20_000
-
 
 class TestMomentSums:
     def test_chunk_sums_match_powers(self):
         vals = SeedSpec(31).child(0).gammas(0.6, 25_000) - 0.4  # both signs
         sums = montecarlo._chunk_sums(
-            scalar_type1(), lambda batch: vals, McConfig(len(vals), SeedSpec(31)), 0, 0, len(vals)
+            scalar_type1(), lambda batch: vals, McConfig(len(vals), SeedSpec(31)), 0
         )
         for r, got in enumerate(sums, start=1):
             want = np.sum(vals**r)
             assert abs(got - want) <= 1e-12 * abs(want), (r, got, want)
 
-    def test_kurtosis_matches_direct(self):
+    def test_std_error_matches_direct(self):
         measure = scalar_type1()
         functional = FunctionalSpec(kind="det_power", gammas=(1.0, 0.0))
         config = McConfig(samples=20_000, seed=SeedSpec(42, 3), chunk=6_000)
         est, se, n_used, diag = mc_estimate_full(measure, functional, config)
-        assert not diag["boosted"] and n_used == 20_000
+        assert n_used == 20_000 and diag == {}
         integrand = make_integrand(measure, functional)
         vals = np.concatenate(
             [
@@ -145,37 +134,70 @@ class TestMomentSums:
                 for c, size in enumerate([6_000, 6_000, 6_000, 2_000])
             ]
         )
-        d = vals - vals.mean()
-        direct = len(d) * np.sum(d**4) / np.sum(d**2) ** 2
         assert est == pytest.approx(vals.mean(), rel=1e-12)
-        assert diag["kurtosis"] == pytest.approx(direct, rel=1e-9)
+        assert se == pytest.approx(vals.std(ddof=1) / np.sqrt(len(vals)), rel=1e-9)
 
 
-class TestKurtosisBoost:
-    # heavy tailed on SeedSpec(42, 6): the first pass's kurtosis exceeds the limit
-    MEASURE = MeasureSpec(kind="type2", p=1, k=1, alphas=(1.5, 3.5))
-    FUNCTIONAL = FunctionalSpec(kind="det_power", gammas=(1.0,))
+class TestSecondMomentGate:
+    """Cases whose first moment exists and whose second does not: the 4 SE
+    band is meaningless there, so each fails by name before any draw."""
 
-    @pytest.mark.parametrize("chunk", [5_000, 3_000])
-    def test_rerun_reuses_full_chunks(self, chunk, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize(
+        "measure, functional, violated",
+        [
+            (
+                MeasureSpec(kind="type2", p=1, k=1, alphas=(1.5, 1.5)),
+                FunctionalSpec(kind="det_power", gammas=(1.0,)),
+                "alpha_{k+1} - sum(gamma) > p - 1",
+            ),
+            (
+                MeasureSpec(kind="type2", p=1, k=1, alphas=(2.0, 1.5)),
+                FunctionalSpec(kind="complement_power", delta=-1.0),
+                "alpha_{k+1} + delta > p - 1",
+            ),
+            (
+                MeasureSpec(kind="rect_type2_p1", p=1, k=1, alphas=(1.0, 1.5), ns=(1,)),
+                FunctionalSpec(kind="hermitian_form_moment", h=1.0),
+                "alpha_{k+1} - h > 0",
+            ),
+            (
+                MeasureSpec(kind="type1", p=1, k=1, alphas=(0.6, 2.0)),
+                FunctionalSpec(kind="det_power", gammas=(-0.4,)),
+                "alpha_1 + gamma_1 > p - 1",
+            ),
+        ],
+    )
+    def test_missing_second_moment_fails_by_name(self, measure, functional, violated, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a gated case must not draw")
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["chunk"])
-            return sample_batch(*args, **kwargs)
+        assert evaluate_average(measure, functional).conditions_ok
+        monkeypatch.setattr(montecarlo, "sample_batch", no_draws)
+        (r,) = verify_suite([case("gated", measure, functional)])
+        assert r.verdict == "fail" and r.n == 0 and r.estimate is None
+        assert r.diagnostics["reason"] == "second moment does not exist"
+        assert r.diagnostics["error"] == "DomainError"
+        assert r.diagnostics["violated_conditions"] == [violated]
 
-        monkeypatch.setattr(montecarlo, "sample_batch", counting)
-        config = McConfig(samples=20_000, seed=SeedSpec(42, 6), chunk=chunk)
-        est, se, n_used, diag = mc_estimate_full(self.MEASURE, self.FUNCTIONAL, config)
-        assert diag["boosted"] and n_used == 200_000
-        first = -(-20_000 // chunk)  # chunks of the first pass
-        full = 20_000 // chunk  # its full-size ones, which the rerun reuses
-        assert calls == [*range(first), *range(full, -(-200_000 // chunk))]
-        if 20_000 % chunk == 0:
-            assert len(calls) == 10 * first
-        integrand = make_integrand(self.MEASURE, self.FUNCTIONAL)
-        direct = montecarlo._run_pass(self.MEASURE, integrand, config, 200_000, 1)
-        assert (est, se) == direct[:2]
+    def test_exp_trace_and_phi6_are_not_gated(self):
+        assert FUNCTIONALS["exp_trace"].exponent is None
+        assert FUNCTIONALS["phi6"].exponent is None
+        cases = [
+            case(
+                "exp_trace",
+                scalar_type1(),
+                FunctionalSpec(kind="exp_trace", A=HermitianMatrix([[2.0]])),
+            ),
+            case(
+                "phi6",
+                MeasureSpec(kind="type2", p=1, k=2, alphas=(1.5, 2.0, 3.0)),
+                FunctionalSpec(kind="phi6", A=HermitianMatrix([[4.5]])),
+                stream=1,
+            ),
+        ]
+        for r in verify_suite(cases):
+            assert r.verdict == "pass" and r.n == 20_000, r.diagnostics
+            assert r.diagnostics == {}
 
 
 class TestDet:
@@ -327,7 +349,7 @@ class TestReportEmit:
     def make_reports(self):
         return [
             build_report("a", 1.0, 0.01, 100, 1.005, runtime_ms=17),
-            build_report("b", 2.0, 0.02, 200, 2.5, runtime_ms=23, diagnostics={"boosted": False}),
+            build_report("b", 2.0, 0.02, 200, 2.5, runtime_ms=23, diagnostics={}),
         ]
 
     def test_empty_json(self):
@@ -376,6 +398,12 @@ class TestMcConfig:
     def test_json_round_trip(self):
         cfg = McConfig(samples=1000, seed=SeedSpec(42, 3), chunk=100)
         assert McConfig.from_json(cfg.to_json()) == cfg
+
+    def test_json_without_chunk_takes_the_default(self):
+        cfg = McConfig(samples=1000, seed=SeedSpec(42, 3))
+        doc = cfg.to_json()
+        del doc["chunk"]
+        assert McConfig.from_json(doc) == cfg
 
     def test_report_json_round_trip(self):
         r = build_report("a", 1.0, 0.01, 100, 1.005, runtime_ms=17)
