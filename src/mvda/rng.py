@@ -3,9 +3,12 @@
 All randomness flows from numpy's SFC64 bit generator, whose state a
 SeedSequence derives from a (seed, stream, chunk) triple. Uniform doubles
 come from its raw 64-bit output; normals (a ziggurat) and gammas come from
-numpy's Generator on the same bit generator. Draws are bit-exact per
-triple, whatever the process or worker count, on one numpy version: NumPy
-(NEP 19) does not promise the same Generator output across versions.
+numpy's Generator on the same bit generator. A gamma below shape 1 is
+Gamma(shape + 1) * exp(-E / shape) with E standard exponential (Marsaglia
+& Tsang, ACM TOMS 26(3), 2000), because numpy's own sampler is slower at
+those shapes. Draws are bit-exact per triple, whatever the process or
+worker count, on one numpy version: NumPy (NEP 19) does not promise the
+same Generator output across versions.
 """
 
 from __future__ import annotations
@@ -69,11 +72,28 @@ class CounterRng:
         return self._gen.standard_normal(n)
 
     def gammas(self, shape: float, n: int) -> np.ndarray:
-        """n draws from Gamma(shape, 1) for any finite shape > 0, from numpy's
-        standard_gamma on this instance's stream."""
+        """n draws from Gamma(shape, 1) for any finite shape > 0 on this
+        instance's stream.
+
+        At shape >= 1 this is numpy's standard_gamma(shape). Below 1 it is
+        Gamma(shape) = Gamma(shape + 1) * U**(1/shape) (Marsaglia & Tsang,
+        ACM TOMS 26(3), 2000) with U = exp(-E): standard_gamma(shape + 1, n),
+        then standard_exponential(n), combined as g * exp(E / -shape).
+        """
         if not 0 < shape < math.inf:
             raise ValueError(f"shape must be finite and > 0, got {shape!r}")
-        return self._gen.standard_gamma(shape, n)
+        if shape >= 1.0:
+            return self._gen.standard_gamma(shape, n)
+        g = self._gen.standard_gamma(shape + 1.0, n)
+        e = self._gen.standard_exponential(n)
+        # divide, not multiply by 1/shape: that is inf at a subnormal shape,
+        # and 0 * inf is nan; E / -shape overflows only to -inf, which makes
+        # the draw exactly 0
+        with np.errstate(over="ignore"):
+            np.divide(e, -shape, out=e)
+        np.exp(e, out=e)
+        g *= e
+        return g
 
     def complex_normals(self, n: int) -> np.ndarray:
         """n standard complex normals: consecutive pairs of normals, scaled

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,10 +99,22 @@ class TestGammas:
         ]
         moments_match(g, exact, f"gamma({shape})")
 
-    def test_gammas_are_numpy_standard_gamma(self):
-        g = SeedSpec(13, 2).child(3).gammas(0.7, 1_001)
+    def test_gammas_from_shape_one_are_numpy_standard_gamma(self):
+        g = SeedSpec(13, 2).child(3).gammas(2.5, 1_001)
         gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(13, spawn_key=(2, 3))))
-        assert np.array_equal(g, gen.standard_gamma(0.7, 1_001))
+        assert np.array_equal(g, gen.standard_gamma(2.5, 1_001))
+
+    def test_gammas_below_shape_one_are_boosted_by_one_exponential(self):
+        # Gamma(a) = Gamma(a + 1) * exp(-E / a): two draws, in this order
+        rng = SeedSpec(13, 2).child(3)
+        g = rng.gammas(0.7, 1_001)
+        z = rng.normals(101)
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(13, spawn_key=(2, 3))))
+        boosted = gen.standard_gamma(1.7, 1_001)
+        e = gen.standard_exponential(1_001)
+        assert np.array_equal(g, boosted * np.exp(e / -0.7))
+        # and nothing else: the stream goes on right after the exponentials
+        assert np.array_equal(z, gen.standard_normal(101))
 
     def test_gammas_continue_the_stream_after_normals(self):
         rng = SeedSpec(14).child(1)
@@ -123,6 +137,41 @@ class TestGammas:
         # the shape is checked before the draw count, so an empty request fails too
         with pytest.raises(ValueError, match="finite"):
             SeedSpec(7).child(0).gammas(shape, 0)
+
+
+class TestGammaLowerTail:
+    """The law near 0, which raw moments barely see: log moments and the
+    share of draws that round to exactly 0."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("key", [(5, 0, 0), (21, 3, 7)])
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 0.7, 1 - 2**-52, 1.0, 2.5])
+    def test_log_mean_and_variance(self, shape, key):
+        # E log G = psi(a) and Var log G = psi'(a)
+        log_g = np.log(SeedSpec(*key[:2]).child(key[2]).gammas(shape, self.N))
+        mean, var = log_g.mean(), log_g.var(ddof=1)
+        se = math.sqrt(var / self.N)
+        assert abs(mean - float(mpmath.digamma(shape))) <= 4 * se, (mean, se)
+        assert abs(var / float(mpmath.psi(1, shape)) - 1) <= 0.05, var
+
+    def test_share_of_exact_zeros(self):
+        # P(G < x) ~ x**a / Gamma(1 + a) as x -> 0, and a draw below half
+        # the smallest subnormal, 2**-1075, rounds to 0
+        a, chunks = 0.01, 5
+        law = 2.0 ** (-1075 * a) / math.gamma(1 + a)
+        zeros = sum(
+            int(np.count_nonzero(SeedSpec(5).child(c).gammas(a, self.N) == 0.0))
+            for c in range(chunks)
+        )
+        n = chunks * self.N
+        assert abs(zeros / n - law) <= 4 * math.sqrt(law * (1 - law) / n), (zeros, law * n)
+
+    def test_subnormal_shape_gives_zeros_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = SeedSpec(5).child(0).gammas(5e-324, 1_000)
+        assert np.all(g == 0.0)
 
 
 class TestKeyedSubstreams:
