@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import HermitianMatrix, is_pd, logdet_abs
-from .measures import MeasureSpec
+from .measures import Draws, MeasureSpec
 from .special import (
     DEFAULT_TRUNCATION,
     LOG_PI,
@@ -29,8 +29,8 @@ from .special import (
     hyp1f1_matrix,
 )
 
-# the functional evaluated draw by draw on a (k, n, p, p) batch
-Integrand = Callable[[np.ndarray], np.ndarray]
+# the functional evaluated draw by draw on the Draws of one chunk
+Integrand = Callable[[Draws], np.ndarray]
 
 
 def _require(conditions: list[tuple[str, bool]], context: str) -> None:
@@ -115,20 +115,6 @@ def normalizer_ln(measure: MeasureSpec) -> float:
 # determinant power averages (phi 1, 4, 7)
 
 
-def _det(x: np.ndarray) -> np.ndarray:
-    """Real determinants of a (..., p, p) Hermitian stack: the product of the
-    pivots of an elimination without row exchanges, each the real corner of
-    the last Schur complement. Every leading pivot must be nonzero, as for
-    X_j, the type-1 I - sum X_j (positive semidefinite by construction),
-    I + sum X_j and I + X_1 wherever they are nonsingular.
-    """
-    det = x[..., 0, 0].real
-    for _ in range(1, x.shape[-1]):
-        x = x[..., 1:, 1:] - x[..., 1:, :1] * (x[..., :1, 1:] / x[..., :1, :1].real)
-        det = det * x[..., 0, 0].real
-    return det
-
-
 def _labels(measure: MeasureSpec) -> tuple[list[str], str, str]:
     """Condition text for a closed form over measure.scalar_alphas: the
     names of its first k entries, the bound each shifted parameter must
@@ -177,14 +163,21 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
 def _det_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     gammas = functional.gammas
 
-    def det_power(batch: np.ndarray) -> np.ndarray:
-        out = np.ones(batch.shape[1])
-        for j, g in enumerate(gammas):
+    def det_power(draws: Draws) -> np.ndarray:
+        out = np.ones(draws.n)
+        for x, g in zip(draws.values, gammas):
             if g != 0.0:
-                out = out * np.abs(_det(batch[j])) ** g
+                out = out * x**g
         return out
 
-    return det_power
+    def det_power_log(draws: Draws) -> np.ndarray:
+        log = np.zeros(draws.n)
+        for logdet_j, g in zip(draws.logdet, gammas):
+            if g != 0.0:
+                log = log + g * logdet_j
+        return np.exp(log)
+
+    return det_power if measure.p == 1 else det_power_log
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +204,23 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
 
 def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     delta = functional.delta
-    eye = np.eye(measure.p)
-    type1 = measure.type1
+    every = range(measure.k)
 
-    def complement_power(batch: np.ndarray) -> np.ndarray:
-        total = batch.sum(axis=0)
-        if type1:
-            return np.abs(_det(eye - total)) ** delta
-        return np.abs(_det(eye + total)) ** (-delta)
+    def type1_ratio(draws: Draws) -> np.ndarray:
+        return draws.complement**delta
 
-    return complement_power
+    def type2_ratio(draws: Draws) -> np.ndarray:
+        return (1.0 + draws.values.sum(axis=0)) ** (-delta)
+
+    def type1_log(draws: Draws) -> np.ndarray:
+        return np.exp(delta * draws.log_complement)
+
+    def type2_log(draws: Draws) -> np.ndarray:
+        return np.exp(-delta * draws.logdet_eye_plus(every))
+
+    if measure.p == 1:
+        return type1_ratio if measure.type1 else type2_ratio
+    return type1_log if measure.type1 else type2_log
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,8 @@ def _exp_trace_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> In
     a = (functional.A.array if functional.A is not None
          else np.eye(measure.p, dtype=np.complex128))
 
-    def exp_trace(batch: np.ndarray) -> np.ndarray:
-        return np.exp(np.einsum("ab,nba->n", a, batch[0]).real)
+    def exp_trace(draws: Draws) -> np.ndarray:
+        return np.exp(draws.trace(a, 0))
 
     return exp_trace
 
@@ -302,14 +302,14 @@ def phi6_average(measure: MeasureSpec, A: HermitianMatrix) -> AverageResult:
 def _phi6_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     a = functional.A.array
     expo = measure.alphas[0] + measure.alphas[2]
-    eye = np.eye(measure.p)
 
-    def phi6(batch: np.ndarray) -> np.ndarray:
-        x1 = batch[0]
-        weight = np.abs(_det(eye + x1)) ** expo
-        return np.exp(-np.einsum("ab,nba->n", a, x1).real) * weight
+    def phi6(draws: Draws) -> np.ndarray:
+        return np.exp(-draws.trace(a, 0)) * (1.0 + draws.values[0]) ** expo
 
-    return phi6
+    def phi6_log(draws: Draws) -> np.ndarray:
+        return np.exp(expo * draws.logdet_eye_plus((0,)) - draws.trace(a, 0))
+
+    return phi6 if measure.p == 1 else phi6_log
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +345,8 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
 def _form_moment_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     h = functional.h
 
-    def form_moment(batch: np.ndarray) -> np.ndarray:
-        return batch[:, :, 0, 0].real.sum(axis=0) ** h
+    def form_moment(draws: Draws) -> np.ndarray:
+        return draws.values.sum(axis=0) ** h
 
     return form_moment
 
@@ -362,7 +362,7 @@ class Functional:
     closed_form(measure, **params) is the average, where params are the
     FunctionalSpec fields named in required or optional that are set;
     integrand(measure, functional) returns the functional as a function
-    of a (k, n, p, p) batch of draws, for the Monte Carlo harness.
+    of the Draws of one chunk, for the Monte Carlo harness.
     exponent names the parameter that squaring the functional doubles, so
     its second moment is the closed form there; None for exp_trace (bounded
     on 0 < X_1 < I) and phi6 (finite for every positive definite A).

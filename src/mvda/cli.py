@@ -138,7 +138,7 @@ def _cmd_sample(args) -> int:
     measure = _load_doc(args.spec, MeasureSpec.from_json)
     seed = SeedSpec(seed=args.seed if args.seed is not None else _env_seed(),
                     stream=args.stream)
-    batch = sample_batch(measure, seed, args.n)
+    batch = sample_batch(measure, seed, args.n).stack()
     lines = [json.dumps({"measure": measure.to_json(), "seed": seed.to_json(), "n": args.n})]
     for i in range(args.n):
         matrices = [HermitianMatrix(batch[j, i]).to_json() for j in range(measure.k)]

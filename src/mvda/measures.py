@@ -21,10 +21,18 @@ products) and calls no LAPACK. A squared pivot below EIG_FLOOR_RTOL times
 the largest diagonal entry of S (type-1) or W_{k+1} (type-2) is raised to
 that value and counted by floor_event_count().
 
+sample_batch returns the draws as these factors (Draws), not as matrices.
+The determinants the integrands need come from the pivots:
+log det X_j = 2 sum_i (log T_j,ii - log L_ii), and at type-1
+log det(I - sum X_j) is the same with T_{k+1}. The Hermitian grids of the
+X_j, and log det(I + sum X_j), are formed only when an integrand asks for
+them; Draws.stack() packs the (k, n, p, p) matrices for output.
+
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
 laws with the shifted parameters alpha_j + n_j (MeasureSpec.scalar_alphas).
-So every kind at p = 1 is drawn the same way, as a ratio of scalar gammas.
+So every kind at p = 1 is drawn the same way, as a ratio of scalar gammas,
+and Draws holds the values themselves.
 Sampler correctness is not assumed: the Monte Carlo harness cross-checks
 every construction against the closed-form averages.
 """
@@ -261,14 +269,83 @@ def _pack(grids: list) -> np.ndarray:
     return out
 
 
+class Draws:
+    """n draws of a Dirichlet measure, in the form the sampler built them.
+
+    At p = 1, values holds the (k, n) values x_j and, at the type-1 kinds,
+    complement holds 1 - sum x_j as the closing ratio w_{k+1} / sum w, which
+    stays positive where the rounded sum of the x_j reaches 1.
+
+    At p >= 2, X_j = C W_j C* with C = L^{-1} and W_j = T_j T_j*: t holds
+    the k factor grids T_j and l the grid L, logdet the (k, n) log det X_j
+    from their pivots and, at type-1, log_complement the log det(I - sum X_j).
+    U_j = L^{-1} T_j and the Hermitian grid of X_j = U_j U_j* are formed
+    only when asked for. Without l, U_j = T_j (the matrix gamma). Nothing in
+    a Draws refers back to it, so its arrays go as soon as the last
+    reference to it does.
+    """
+
+    def __init__(self, values=None, complement=None, t=None, l=None, logdet=None,
+                 log_complement=None):
+        self.values = values
+        self.complement = complement
+        self.t = t
+        self.l = l
+        self.logdet = logdet
+        self.log_complement = log_complement
+
+    @property
+    def n(self) -> int:
+        return len(self.values[0] if self.values is not None else self.t[0][0][0])
+
+    def gram(self, j: int) -> list:
+        """The Hermitian grid of X_j."""
+        return _gram(self.t[j] if self.l is None else _forward(self.l, self.t[j]))
+
+    def trace(self, a: np.ndarray, j: int) -> np.ndarray:
+        """tr(A X_j) for a Hermitian array A: the diagonal products plus
+        twice the real part of conj(A_im) X_im over the strict lower triangle."""
+        if self.values is not None:
+            return a[0, 0].real * self.values[j]
+        x = self.gram(j)
+        diag = sum(a[i, i].real * row[i] for i, row in enumerate(x))
+        off = sum(np.conj(a[i, m]) * z for i, row in enumerate(x) for m, z in enumerate(row[:i]))
+        return diag + 2 * off.real
+
+    def logdet_eye_plus(self, js) -> np.ndarray:
+        """log det(I + the sum of X_j over js).
+
+        I + sum X_j = C (L L* + sum W_j) C*, so this is log det(L L* + sum W_j)
+        - log det L L*. That sum of gamma-sized terms factors accurately
+        however large the X_j are, where I + sum X_j, formed directly, loses
+        its eigenvalues near 1 to rounding once the X_j are large.
+        """
+        grids = [_gram(self.l)] + [_gram(self.t[j]) for j in js]
+        s = [[sum(e) for e in zip(*rows)] for rows in zip(*grids)]
+        return 2 * (_log_diagonal(_cholesky(s)) - _log_diagonal(self.l))
+
+    def stack(self) -> np.ndarray:
+        """The draws as a (k, n, p, p) stack: real float64 at p = 1, else the
+        packed complex Hermitian matrices."""
+        if self.values is not None:
+            return self.values.reshape(self.values.shape + (1, 1))
+        return _pack([self.gram(j) for j in range(len(self.t))])
+
+
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
     """n draws of the p x p complex matrix gamma, as an (n, p, p) stack."""
-    return _pack([_gram(_triangular_factor(rng, p, alpha, n))])[0]
+    return Draws(t=[_triangular_factor(rng, p, alpha, n)]).stack()[0]
 
 
-def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> np.ndarray:
-    """n draws from the measure as a (k, n, p, p) stack, complex at p >= 2
-    and real float64 at p = 1.
+def _log_diagonal(rows: list) -> np.ndarray:
+    """The summed logs of a triangular grid's diagonal entries; an entry
+    that is 0 (a gamma that underflowed) gives -inf."""
+    with np.errstate(divide="ignore"):
+        return sum(np.log(row[-1]) for row in rows)
+
+
+def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
+    """n draws from the measure (see Draws).
 
     The output is a pure function of (seed, stream, chunk, n), which is
     what makes chunked Monte Carlo independent of worker scheduling.
@@ -280,12 +357,18 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
     k, p = spec.k, spec.p
 
     if p == 1:
-        # the scalar Dirichlet law: k gammas, then the closing one
+        # the scalar Dirichlet law: k gammas, then the closing one, divided in
+        # place: by their sum at type-1, which leaves the complement in the
+        # last row, and by the closing gamma at type-2
         w = np.stack([rng.gammas(a, n) for a in spec.scalar_alphas])
         with np.errstate(all="ignore"):  # _check_p1_support reports 0, inf and nan
-            x = w[:k] / (w.sum(axis=0) if spec.type1 else w[-1])
-        _check_p1_support(x, w[-1] if spec.type1 else None)
-        return x.reshape(k, n, 1, 1)
+            if spec.type1:
+                np.divide(w, w.sum(axis=0), out=w)
+            else:
+                np.divide(w[:k], w[k], out=w[:k])
+        x, complement = w[:k], (w[k] if spec.type1 else None)
+        _check_p1_support(x, complement)
+        return Draws(values=x, complement=complement)
 
     t = [_triangular_factor(rng, p, a, n) for a in spec.alphas]
     if spec.type1:
@@ -301,27 +384,34 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> n
             + [_pivot(_abs2(last[p - 1 - i][p - 1 - i]), scale)]
             for i in range(p)
         ]
-    x = [_gram(_forward(l, tj)) for tj in t[:k]]
-    return _pack(x)
+    # log det C W_j C* = 2 (sum log T_j,ii - sum log L_ii), W_{k+1} giving
+    # the type-1 complement
+    log_l = _log_diagonal(l)
+    logs = [2 * (_log_diagonal(tj) - log_l) for tj in (t if spec.type1 else t[:k])]
+    return Draws(
+        t=t[:k],
+        l=l,
+        logdet=np.stack(logs[:k]),
+        log_complement=logs[k] if spec.type1 else None,
+    )
 
 
-def _check_p1_support(x: np.ndarray, closing: Optional[np.ndarray] = None) -> None:
+def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray] = None) -> None:
     """Raise unless every p = 1 value x_j is positive and finite and, at
-    type-1, the closing gamma is positive.
+    type-1, the complement is positive.
 
     A gamma draw at a shape below 1 can underflow to 0, which puts x_j at
-    0 or at inf. The type-1 complement 1 - sum(x) = closing / sum(gammas)
-    is checked through the closing gamma: next to the other gammas it can
-    be too small for the rounded sum of x to stay below 1, although the
-    draw is inside the support.
+    0 or at inf. The type-1 complement 1 - sum(x) is the ratio
+    closing / sum(gammas), which is 0 only when the closing gamma (next to
+    the others) underflows; the rounded sum of x can reach 1 well before.
     """
     # initial=1.0 passes an empty batch (n = 0); a nan fails both
     if not (x.min(initial=1.0) > 0 and x.max(initial=1.0) < np.inf):
         bad = ~((x > 0) & (x < np.inf)).all(axis=0)
         raise SamplerError(f"p = 1 value not positive and finite at sample {int(np.argmax(bad))}")
-    if closing is not None and np.any(closing <= 0):
+    if complement is not None and np.any(complement <= 0):
         raise SamplerError(
-            f"type-1 complement 1 - sum x_j is 0 at sample {int(np.argmax(closing <= 0))}"
+            f"type-1 complement 1 - sum x_j is 0 at sample {int(np.argmax(complement <= 0))}"
         )
 
 
@@ -342,5 +432,5 @@ def sample_matrix_gamma(p: int, alpha: float, seed: SeedSpec) -> HermitianMatrix
 def sample_one(spec: MeasureSpec, seed: SeedSpec) -> tuple[HermitianMatrix, ...]:
     """One draw of the measure: the k matrices X_j, or at the rectangular
     kinds the induced Hermitian form values u_j as 1 x 1 matrices."""
-    batch = sample_batch(spec, seed, 1)
+    batch = sample_batch(spec, seed, 1).stack()
     return tuple(HermitianMatrix(batch[j, 0]) for j in range(spec.k))

@@ -117,7 +117,7 @@ class VerifyCase:
 
 
 def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
-    """Vectorized evaluator of the functional on a (k, n, p, p) batch."""
+    """Vectorized evaluator of the functional on the Draws of one chunk."""
     return FUNCTIONALS[functional.kind].integrand(measure, functional)
 
 
@@ -127,9 +127,10 @@ def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integran
 
 def _chunk_sums(measure, integrand, config, c):
     start = c * config.chunk
-    batch = sample_batch(measure, config.seed, min(config.chunk, config.samples - start), chunk=c)
-    with np.errstate(over="ignore"):  # overflow surfaces as NonFiniteIntegrand below
-        vals = integrand(batch)
+    draws = sample_batch(measure, config.seed, min(config.chunk, config.samples - start), chunk=c)
+    # inf and nan surface as NonFiniteIntegrand below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = integrand(draws)
     finite = np.isfinite(vals)
     if not np.all(finite):
         raise NonFiniteIntegrand(start + int(np.argmin(finite)))

@@ -230,7 +230,7 @@ def test_criterion_5_zonal_beta_integral_identity():
     a_arr = np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, 0.7]])
     a_mat = HermitianMatrix(a_arr)
     spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(alpha, beta))
-    z = sample_batch(spec, SeedSpec(42, 100), 100_000)[0]
+    z = sample_batch(spec, SeedSpec(42, 100), 100_000).stack()[0]
     za = z @ a_arr
     p1 = np.einsum("nii->n", za).real
     p2 = np.einsum("nij,nji->n", za, za).real

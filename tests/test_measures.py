@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from mvda.measures import (
     sample_matrix_gamma,
     sample_one,
 )
-from mvda.montecarlo import McConfig, VerifyCase, verify_suite
+from mvda.montecarlo import McConfig, VerifyCase, make_integrand, verify_suite
 from mvda.rng import SeedSpec
 
 N = 100_000
@@ -73,13 +75,13 @@ class TestMatrixGamma:
 class TestType1:
     def test_scalar_dirichlet_means(self):
         spec = MeasureSpec(kind="type1", p=1, k=2, alphas=(1.0, 1.0, 1.0))
-        batch = sample_batch(spec, SeedSpec(42, 1), N)
+        batch = sample_batch(spec, SeedSpec(42, 1), N).stack()
         assert_within_4se(batch[0, :, 0, 0].real, 1 / 3, "x1 mean")
         assert_within_4se(batch[1, :, 0, 0].real, 1 / 3, "x2 mean")
 
     def test_support_constraints(self):
         spec = MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.5, 3.0))
-        batch = sample_batch(spec, SeedSpec(42, 2), 20_000)
+        batch = sample_batch(spec, SeedSpec(42, 2), 20_000).stack()
         for j in range(2):
             assert np.linalg.eigvalsh(batch[j]).min() > 0
         rem = np.eye(2) - batch.sum(axis=0)
@@ -93,13 +95,13 @@ class TestType1:
 
         closed = math.exp(lgp2(3.0) - lgp2(2.0) + lgp2(4.0) - lgp2(5.0))
         spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(2.0, 2.0))
-        batch = sample_batch(spec, SeedSpec(42, 3), N)
+        batch = sample_batch(spec, SeedSpec(42, 3), N).stack()
         dets = np.abs(np.linalg.det(batch[0]))
         assert_within_4se(dets, closed, "det mean")
 
     def test_trace_aggregate_never_exceeds_p(self):
         spec = MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.0, 2.0))
-        batch = sample_batch(spec, SeedSpec(42, 4), 50_000)
+        batch = sample_batch(spec, SeedSpec(42, 4), 50_000).stack()
         tr = np.einsum("knii->n", batch).real
         assert np.all(tr <= 2.0)
 
@@ -115,12 +117,12 @@ class TestType1:
 class TestType2:
     def test_scalar_mean(self):
         spec = MeasureSpec(kind="type2", p=1, k=1, alphas=(2.0, 3.0))
-        batch = sample_batch(spec, SeedSpec(42, 5), N)
+        batch = sample_batch(spec, SeedSpec(42, 5), N).stack()
         assert_within_4se(batch[0, :, 0, 0].real, 1.0, "type2 mean")
 
     def test_every_sample_pd(self):
         spec = MeasureSpec(kind="type2", p=2, k=1, alphas=(3.0, 4.0))
-        batch = sample_batch(spec, SeedSpec(42, 6), 20_000)
+        batch = sample_batch(spec, SeedSpec(42, 6), 20_000).stack()
         assert np.linalg.eigvalsh(batch[0]).min() > 0
 
     def test_complement_det_mean(self):
@@ -130,7 +132,7 @@ class TestType2:
 
         closed = math.exp(lgp2(5.0) - lgp2(4.0) + lgp2(7.0) - lgp2(8.0))
         spec = MeasureSpec(kind="type2", p=2, k=1, alphas=(3.0, 4.0))
-        batch = sample_batch(spec, SeedSpec(42, 7), N)
+        batch = sample_batch(spec, SeedSpec(42, 7), N).stack()
         vals = 1.0 / np.abs(np.linalg.det(np.eye(2) + batch[0]))
         assert_within_4se(vals, closed, "complement det mean")
 
@@ -143,12 +145,12 @@ class TestType2:
 class TestRectangular:
     def test_type1_mean(self):
         spec = MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(0.5, 2.0), ns=(2,))
-        batch = sample_batch(spec, SeedSpec(42, 8), N)
+        batch = sample_batch(spec, SeedSpec(42, 8), N).stack()
         assert_within_4se(batch[0, :, 0, 0].real, 2.5 / 4.5, "u mean")
 
     def test_type1_support(self):
         spec = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
-        u = sample_batch(spec, SeedSpec(42, 9), 50_000)[:, :, 0, 0].real
+        u = sample_batch(spec, SeedSpec(42, 9), 50_000).stack()[:, :, 0, 0].real
         assert np.all(u > 0)
         assert np.all(u.sum(axis=0) < 1)
 
@@ -160,12 +162,12 @@ class TestRectangular:
             gammaln(a + 1) - gammaln(a) + gammaln(a + b) - gammaln(a + b + 1)
         )
         spec = MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(0.5, 2.0), ns=(2,))
-        u = sample_batch(spec, SeedSpec(42, 10), N)[0, :, 0, 0].real
+        u = sample_batch(spec, SeedSpec(42, 10), N).stack()[0, :, 0, 0].real
         assert_within_4se(u, closed, "h=1 moment")
 
     def test_type2_support(self):
         spec = MeasureSpec(kind="rect_type2_p1", p=1, k=2, alphas=(0.5, 1.0, 4.0), ns=(2, 3))
-        u = sample_batch(spec, SeedSpec(42, 11), 50_000)[:, :, 0, 0].real
+        u = sample_batch(spec, SeedSpec(42, 11), 50_000).stack()[:, :, 0, 0].real
         assert np.all(u > 0)
 
     def test_single_sample_api(self):
@@ -179,7 +181,7 @@ class TestRectangular:
         rng = SeedSpec(42, 12).child(0)
         g = np.stack([rng.gammas(2.5, 1_000), rng.gammas(4.0, 1_000)])
         g0 = rng.gammas(2.0, 1_000)
-        u = sample_batch(spec, SeedSpec(42, 12), 1_000)[:, :, 0, 0].real
+        u = sample_batch(spec, SeedSpec(42, 12), 1_000).stack()[:, :, 0, 0].real
         assert np.array_equal(u, g / (g.sum(axis=0) + g0))
 
 
@@ -192,13 +194,38 @@ class TestP1Batch:
         rng = SeedSpec(42, 13).child(0)
         w = np.stack([rng.gammas(a, 1_000) for a in spec.scalar_alphas])
         x = w[:2] / (w.sum(axis=0) if spec.type1 else w[-1])
-        batch = sample_batch(spec, SeedSpec(42, 13), 1_000)
+        batch = sample_batch(spec, SeedSpec(42, 13), 1_000).stack()
         assert batch.dtype == np.float64 and batch.shape == (2, 1_000, 1, 1)
         assert np.array_equal(batch[:, :, 0, 0], x)
         # single draws still come out as complex Hermitian matrices
         m = sample_one(spec, SeedSpec(42, 13))[0]
         assert m.array.dtype == np.complex128
-        assert m.array[0, 0] == sample_batch(spec, SeedSpec(42, 13), 1)[0, 0, 0, 0]
+        assert m.array[0, 0] == sample_batch(spec, SeedSpec(42, 13), 1).stack()[0, 0, 0, 0]
+
+
+class TestDrawsLifetime:
+    @pytest.mark.parametrize(
+        "kind,functional",
+        [
+            ("type1", FunctionalSpec(kind="exp_trace")),
+            ("type1", FunctionalSpec(kind="complement_power", delta=0.5)),
+            ("type2", FunctionalSpec(kind="phi6", A=HermitianMatrix.identity(3))),
+            ("type2", FunctionalSpec(kind="complement_power", delta=0.5)),
+        ],
+    )
+    def test_freed_without_the_cyclic_collector(self, kind, functional):
+        # a reference cycle would keep every chunk's arrays until gc runs
+        spec = MeasureSpec(kind=kind, p=3, k=2, alphas=(3.5, 4.0, 4.5))
+        gc.disable()
+        try:
+            draws = sample_batch(spec, SeedSpec(42, 17), 1_000)
+            make_integrand(spec, functional)(draws)
+            draws.stack()
+            refs = [weakref.ref(draws), weakref.ref(draws.logdet), weakref.ref(draws.l[0][0])]
+            del draws
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
 
 class TestDrawCount:
@@ -206,7 +233,7 @@ class TestDrawCount:
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_zero_draws_is_an_empty_stack(self, kind, p):
         spec = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0))
-        assert sample_batch(spec, SeedSpec(42), 0).shape == (2, 0, p, p)
+        assert sample_batch(spec, SeedSpec(42), 0).stack().shape == (2, 0, p, p)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_negative_count_names_n(self, p):
@@ -349,7 +376,7 @@ class TestPivotFloor:
         expected = int(np.count_nonzero(pivots2 < EIG_FLOOR_RTOL * scale[:, None]))
         assert expected == int(np.count_nonzero(pivots2[:, -1] < EIG_FLOOR_RTOL * scale)) > 0
         before = floor_event_count()
-        x = sample_batch(spec, SeedSpec(42, 14), n)
+        x = sample_batch(spec, SeedSpec(42, 14), n).stack()
         assert floor_event_count() - before == expected
         assert np.all(np.isfinite(x))
 
@@ -368,7 +395,7 @@ class TestType2Construction:
         w = t[-1] @ _herm(t[-1])
         assert _max_rel(_herm(l) @ l, np.flip(w, axis=(1, 2))) <= 1e-12
         c = np.linalg.inv(l)
-        x = sample_batch(spec, SeedSpec(42, 16), n)
+        x = sample_batch(spec, SeedSpec(42, 16), n).stack()
         for j in range(spec.k):
             assert _max_rel(x[j], c @ t[j] @ _herm(t[j]) @ _herm(c)) <= 1e-12
 
@@ -378,7 +405,7 @@ class TestSupportByConstruction:
     def test_type1_complement_psd_near_the_alpha_bound(self, p):
         # I - sum X_j = L^{-1} W_{k+1} L^{-*} with alpha_{k+1} just above p - 1
         spec = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p, p - 1 + 0.03))
-        x = sample_batch(spec, SeedSpec(42, 15), 50_000)
+        x = sample_batch(spec, SeedSpec(42, 15), 50_000).stack()
         assert np.linalg.eigvalsh(np.eye(p) - x.sum(axis=0)).min() >= -1e-12
 
 

@@ -1,15 +1,17 @@
 import json
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from mvda import montecarlo
-from mvda.averages import FUNCTIONALS, FunctionalSpec, _det, evaluate_average
+from mvda.averages import FUNCTIONALS, FunctionalSpec, evaluate_average
 from mvda.errors import NonFiniteIntegrand
 from mvda.linalg import HermitianMatrix
-from mvda.measures import MeasureSpec, sample_batch
+from mvda.measures import MeasureSpec, floor_event_count, sample_batch
 from mvda.montecarlo import (
     CSV_HEADER,
     McConfig,
@@ -27,6 +29,8 @@ from mvda.montecarlo import (
 )
 from mvda.rng import SeedSpec
 from mvda.special import TruncationPolicy
+
+NEAR_BOUNDARY = Path(__file__).parent / "data" / "near_boundary.json"
 
 
 def scalar_type1(k=2, alphas=(1.0, 1.0, 1.0)):
@@ -200,38 +204,135 @@ class TestSecondMomentGate:
             assert r.diagnostics == {}
 
 
+def _hermitian(rng, p):
+    z = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+    return z + z.conj().T
+
+
 class TestDet:
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    """Determinants as Draws carries them: log det X_j and the type-1 log
+    complement from the sampler's pivots, log det(I + sum X_j) from the
+    Cholesky factor of the lower-triangle grid plus I, each against the
+    packed stack."""
+
+    @staticmethod
+    def logs(draws, type1):
+        """log det X_j for each j, then the log complement."""
+        comp = draws.log_complement if type1 else draws.logdet_eye_plus(range(2))
+        return np.vstack([draws.logdet, comp])
+
+    @staticmethod
+    def stack(draws, type1):
+        """The packed X_j, then I - sum X_j (type-1) or I + sum X_j (type-2)."""
+        x = draws.stack()
+        comp = np.eye(x.shape[-1]) + (-1 if type1 else 1) * x.sum(axis=0)
+        return np.concatenate([x, comp[None]])
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
     def test_matches_numpy(self, p):
-        rng = np.random.default_rng(p)
-        z = rng.normal(size=(2, 500, p, p)) + 1j * rng.normal(size=(2, 500, p, p))
-        h = z @ z.conj().swapaxes(-1, -2)
-        assert np.allclose(_det(h), np.linalg.det(h), rtol=1e-12, atol=0)
-        # indefinite Hermitian stacks, as in the complement integrands
-        shifted = np.eye(p) - h
-        ref = np.abs(np.linalg.det(shifted))
-        assert np.allclose(np.abs(_det(shifted)), ref, rtol=1e-10, atol=0)
+        for i, kind in enumerate(["type1", "type2"]):
+            measure = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5))
+            draws = sample_batch(measure, SeedSpec(42, 40 + 2 * p + i), 2_000)
+            stack = self.stack(draws, measure.type1)
+            sign, want = np.linalg.slogdet(stack)
+            assert np.allclose(sign, 1, rtol=0, atol=1e-12)
+            # well conditioned: every matrix's eigenvalues within a factor 1e3
+            eig = np.linalg.eigvalsh(stack)
+            well = (eig[..., 0] > 1e-3 * eig[..., -1]).all(axis=0)
+            assert well.mean() > 0.9
+            # a difference of logs is the determinants' relative difference
+            got = self.logs(draws, measure.type1)
+            assert np.abs(got - want)[:, well].max() <= 1e-12
 
     @pytest.mark.parametrize("p", [4, 5])
     def test_matches_mpmath(self, p):
-        rng = np.random.default_rng(p)
-        z = rng.normal(size=(2, 40, p, p)) + 1j * rng.normal(size=(2, 40, p, p))
-        h = z @ z.conj().swapaxes(-1, -2)
-        shifted = np.eye(p) - h
-        got = _det(np.stack([h, shifted]))
-        with mpmath.workdps(30):
-            ref = np.array([float(mpmath.re(mpmath.det(mpmath.matrix(m.tolist()))))
-                            for m in np.stack([h, shifted]).reshape(-1, p, p)])
-        assert got.dtype == np.float64
-        assert np.allclose(got.ravel(), ref, rtol=1e-11, atol=0)
+        for i, kind in enumerate(["type1", "type2"]):
+            measure = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5))
+            draws = sample_batch(measure, SeedSpec(42, 60 + 2 * p + i), 20)
+            with mpmath.workdps(30):
+                want = np.array([
+                    float(mpmath.log(mpmath.re(mpmath.det(mpmath.matrix(m.tolist())))))
+                    for m in self.stack(draws, measure.type1).reshape(-1, p, p)
+                ]).reshape(3, -1)
+            got = self.logs(draws, measure.type1)
+            assert got.dtype == np.float64
+            assert np.allclose(got, want, rtol=1e-11, atol=1e-13)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_type1_complement_real_and_finite(self, p):
         measure = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p - 0.97))
-        batch = sample_batch(measure, SeedSpec(7), 20_000)
-        d = _det(np.eye(p) - batch.sum(axis=0))
+        d = sample_batch(measure, SeedSpec(7), 20_000).log_complement
         assert d.dtype == np.float64 and d.shape == (20_000,)
         assert np.isfinite(d).all()
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_trace_matches_einsum(self, kind, p):
+        rng = np.random.default_rng(p)
+        measure = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5))
+        draws = sample_batch(measure, SeedSpec(42, 80 + p), 2_000)
+        x = draws.stack()
+        for j in range(2):
+            a = _hermitian(rng, p)
+            want = np.einsum("ab,nba->n", a, x[j])
+            assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
+            got = draws.trace(a, j)
+            assert got.dtype == np.float64
+            assert np.abs(got - want.real).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_type2_complement_adds_no_floor_event(self, p):
+        # alpha_3 near p - 1 gives heavy-tailed X_j: large sums, pivots >= 1
+        measure = MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, p - 0.9))
+        draws = sample_batch(measure, SeedSpec(42, 90 + p), 20_000)
+        complement = make_integrand(measure, FunctionalSpec(kind="complement_power", delta=0.5))
+        phi6 = make_integrand(measure, FunctionalSpec(kind="phi6", A=HermitianMatrix.identity(p)))
+        before = floor_event_count()
+        vals = [complement(draws), phi6(draws)]
+        assert floor_event_count() == before
+        assert all(np.isfinite(v).all() for v in vals)
+
+
+class TestNearBoundary:
+    """Exponents just below 0 at alphas near their bounds, where forming
+    I - sum X_j or det X_j from the packed matrices rounded to 0 and raised
+    NonFiniteIntegrand; the logs from the sampler's pivots stay finite."""
+
+    CASES = load_suite(NEAR_BOUNDARY.read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=[c.case_id for c in CASES])
+    def test_finite_within_4se(self, case):
+        assert case.mc == McConfig(samples=100_000, seed=SeedSpec(42))
+        est, se = mc_estimate_full(case.measure, case.functional, case.mc)[:2]
+        closed = evaluate_average(case.measure, case.functional).value
+        assert np.isfinite(est) and abs(est - closed) <= 4 * se, (est, closed, se)
+
+    def test_suite_holds_the_five_cases(self):
+        assert [c.case_id for c in self.CASES] == [
+            "complement_power_type1_p1_near_bound",
+            "complement_power_type1_p2_near_bound",
+            "complement_power_type1_p3_near_bound",
+            "complement_power_type1_p4_near_bound",
+            "det_power_type1_p2_near_bound",
+        ]
+
+
+class TestNonFiniteIntegrand:
+    @pytest.mark.parametrize(
+        "integrand",
+        [
+            lambda draws: 1.0 / np.zeros(draws.n),  # divide
+            lambda draws: np.zeros(draws.n) / np.zeros(draws.n),  # invalid
+            lambda draws: np.full(draws.n, 1e300) * 1e300,  # over
+        ],
+        ids=["divide", "invalid", "over"],
+    )
+    def test_raises_without_runtime_warning(self, integrand):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIntegrand) as err:
+                montecarlo._chunk_sums(scalar_type1(), integrand, McConfig(1_000, SeedSpec(42)), 0)
+        assert err.value.sample_index == 0
 
 
 class TestComparator:
