@@ -17,9 +17,11 @@ W_{k+1}), so X_j = U_j U_j* with U_j = L^{-1} T_j by forward substitution.
 At type-1 the complement I - sum X_j = L^{-1} W_{k+1} L^{-*} is positive
 semidefinite by construction. Every p >= 2 runs one entrywise path on p x p
 grids of arrays over the draws (Cholesky, forward substitution, Gram
-products) and calls no LAPACK. A squared pivot below EIG_FLOOR_RTOL times
-the largest diagonal entry of S (type-1) or W_{k+1} (type-2) is raised to
-that value and counted by floor_event_count().
+products) and calls no LAPACK. At type-1, a squared pivot of S below
+EIG_FLOOR_RTOL times the largest diagonal entry of S is raised to that value
+and counted by floor_event_count(). The type-2 L is never factored: its
+diagonal is T_{k+1}'s own, and an entry that underflowed to 0 (a draw
+outside the support) raises SamplerError.
 
 sample_batch returns the draws as these factors (Draws), not as matrices.
 The determinants the integrands need come from the pivots:
@@ -376,14 +378,14 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
         s = [[sum(e) for e in zip(*rows)] for rows in zip(*map(_gram, t))]
         l = _cholesky(s)
     else:
-        # L = J T_{k+1}* J; its squared pivots are W_{k+1}'s, in reverse order
+        # L = J T_{k+1}* J: its diagonal is T_{k+1}'s own, reversed, which
+        # nothing factors, so no pivot is floored
         last = t[-1]
-        scale = np.max([sum(_abs2(z) for z in row) for row in last], axis=0)
         l = [
-            [np.conj(last[p - 1 - j][p - 1 - i]) for j in range(i)]
-            + [_pivot(_abs2(last[p - 1 - i][p - 1 - i]), scale)]
+            [np.conj(last[p - 1 - j][p - 1 - i]) for j in range(i)] + [last[p - 1 - i][p - 1 - i]]
             for i in range(p)
         ]
+        _check_type2_support(l)
     # log det C W_j C* = 2 (sum log T_j,ii - sum log L_ii), W_{k+1} giving
     # the type-1 complement
     log_l = _log_diagonal(l)
@@ -412,6 +414,19 @@ def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray] = None) ->
     if complement is not None and np.any(complement <= 0):
         raise SamplerError(
             f"type-1 complement 1 - sum x_j is 0 at sample {int(np.argmax(complement <= 0))}"
+        )
+
+
+def _check_type2_support(l: list) -> None:
+    """Raise unless every diagonal entry of the type-2 L is positive.
+
+    Those entries are square roots of the closing gamma draws; one that is
+    exactly 0 underflowed, which puts the draw outside the support.
+    """
+    zero = sum(row[-1] == 0 for row in l)
+    if np.any(zero):
+        raise SamplerError(
+            f"type-2 closing gamma pivot underflowed to 0 at sample {int(np.argmax(zero))}"
         )
 
 

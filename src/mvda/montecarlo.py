@@ -14,7 +14,10 @@ so a case where it does not exist fails by name before any draw.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -124,6 +127,42 @@ def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integran
 # ---------------------------------------------------------------------------
 # chunked estimation
 
+# glibc mallopt(3) parameters, and the values pinned for them: a chunk's
+# temporaries (about 10 MB at 25k draws) stay on the heap instead of being
+# mapped, trimmed back to the kernel and faulted in again by the next chunk.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_PIN = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+_heap_pin_lock = threading.Lock()
+_heap_pin_tried = False
+
+
+def _pin_heap() -> bool:
+    """Pin glibc's malloc mmap and trim thresholds, once per process.
+
+    True iff this call pinned them. Nothing is pinned off glibc, or when
+    the environment sets either threshold or any glibc.malloc tunable,
+    since a user's own allocator settings win; a mallopt call that
+    returns 0 leaves the rest as they are.
+    """
+    global _heap_pin_tried
+    with _heap_pin_lock:
+        if _heap_pin_tried:
+            return False
+        _heap_pin_tried = True
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not libc.startswith("glibc") or any(v in os.environ for v in _MALLOC_ENV):
+        return False
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_PIN)
+
 
 def _chunk_sums(measure, integrand, config, c):
     start = c * config.chunk
@@ -142,6 +181,7 @@ def mc_estimate_full(
 ) -> tuple[float, float, int, dict]:
     """(estimate, std_error, n, diagnostics) from n = config.samples draws:
     the sample mean, the sample standard deviation over sqrt(n), and {}."""
+    _pin_heap()
     run = partial(_chunk_sums, measure, make_integrand(measure, functional), config)
     chunks = range(-(-config.samples // config.chunk))
     if workers <= 1:

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -31,6 +35,15 @@ from mvda.rng import SeedSpec
 from mvda.special import TruncationPolicy
 
 NEAR_BOUNDARY = Path(__file__).parent / "data" / "near_boundary.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
 
 
 def scalar_type1(k=2, alphas=(1.0, 1.0, 1.0)):
@@ -315,6 +328,62 @@ class TestNearBoundary:
             "complement_power_type1_p4_near_bound",
             "det_power_type1_p2_near_bound",
         ]
+
+
+class TestType2NearBound:
+    """det_power at type-2 alphas whose closing gamma sits near p - 1: its
+    small pivots are the sampler's own draws and must not be floored."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("p, alphas", [(2, (2.5, 1.1)), (3, (3.5, 2.1))])
+    def test_within_4se_without_floor_event(self, p, alphas, seed):
+        measure = MeasureSpec(kind="type2", p=p, k=1, alphas=alphas)
+        functional = FunctionalSpec(kind="det_power", gammas=(0.04,))
+        before = floor_event_count()
+        est, se = mc_estimate_full(measure, functional, McConfig(100_000, SeedSpec(seed)))[:2]
+        assert floor_event_count() == before
+        closed = evaluate_average(measure, functional).value
+        assert abs(est - closed) <= 4 * se, (est, closed, se)
+
+
+@pytest.mark.skipif(
+    not _glibc() or any(v in os.environ for v in MALLOC_ENV),
+    reason="needs glibc malloc at its default settings",
+)
+class TestPinnedHeap:
+    """mc_estimate_full pins glibc's trim and mmap thresholds, so a chunk's
+    freed temporaries stay mapped for the next chunk and the next call."""
+
+    def test_warm_estimate_takes_almost_no_page_faults(self):
+        measure = MeasureSpec(kind="type1", p=3, k=2, alphas=(3.5, 4.0, 4.5))
+        functional = FunctionalSpec(kind="det_power", gammas=(0.5, 1.0))
+        config = McConfig(samples=50_000, seed=SeedSpec(42))
+        first = mc_estimate_full(measure, functional, config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        second = mc_estimate_full(measure, functional, config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        assert faults < 500
+        assert second == first
+
+    @pytest.mark.parametrize(
+        "env, pinned",
+        [
+            ({}, [True, False]),
+            ({"MALLOC_TRIM_THRESHOLD_": "131072"}, [False, False]),
+            ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, [False, False]),
+        ],
+        ids=["default", "malloc_env", "glibc_tunables"],
+    )
+    def test_user_settings_win(self, env, pinned):
+        program = "from mvda import montecarlo as m; print(m._pin_heap(), m._pin_heap())"
+        out = subprocess.run(
+            [sys.executable, "-c", program],
+            env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert out == [str(v) for v in pinned]
 
 
 class TestNonFiniteIntegrand:
