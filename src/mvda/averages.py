@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
-from .linalg import HermitianMatrix, is_pd, logdet_abs
+from .errors import DomainError, NotPositiveDefinite
+from .linalg import HermitianMatrix, logdet_abs
 from .measures import Draws, MeasureSpec
 from .special import (
     DEFAULT_TRUNCATION,
@@ -37,6 +37,15 @@ def _require(conditions: list[tuple[str, bool]], context: str) -> None:
     bad = [name for name, ok in conditions if not ok]
     if bad:
         raise DomainError(bad, context=context)
+
+
+def _logdet_pd(h: HermitianMatrix, name: str, context: str) -> float:
+    """log det H for positive definite H, which is factored once; otherwise
+    DomainError naming "<name> positive definite"."""
+    try:
+        return logdet_abs(h)
+    except NotPositiveDefinite:
+        raise DomainError([f"{name} positive definite"], context=context) from None
 
 
 @dataclass(frozen=True)
@@ -102,12 +111,7 @@ def normalizer_ln(measure: MeasureSpec) -> float:
     for j, n in enumerate(measure.ns):
         total += gamma_p_ln(p, n) - n * p * LOG_PI - gamma_p_ln(p, alphas[j] + n)
         if measure.Bs is not None:
-            b = measure.Bs[j]
-            if not is_pd(b):
-                raise DomainError(
-                    [f"B_{j + 1} positive definite"], context="rectangular normalizer"
-                )
-            total += p * logdet_abs(b)
+            total += p * _logdet_pd(measure.Bs[j], f"B_{j + 1}", "rectangular normalizer")
     return total
 
 
@@ -290,13 +294,9 @@ def phi6_average(measure: MeasureSpec, A: HermitianMatrix) -> AverageResult:
     p, alphas = measure.p, measure.alphas
     if A.dim != p:
         raise ValueError(f"parameter matrix must be {p}x{p}")
-    _require(
-        [("A positive definite", is_pd(A))],
-        context="weighted exponential average undefined",
-    )
+    logdet_a = _logdet_pd(A, "A", "weighted exponential average undefined")
     total = gamma_p_ln(p, alphas[0] + alphas[2]) - gamma_p_ln(p, alphas[2])
-    total -= alphas[0] * logdet_abs(A)
-    return _ok(total)
+    return _ok(total - alphas[0] * logdet_a)
 
 
 def _phi6_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:

@@ -1,14 +1,14 @@
 """Complex Hermitian linear algebra primitives.
 
 Everything here operates on small dense Hermitian matrices (the dimension
-is a handful, not thousands). Values are immutable after construction and
-safe to share between concurrent workers.
+is a handful, not thousands), one at a time or as grids of arrays over many
+of them (the batched Cholesky layer). Values are immutable after
+construction and safe to share between concurrent workers.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -16,9 +16,12 @@ from .errors import NotPositiveDefinite
 
 # Construction-time gate on conjugate symmetry of raw input.
 HERMITIAN_ATOL = 1e-12
-# A Cholesky pivot at or below PIVOT_RTOL * (largest diagonal magnitude)
-# is treated as loss of positive definiteness.
+# Relative to the largest diagonal entry, a squared Cholesky pivot at or below
+# PIVOT_RTOL means an input matrix is not positive definite: it is refused.
 PIVOT_RTOL = 1e-14
+# A sampled sum of gamma draws is positive definite by construction, so a
+# squared pivot below EIG_FLOOR_RTOL is rounding: it is raised to it, not refused.
+EIG_FLOOR_RTOL = 1e-13
 
 
 class HermitianMatrix:
@@ -97,63 +100,115 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-class LowerTriangularFactor:
-    """Lower-triangular Cholesky factor with strictly positive real diagonal."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, entries) -> None:
-        t = np.array(entries, dtype=np.complex128)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("factor must be square")
-        if np.any(np.triu(t, 1) != 0):
-            raise ValueError("factor must be lower triangular")
-        d = np.diag(t)
-        if np.any(d.imag != 0) or np.any(d.real <= 0):
-            raise ValueError("diagonal must be real and strictly positive")
-        t.flags.writeable = False
-        self._t = t
-
-    @property
-    def dim(self) -> int:
-        return self._t.shape[0]
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._t
-
-    def __repr__(self) -> str:
-        return f"LowerTriangularFactor(dim={self.dim})"
+# ---------------------------------------------------------------------------
+# the batched Cholesky layer
+#
+# A stack of n lower-triangular or Hermitian p x p matrices is held as a grid
+# of rows, row i holding the entries (i, 0) .. (i, i) as length-n arrays: real
+# on the diagonal, complex below it. A Hermitian grid keeps its lower triangle.
+# A full grid (rows of length p) holds the general products C T_j.
 
 
-def cholesky(h: HermitianMatrix) -> LowerTriangularFactor:
-    """Factor a Hermitian positive definite H as T T* with T lower triangular.
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z * z if np.isrealobj(z) else z.real**2 + z.imag**2
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    ``PIVOT_RTOL`` times the largest diagonal magnitude, which makes the
-    test scale-relative rather than absolute.
+
+def _gram(rows: list) -> list:
+    """The Hermitian grid R R* of a lower-triangular grid R."""
+    out = []
+    for i, ri in enumerate(rows):
+        out_i = []
+        for rj in rows[:i]:  # row j is zero past its own length
+            out_i.append(sum(a * np.conj(b) for a, b in zip(ri, rj)))
+        out_i.append(sum(_abs2(a) for a in ri))
+        out.append(out_i)
+    return out
+
+
+def _cholesky(s: list, pivot: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list:
+    """The lower-triangular L with S = L L* of a Hermitian grid S.
+
+    pivot(d2, scale) returns each diagonal entry of L from its squared
+    pivot d2 and the largest diagonal entry of S, and decides what a small
+    d2 means: _refuse raises, the sampler floors.
     """
+    scale = np.max([row[-1] for row in s], axis=0)
+    l = []
+    for i, si in enumerate(s):
+        row = []
+        for j in range(i):
+            acc = sum(row[m] * np.conj(l[j][m]) for m in range(j))
+            row.append((si[j] - acc) / l[j][j])
+        row.append(pivot(si[i] - sum(_abs2(z) for z in row), scale))
+        l.append(row)
+    return l
+
+
+def _forward(l: list, t: list) -> list:
+    """L^{-1} T for lower-triangular grids L and T, by forward substitution."""
+    u = []
+    for i, ti in enumerate(t):
+        u.append([
+            (ti[j] - sum(l[i][m] * u[m][j] for m in range(j, i))) / l[i][i]
+            for j in range(i + 1)
+        ])
+    return u
+
+
+def _pack(grids: list) -> np.ndarray:
+    """The (k, n, p, p) complex stack of k Hermitian grids."""
+    p = len(grids[0])
+    out = np.empty((len(grids),) + np.shape(grids[0][0][0]) + (p, p), dtype=np.complex128)
+    for o, h in zip(out, grids):
+        for i, row in enumerate(h):
+            o[..., i, i] = row[i]
+            for j, z in enumerate(row[:i]):
+                o[..., i, j] = z
+                np.conjugate(z, out=o[..., j, i])
+    return out
+
+
+def _log_diagonal(rows: list) -> np.ndarray:
+    """The summed logs of a triangular grid's diagonal entries; an entry
+    that is 0 (a gamma that underflowed) gives -inf."""
+    with np.errstate(divide="ignore"):
+        return sum(np.log(row[-1]) for row in rows)
+
+
+def _refuse(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The pivot sqrt(d2); NotPositiveDefinite if d2 <= PIVOT_RTOL * scale."""
+    tol = PIVOT_RTOL * scale
+    if np.any(d2 <= tol):
+        raise NotPositiveDefinite(f"squared pivot {d2.min():.3e} is <= {tol.max():.3e}")
+    return np.sqrt(d2)
+
+
+def _factor(h: HermitianMatrix) -> list:
+    """The Cholesky grid (of length 1) of H, refusing small pivots."""
     a = h.array
-    p = h.dim
-    tol = PIVOT_RTOL * float(np.max(np.abs(np.diag(a).real)))
-    t = np.zeros((p, p), dtype=np.complex128)
-    for j in range(p):
-        pivot = a[j, j].real - float(np.sum(np.abs(t[j, :j]) ** 2))
-        if pivot <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} is <= {tol:.3e}"
-            )
-        t[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, p):
-            s = a[i, j] - np.sum(t[i, :j] * np.conj(t[j, :j]))
-            t[i, j] = s / t[j, j]
-    return LowerTriangularFactor(t)
+    return _cholesky(
+        [[a[i, j:j + 1] for j in range(i)] + [a[i, i:i + 1].real] for i in range(h.dim)],
+        _refuse,
+    )
+
+
+def cholesky(h: HermitianMatrix) -> np.ndarray:
+    """The read-only lower-triangular T with H = T T*, for Hermitian
+    positive definite H.
+
+    Raises NotPositiveDefinite when a squared pivot falls at or below
+    ``PIVOT_RTOL`` times the largest diagonal entry, which makes the test
+    scale-relative rather than absolute.
+    """
+    t = np.zeros((h.dim, h.dim), dtype=np.complex128)
+    t[np.tril_indices(h.dim)] = np.concatenate([z for row in _factor(h) for z in row])
+    t.flags.writeable = False
+    return t
 
 
 def logdet_abs(h: HermitianMatrix) -> float:
     """log|det(H)| for Hermitian positive definite H, via the Cholesky diagonal."""
-    t = cholesky(h).array
-    return 2.0 * float(np.sum(np.log(np.diag(t).real)))
+    return 2.0 * float(_log_diagonal(_factor(h))[0])
 
 
 def eigvals_hermitian(h: HermitianMatrix) -> np.ndarray:
@@ -164,7 +219,7 @@ def eigvals_hermitian(h: HermitianMatrix) -> np.ndarray:
 def is_pd(h: HermitianMatrix) -> bool:
     """True iff the Cholesky factorization of H succeeds."""
     try:
-        cholesky(h)
+        _factor(h)
     except NotPositiveDefinite:
         return False
     return True

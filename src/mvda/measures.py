@@ -16,10 +16,12 @@ W_{k+1}), so X_j = U_j U_j* with U_j = L^{-1} T_j by forward substitution.
 
 At type-1 the complement I - sum X_j = L^{-1} W_{k+1} L^{-*} is positive
 semidefinite by construction. Every p >= 2 runs one entrywise path on p x p
-grids of arrays over the draws (Cholesky, forward substitution, Gram
-products) and calls no LAPACK. At type-1, a squared pivot of S below
-EIG_FLOOR_RTOL times the largest diagonal entry of S is raised to that value
-and counted by floor_event_count(). The type-2 L is never factored: its
+grids of arrays over the draws (the batched Cholesky, forward substitution
+and Gram products of linalg) and calls no LAPACK. Wherever the sampler
+factors a sum of gamma draws (S at type-1, and L L* + sum W_j in
+Draws.logdet_eye_plus at either kind), a squared pivot below EIG_FLOOR_RTOL
+times the largest diagonal entry of the sum is raised to that value and
+counted by floor_event_count(). The type-2 L is never factored: its
 diagonal is T_{k+1}'s own, and an entry that underflowed to 0 (a draw
 outside the support) raises SamplerError.
 
@@ -49,15 +51,20 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SamplerError
-from .linalg import HermitianMatrix
+from .linalg import (
+    EIG_FLOOR_RTOL,
+    HermitianMatrix,
+    _cholesky,
+    _forward,
+    _gram,
+    _log_diagonal,
+    _pack,
+)
 from .rng import CounterRng, SeedSpec
 
 logger = logging.getLogger(__name__)
 
 KINDS = ("type1", "type2", "rect_type1_p1", "rect_type2_p1")
-
-# Relative floor on the squared pivots of the factored gamma sums.
-EIG_FLOOR_RTOL = 1e-13
 
 _floor_events = 0
 
@@ -183,16 +190,7 @@ class MeasureSpec:
 
 
 # ---------------------------------------------------------------------------
-# entrywise p x p kernels
-#
-# A stack of n lower-triangular or Hermitian p x p matrices is held as a grid
-# of rows, row i holding the entries (i, 0) .. (i, i) as length-n arrays: real
-# on the diagonal, complex below it. A Hermitian grid keeps its lower triangle.
-# A full grid (rows of length p) holds the general products C T_j.
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z * z if np.isrealobj(z) else z.real**2 + z.imag**2
+# the sampler on grids (layout and kernels in linalg)
 
 
 def _pivot(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -218,57 +216,6 @@ def _triangular_factor(rng: CounterRng, p: int, alpha: float, n: int) -> list:
     """
     diag = [np.sqrt(rng.gammas(alpha - i, n)) for i in range(p)]
     return [[rng.complex_normals(n) for _ in range(i)] + [diag[i]] for i in range(p)]
-
-
-def _gram(rows: list) -> list:
-    """The Hermitian grid R R* of a lower-triangular grid R."""
-    out = []
-    for i, ri in enumerate(rows):
-        out_i = []
-        for rj in rows[:i]:  # row j is zero past its own length
-            out_i.append(sum(a * np.conj(b) for a, b in zip(ri, rj)))
-        out_i.append(sum(_abs2(a) for a in ri))
-        out.append(out_i)
-    return out
-
-
-def _cholesky(s: list) -> list:
-    """The lower-triangular L with S = L L* of a positive definite Hermitian
-    grid S, with pivots floored against the largest diagonal entry of S."""
-    scale = np.max([row[-1] for row in s], axis=0)
-    l = []
-    for i, si in enumerate(s):
-        row = []
-        for j in range(i):
-            acc = sum(row[m] * np.conj(l[j][m]) for m in range(j))
-            row.append((si[j] - acc) / l[j][j])
-        row.append(_pivot(si[i] - sum(_abs2(z) for z in row), scale))
-        l.append(row)
-    return l
-
-
-def _forward(l: list, t: list) -> list:
-    """L^{-1} T for lower-triangular grids L and T, by forward substitution."""
-    u = []
-    for i, ti in enumerate(t):
-        u.append([
-            (ti[j] - sum(l[i][m] * u[m][j] for m in range(j, i))) / l[i][i]
-            for j in range(i + 1)
-        ])
-    return u
-
-
-def _pack(grids: list) -> np.ndarray:
-    """The (k, n, p, p) complex stack of k Hermitian grids."""
-    p = len(grids[0])
-    out = np.empty((len(grids),) + np.shape(grids[0][0][0]) + (p, p), dtype=np.complex128)
-    for o, h in zip(out, grids):
-        for i, row in enumerate(h):
-            o[..., i, i] = row[i]
-            for j, z in enumerate(row[:i]):
-                o[..., i, j] = z
-                np.conjugate(z, out=o[..., j, i])
-    return out
 
 
 class Draws:
@@ -324,7 +271,7 @@ class Draws:
         """
         grids = [_gram(self.l)] + [_gram(self.t[j]) for j in js]
         s = [[sum(e) for e in zip(*rows)] for rows in zip(*grids)]
-        return 2 * (_log_diagonal(_cholesky(s)) - _log_diagonal(self.l))
+        return 2 * (_log_diagonal(_cholesky(s, _pivot)) - _log_diagonal(self.l))
 
     def stack(self) -> np.ndarray:
         """The draws as a (k, n, p, p) stack: real float64 at p = 1, else the
@@ -337,13 +284,6 @@ class Draws:
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
     """n draws of the p x p complex matrix gamma, as an (n, p, p) stack."""
     return Draws(t=[_triangular_factor(rng, p, alpha, n)]).stack()[0]
-
-
-def _log_diagonal(rows: list) -> np.ndarray:
-    """The summed logs of a triangular grid's diagonal entries; an entry
-    that is 0 (a gamma that underflowed) gives -inf."""
-    with np.errstate(divide="ignore"):
-        return sum(np.log(row[-1]) for row in rows)
 
 
 def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
@@ -376,7 +316,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     if spec.type1:
         # S = L L*
         s = [[sum(e) for e in zip(*rows)] for rows in zip(*map(_gram, t))]
-        l = _cholesky(s)
+        l = _cholesky(s, _pivot)
     else:
         # L = J T_{k+1}* J: its diagonal is T_{k+1}'s own, reversed, which
         # nothing factors, so no pivot is floored

@@ -73,6 +73,19 @@ class TestNormalizer:
         with pytest.raises(DomainError):
             normalizer_ln(t1(2, 1, (1.0, 3.0)))
 
+    def test_rectangular_form_matrix_not_pd_named(self):
+        spec = MeasureSpec(
+            kind="rect_type1_p1",
+            p=1,
+            k=1,
+            alphas=(0.5, 2.0),
+            ns=(2,),
+            Bs=(HermitianMatrix.diagonal([1.0, -1.0]),),
+        )
+        with pytest.raises(DomainError) as err:
+            normalizer_ln(spec)
+        assert err.value.violated == ("B_1 positive definite",)
+
     @pytest.mark.parametrize(
         "evaluate",
         [

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvda.errors import NotPositiveDefinite
 from mvda.linalg import (
+    PIVOT_RTOL,
     HermitianMatrix,
-    LowerTriangularFactor,
     cholesky,
     eigvals_hermitian,
     inv_sqrt,
@@ -87,17 +87,19 @@ class TestHermitianMatrix:
 class TestCholesky:
     def test_identity(self):
         t = cholesky(HermitianMatrix.identity(3))
-        assert np.array_equal(t.array, np.eye(3))
+        assert np.array_equal(t, np.eye(3))
+        assert t.dtype == np.complex128 and not t.flags.writeable
 
     def test_diagonal_square_roots(self):
         t = cholesky(HermitianMatrix.diagonal([4.0, 9.0]))
-        assert np.allclose(np.diag(t.array), [2.0, 3.0])
+        assert np.allclose(np.diag(t), [2.0, 3.0])
 
     def test_reconstruction(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             h = random_pd(3, rng)
-            t = cholesky(h).array
+            t = cholesky(h)
+            assert np.array_equal(t, np.tril(t))
             err = np.linalg.norm(t @ t.conj().T - h.array)
             assert err <= 1e-10 * np.linalg.norm(h.array)
 
@@ -105,17 +107,11 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(HermitianMatrix.diagonal([1.0, -1.0]))
 
-    def test_factor_validation(self):
-        with pytest.raises(ValueError):
-            LowerTriangularFactor([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            LowerTriangularFactor([[-1.0, 0.0], [0.0, 1.0]])
-
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
     def test_round_trip_property(self, p, seed):
         h = random_pd(p, np.random.default_rng(seed))
-        t = cholesky(h).array
+        t = cholesky(h)
         assert np.linalg.norm(t @ t.conj().T - h.array) <= 1e-10 * np.linalg.norm(h.array)
 
 
@@ -147,6 +143,40 @@ class TestLogdet:
     def test_propagates_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
             logdet_abs(HermitianMatrix.diagonal([1.0, 0.0]))
+
+
+class TestPivotThreshold:
+    """A squared pivot at or below PIVOT_RTOL times the largest diagonal
+    entry is refused by cholesky, is_pd and logdet_abs alike."""
+
+    @staticmethod
+    def refused(h):
+        outcomes = []
+        for fn in (cholesky, logdet_abs):
+            try:
+                fn(h)
+            except NotPositiveDefinite:
+                outcomes.append(True)
+            else:
+                outcomes.append(False)
+        outcomes.append(not is_pd(h))
+        assert len(set(outcomes)) == 1, outcomes
+        return outcomes[0]
+
+    def test_diagonal_boundary(self):
+        assert PIVOT_RTOL == 1e-14
+        assert self.refused(HermitianMatrix.diagonal([1.0, 1e-14]))
+        assert not self.refused(HermitianMatrix.diagonal([1.0, 2e-14]))
+
+    @pytest.mark.parametrize("ratio,refused", [(0.5, True), (2.0, False)])
+    def test_complex_last_pivot(self, ratio, refused):
+        # the elimination of L0 L0* is exact up to the last pivot, d^2, which
+        # sits at ratio times PIVOT_RTOL times the largest diagonal entry, 4
+        d = np.sqrt(ratio * PIVOT_RTOL * 4.0)
+        l0 = np.array([[2, 0, 0], [1 + 1j, 1, 0], [1, 1 - 1j, d]])
+        h = HermitianMatrix(l0 @ l0.conj().T)
+        assert np.max(np.diag(h.array).real) == 4.0
+        assert self.refused(h) is refused
 
 
 class TestEigvals:

@@ -8,15 +8,20 @@ from scipy.special import gammaln
 
 from mvda.averages import FunctionalSpec
 from mvda.errors import DomainError, SamplerError
-from mvda.linalg import HermitianMatrix, is_pd
-from mvda.measures import (
+from mvda.linalg import (
     EIG_FLOOR_RTOL,
-    MeasureSpec,
+    HermitianMatrix,
     _cholesky,
     _forward,
     _gram,
-    _matrix_gamma_batch,
     _pack,
+    _refuse,
+    is_pd,
+)
+from mvda.measures import (
+    MeasureSpec,
+    _matrix_gamma_batch,
+    _pivot,
     _triangular_factor,
     floor_event_count,
     sample_batch,
@@ -297,7 +302,7 @@ def _herm(a):
 
 
 class TestEntrywiseKernels:
-    """Each kernel against numpy's LAPACK or matmul to 1e-12."""
+    """Each grid kernel of linalg against numpy's LAPACK or matmul to 1e-12."""
 
     N = 2_000
 
@@ -310,7 +315,7 @@ class TestEntrywiseKernels:
     def test_cholesky_matches_lapack(self, p):
         t = _random_lower(np.random.default_rng(10 + p), self.N, p)
         s = t @ _herm(t)
-        assert _max_rel(_dense(_cholesky(_grid(s))), np.linalg.cholesky(s)) <= 1e-12
+        assert _max_rel(_dense(_cholesky(_grid(s), _refuse)), np.linalg.cholesky(s)) <= 1e-12
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_forward_substitution_matches_solve(self, p):
@@ -356,7 +361,7 @@ class TestPivotFloor:
         t[:5] = l0
         s = t @ _herm(t)
         before = floor_event_count()
-        l = _cholesky(_grid(s))
+        l = _cholesky(_grid(s), _pivot)
         assert floor_event_count() - before == 5
         scale = np.max(np.einsum("nii->ni", s).real, axis=1)
         assert np.allclose(l[1][1][:5] ** 2, EIG_FLOOR_RTOL * scale[:5], rtol=1e-12, atol=0)
