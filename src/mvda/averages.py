@@ -168,20 +168,13 @@ def _det_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> In
     gammas = functional.gammas
 
     def det_power(draws: Draws) -> np.ndarray:
-        out = np.ones(draws.n)
-        for x, g in zip(draws.values, gammas):
-            if g != 0.0:
-                out = out * x**g
-        return out
-
-    def det_power_log(draws: Draws) -> np.ndarray:
         log = np.zeros(draws.n)
         for logdet_j, g in zip(draws.logdet, gammas):
             if g != 0.0:
                 log = log + g * logdet_j
         return np.exp(log)
 
-    return det_power if measure.p == 1 else det_power_log
+    return det_power
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +203,13 @@ def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec
     delta = functional.delta
     every = range(measure.k)
 
-    def type1_ratio(draws: Draws) -> np.ndarray:
-        return draws.complement**delta
-
-    def type2_ratio(draws: Draws) -> np.ndarray:
-        return (1.0 + draws.values.sum(axis=0)) ** (-delta)
-
-    def type1_log(draws: Draws) -> np.ndarray:
+    def type1_complement(draws: Draws) -> np.ndarray:
         return np.exp(delta * draws.log_complement)
 
-    def type2_log(draws: Draws) -> np.ndarray:
+    def type2_complement(draws: Draws) -> np.ndarray:
         return np.exp(-delta * draws.logdet_eye_plus(every))
 
-    if measure.p == 1:
-        return type1_ratio if measure.type1 else type2_ratio
-    return type1_log if measure.type1 else type2_log
+    return type1_complement if measure.type1 else type2_complement
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +289,9 @@ def _phi6_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integra
     expo = measure.alphas[0] + measure.alphas[2]
 
     def phi6(draws: Draws) -> np.ndarray:
-        return np.exp(-draws.trace(a, 0)) * (1.0 + draws.values[0]) ** expo
-
-    def phi6_log(draws: Draws) -> np.ndarray:
         return np.exp(expo * draws.logdet_eye_plus((0,)) - draws.trace(a, 0))
 
-    return phi6 if measure.p == 1 else phi6_log
+    return phi6
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +326,10 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
 
 def _form_moment_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     h = functional.h
+    eye = np.eye(measure.p)
 
     def form_moment(draws: Draws) -> np.ndarray:
-        return draws.values.sum(axis=0) ** h
+        return sum(draws.trace(eye, j) for j in range(measure.k)) ** h
 
     return form_moment
 

@@ -21,22 +21,24 @@ and Gram products of linalg) and calls no LAPACK. Wherever the sampler
 factors a sum of gamma draws (S at type-1, and L L* + sum W_j in
 Draws.logdet_eye_plus at either kind), a squared pivot below EIG_FLOOR_RTOL
 times the largest diagonal entry of the sum is raised to that value and
-counted by floor_event_count(). The type-2 L is never factored: its
-diagonal is T_{k+1}'s own, and an entry that underflowed to 0 (a draw
-outside the support) raises SamplerError.
-
-sample_batch returns the draws as these factors (Draws), not as matrices.
-The determinants the integrands need come from the pivots:
-log det X_j = 2 sum_i (log T_j,ii - log L_ii), and at type-1
-log det(I - sum X_j) is the same with T_{k+1}. The Hermitian grids of the
-X_j, and log det(I + sum X_j), are formed only when an integrand asks for
-them; Draws.stack() packs the (k, n, p, p) matrices for output.
+counted by floor_event_count(). The type-2 L is never factored, so
+nothing floors its diagonal, which is T_{k+1}'s own.
 
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
 laws with the shifted parameters alpha_j + n_j (MeasureSpec.scalar_alphas).
-So every kind at p = 1 is drawn the same way, as a ratio of scalar gammas,
-and Draws holds the values themselves.
+So every kind at p = 1 is drawn the same way, as a ratio of scalar gammas.
+A draw outside the support (a p = 1 value at 0 or inf, or at p >= 2 a
+gamma pivot that underflowed to 0) raises SamplerError.
+
+sample_batch returns the draws in the form it built them (Draws), not as
+matrices, and integrands ask a Draws the same four questions at every p.
+At p >= 2 the logs come from the pivots: log det X_j =
+2 sum_i (log T_j,ii - log L_ii), and at type-1 log det(I - sum X_j) is the
+same with T_{k+1}. The Hermitian grids of the X_j, and log det(I + sum X_j),
+are formed only when an integrand asks for them, as is every answer at
+p = 1. Draws.stack() packs the (k, n, p, p) matrices for output.
+
 Sampler correctness is not assumed: the Monte Carlo harness cross-checks
 every construction against the closed-form averages.
 """
@@ -221,17 +223,21 @@ def _triangular_factor(rng: CounterRng, p: int, alpha: float, n: int) -> list:
 class Draws:
     """n draws of a Dirichlet measure, in the form the sampler built them.
 
+    Four accessors answer at every p: logdet, the (k, n) log det X_j;
+    log_complement, the type-1 log det(I - sum X_j) (None at type-2);
+    trace(a, j), tr(A X_j); and logdet_eye_plus(js), log det(I + sum X_j).
+
     At p = 1, values holds the (k, n) values x_j and, at the type-1 kinds,
     complement holds 1 - sum x_j as the closing ratio w_{k+1} / sum w, which
-    stays positive where the rounded sum of the x_j reaches 1.
+    stays positive where the rounded sum of the x_j reaches 1. The logs are
+    taken from them only when asked for.
 
     At p >= 2, X_j = C W_j C* with C = L^{-1} and W_j = T_j T_j*: t holds
-    the k factor grids T_j and l the grid L, logdet the (k, n) log det X_j
-    from their pivots and, at type-1, log_complement the log det(I - sum X_j).
-    U_j = L^{-1} T_j and the Hermitian grid of X_j = U_j U_j* are formed
-    only when asked for. Without l, U_j = T_j (the matrix gamma). Nothing in
-    a Draws refers back to it, so its arrays go as soon as the last
-    reference to it does.
+    the k factor grids T_j and l the grid L, and the logs come from their
+    pivots. U_j = L^{-1} T_j and the Hermitian grid of X_j = U_j U_j* are
+    formed only when asked for. Without l, U_j = T_j (the matrix gamma).
+    Nothing in a Draws refers back to it, so its arrays go as soon as the
+    last reference to it does.
     """
 
     def __init__(self, values=None, complement=None, t=None, l=None, logdet=None,
@@ -240,8 +246,18 @@ class Draws:
         self.complement = complement
         self.t = t
         self.l = l
-        self.logdet = logdet
-        self.log_complement = log_complement
+        self._logdet = logdet
+        self._log_complement = log_complement
+
+    @property
+    def logdet(self) -> np.ndarray:
+        """The (k, n) log det X_j."""
+        return self._logdet if self.values is None else np.log(self.values)
+
+    @property
+    def log_complement(self) -> Optional[np.ndarray]:
+        """log det(I - sum X_j) at type-1, None at type-2."""
+        return self._log_complement if self.complement is None else np.log(self.complement)
 
     @property
     def n(self) -> int:
@@ -267,8 +283,11 @@ class Draws:
         I + sum X_j = C (L L* + sum W_j) C*, so this is log det(L L* + sum W_j)
         - log det L L*. That sum of gamma-sized terms factors accurately
         however large the X_j are, where I + sum X_j, formed directly, loses
-        its eigenvalues near 1 to rounding once the X_j are large.
+        its eigenvalues near 1 to rounding once the X_j are large. At p = 1
+        it is log1p of the summed values.
         """
+        if self.values is not None:
+            return np.log1p(sum(self.values[j] for j in js))
         grids = [_gram(self.l)] + [_gram(self.t[j]) for j in js]
         s = [[sum(e) for e in zip(*rows)] for rows in zip(*grids)]
         return 2 * (_log_diagonal(_cholesky(s, _pivot)) - _log_diagonal(self.l))
@@ -325,17 +344,13 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
             [np.conj(last[p - 1 - j][p - 1 - i]) for j in range(i)] + [last[p - 1 - i][p - 1 - i]]
             for i in range(p)
         ]
-        _check_type2_support(l)
     # log det C W_j C* = 2 (sum log T_j,ii - sum log L_ii), W_{k+1} giving
     # the type-1 complement
     log_l = _log_diagonal(l)
-    logs = [2 * (_log_diagonal(tj) - log_l) for tj in (t if spec.type1 else t[:k])]
-    return Draws(
-        t=t[:k],
-        l=l,
-        logdet=np.stack(logs[:k]),
-        log_complement=logs[k] if spec.type1 else None,
-    )
+    with np.errstate(invalid="ignore"):  # _check_support reports inf - inf
+        logs = np.stack([2 * (_log_diagonal(tj) - log_l) for tj in (t if spec.type1 else t[:k])])
+    _check_support(logs)
+    return Draws(t=t[:k], l=l, logdet=logs[:k], log_complement=logs[k] if spec.type1 else None)
 
 
 def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray] = None) -> None:
@@ -357,17 +372,17 @@ def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray] = None) ->
         )
 
 
-def _check_type2_support(l: list) -> None:
-    """Raise unless every diagonal entry of the type-2 L is positive.
+def _check_support(logs: np.ndarray) -> None:
+    """Raise unless every p >= 2 log-determinant is finite.
 
-    Those entries are square roots of the closing gamma draws; one that is
-    exactly 0 underflowed, which puts the draw outside the support.
+    A diagonal entry of some T_j or of the closing T_{k+1} (at type-2 also
+    L's) is the square root of a gamma draw; one that is exactly 0
+    underflowed, which puts the draw outside the support and its log at
+    -inf, +inf or nan.
     """
-    zero = sum(row[-1] == 0 for row in l)
-    if np.any(zero):
-        raise SamplerError(
-            f"type-2 closing gamma pivot underflowed to 0 at sample {int(np.argmax(zero))}"
-        )
+    finite = np.isfinite(logs).all(axis=0)
+    if not finite.all():
+        raise SamplerError(f"gamma pivot underflowed to 0 at sample {int(np.argmin(finite))}")
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,33 @@ class TestPivotFloor:
         assert floor_event_count() == before
 
 
+class TestGammaPivotSupport:
+    """At p >= 2, a gamma pivot that underflowed to 0 in any factor puts the
+    draw outside the support and raises, as a p = 1 value at 0 does. An alpha
+    at p - 1 + 1e-3 gives the factor's last diagonal entry Gamma(0.001),
+    which is exactly 0 in about half the draws."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize(
+        "kind,small", [("type1", 0), ("type1", 2), ("type2", 0)],
+        ids=["type1-first", "type1-closing", "type2-first"],
+    )
+    def test_underflowed_factor_raises(self, kind, small, p):
+        alphas = [p + 1.0] * 3
+        alphas[small] = p - 1 + 1e-3
+        spec = MeasureSpec(kind=kind, p=p, k=2, alphas=tuple(alphas))
+        n = 2_000
+        rng = SeedSpec(42, 18).child(0)
+        diag = [np.einsum("nii->ni", _dense(_triangular_factor(rng, p, a, n))).real
+                for a in spec.alphas]
+        zero = [(d == 0).any(axis=1) for d in diag]
+        assert not any(z.any() for j, z in enumerate(zero) if j != small)
+        assert 0 < zero[small].sum() < n
+        first = int(np.argmax(zero[small]))
+        with pytest.raises(SamplerError, match=f"underflowed to 0 at sample {first}$"):
+            sample_batch(spec, SeedSpec(42, 18), n)
+
+
 class TestType2Construction:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_type2_is_forward_substitution_by_reversed_closing_factor(self, p):

@@ -223,10 +223,10 @@ def _hermitian(rng, p):
 
 
 class TestDet:
-    """Determinants as Draws carries them: log det X_j and the type-1 log
-    complement from the sampler's pivots, log det(I + sum X_j) from the
-    Cholesky factor of the lower-triangle grid plus I, each against the
-    packed stack."""
+    """Determinants as Draws carries them, each against the packed stack: at
+    p >= 2 log det X_j and the type-1 log complement from the sampler's
+    pivots and log det(I + sum X_j) from the Cholesky factor of the
+    lower-triangle grid plus I; at p = 1 all three from the stored ratios."""
 
     @staticmethod
     def logs(draws, type1):
@@ -241,7 +241,7 @@ class TestDet:
         comp = np.eye(x.shape[-1]) + (-1 if type1 else 1) * x.sum(axis=0)
         return np.concatenate([x, comp[None]])
 
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matches_numpy(self, p):
         for i, kind in enumerate(["type1", "type2"]):
             measure = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5))
@@ -271,14 +271,14 @@ class TestDet:
             assert got.dtype == np.float64
             assert np.allclose(got, want, rtol=1e-11, atol=1e-13)
 
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_type1_complement_real_and_finite(self, p):
         measure = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p - 0.97))
         d = sample_batch(measure, SeedSpec(7), 20_000).log_complement
         assert d.dtype == np.float64 and d.shape == (20_000,)
         assert np.isfinite(d).all()
 
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_trace_matches_einsum(self, kind, p):
         rng = np.random.default_rng(p)
