@@ -301,8 +301,14 @@ class Draws:
 
 
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
-    """n draws of the p x p complex matrix gamma, as an (n, p, p) stack."""
-    return Draws(t=[_triangular_factor(rng, p, alpha, n)]).stack()[0]
+    """n draws of the p x p complex matrix gamma, as an (n, p, p) stack.
+
+    A diagonal gamma of the factor that underflowed to 0 leaves W singular,
+    outside the support, and raises SamplerError as in sample_batch.
+    """
+    t = _triangular_factor(rng, p, alpha, n)
+    _check_support(_log_diagonal(t)[None])
+    return Draws(t=[t]).stack()[0]
 
 
 def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
@@ -373,12 +379,12 @@ def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray] = None) ->
 
 
 def _check_support(logs: np.ndarray) -> None:
-    """Raise unless every p >= 2 log-determinant is finite.
+    """Raise unless every log-determinant in the (rows, n) stack is finite.
 
     A diagonal entry of some T_j or of the closing T_{k+1} (at type-2 also
-    L's) is the square root of a gamma draw; one that is exactly 0
-    underflowed, which puts the draw outside the support and its log at
-    -inf, +inf or nan.
+    L's, and in sample_matrix_gamma the factor's own) is the square root
+    of a gamma draw; one that is exactly 0 underflowed, which puts the
+    draw outside the support and its log at -inf, +inf or nan.
     """
     finite = np.isfinite(logs).all(axis=0)
     if not finite.all():

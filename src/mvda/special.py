@@ -6,7 +6,10 @@ homogeneous symmetric polynomials (obtained from power sums by Newton's
 identities), and the zonal polynomials used throughout are Schur
 polynomials scaled by the standard-Young-tableaux count of their shape.
 That scaling is the unique one for which the weight-m class sums to
-(tr X)^m, which is the normalization every series here relies on.
+(tr X)^m, which is the normalization every series here relies on. The
+1F1 series reads each weight's partitions from one cached table, and takes
+the Schur values of partitions with p parts in p variables as e_p times
+those of weight m - p (Macdonald, ch. I section 3).
 """
 
 from __future__ import annotations
@@ -221,10 +224,10 @@ def _h_table(lambdas: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _schur_block(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Schur values of an (N, ell) stack of partitions of length ell >= 1.
+    """Schur values of an (N, ell) stack of zero-padded partitions, ell >= 1.
 
-    Row n's Jacobi-Trudi matrix is h[parts[n, i] - i + j]; all N
-    determinants are taken in one batched call.
+    Row n's Jacobi-Trudi matrix is h[parts[n, i] - i + j], in which a zero
+    part is a unit row of an upper-triangular tail; one batched call.
     """
     ell = parts.shape[1]
     if ell == 1:
@@ -235,21 +238,23 @@ def _schur_block(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _weight_blocks(m: int, max_len: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Partitions of weight m >= 1 with at most max_len parts, by length.
-
-    Entry ell - 1 is (parts, syt): an (N, ell) small-int array of the
-    partitions of length ell, lexicographically decreasing, and their
-    standard-Young-tableaux counts as floats.
-    """
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(min(m, max_len))]
-    for parts in _partitions_tuple(m, max_len, m):
-        groups[len(parts) - 1].append(parts)
-    dtype = np.min_scalar_type(m)
-    return tuple(
-        (np.array(g, dtype=dtype), np.array([float(syt_count(k)) for k in g]))
-        for g in groups
-    )
+def _weight_table(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """(parts, syt, n_short, lower) for the partitions of weight m with at
+    most p parts: the (N, p) zero-padded small-int parts, those with fewer
+    than p parts first, each group lexicographically decreasing; their SYT
+    counts as floats; the number of rows with fewer than p parts; and for
+    each later row kappa the int32 row of kappa - (1^p) in table m - p."""
+    kappas = sorted(_partitions_tuple(m, p, m), key=lambda k: len(k) == p)
+    parts = np.zeros((len(kappas), p), dtype=np.min_scalar_type(m))
+    for row, kappa in zip(parts, kappas):
+        row[: len(kappa)] = kappa
+    n_short = sum(len(k) < p for k in kappas)
+    below = {}
+    if n_short < len(kappas):
+        below = {tuple(r): i for i, r in enumerate(_weight_table(m - p, p)[0].tolist())}
+    lower = [below[tuple(x - 1 for x in k)] for k in kappas[n_short:]]
+    syt = np.array([float(syt_count(k)) for k in kappas])
+    return parts, syt, n_short, np.array(lower, dtype=np.int32)
 
 
 def schur_eval(kappa, lambdas: Sequence[float]) -> float:
@@ -317,15 +322,10 @@ class Hyp1F1Result:
     converged: bool
 
 
-def _first_pole(blocks, den_t: np.ndarray) -> tuple[int, ...]:
-    """The first partition of one weight, in enumeration order (which is
-    lexicographically decreasing), whose denominator symbol vanishes."""
-    return max(
-        tuple(int(v) for v in kappa)
-        for parts, _ in blocks
-        for kappa in parts
-        if den_t[np.arange(len(kappa)), kappa].prod() == 0
-    )
+def _first_pole(parts: np.ndarray, den: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically first row of a weight table whose denominator
+    symbol den vanishes."""
+    return max(tuple(int(v) for v in row if v) for row in parts[den == 0])
 
 
 def hyp1f1_matrix(
@@ -369,12 +369,22 @@ def hyp1f1_matrix(
 def _hyp1f1_series(
     a: complex, c: complex, lam: np.ndarray, policy: TruncationPolicy
 ) -> Hyp1F1Result:
-    """The zonal series of hyp1f1_matrix, one batched step per weight m."""
+    """The zonal series of hyp1f1_matrix, one batched step per weight m.
+
+    Each order gathers both Pochhammer tables once over its _weight_table
+    (a zero part reads t[j, 0] = 1). Rows with fewer than p parts take one
+    batched Jacobi-Trudi determinant of width p - 1: zero parts only add a
+    unit upper-triangular tail. Rows with p parts take
+    s_kappa = e_p s_{kappa - (1^p)}, e_p the product of the eigenvalues
+    (Macdonald, ch. I section 3), from the Schur values of order m - p.
+    """
     p = lam.size
+    e_p = float(np.prod(lam))
     h = _h_table(lam, policy.max_order + p)
     num_t = _pochhammer_table(a, p, policy.max_order)
     den_t = _pochhammer_table(c, p, policy.max_order)
     rows = np.arange(p)
+    schur = [np.ones(1)]  # schur[m]: Schur values of table m; m = 0 is s_() = 1
     total = 1.0 + 0.0j  # m = 0 term
     abs_sum = 1.0  # sum of |term_m|, which bounds the rounding error of total
     inv_mfact = 1.0
@@ -384,19 +394,17 @@ def _hyp1f1_series(
     converged = False
     for m in range(1, policy.max_order + 1):
         inv_mfact /= m
-        blocks = _weight_blocks(m, p)
-        term = 0.0
-        for parts, syt in blocks:
-            part_rows = rows[: parts.shape[1]]
-            den = den_t[part_rows, parts].prod(axis=1)
-            if not den.all():
-                raise PochhammerPole(
-                    f"denominator symbol vanishes at partition {_first_pole(blocks, den_t)}"
-                    f" for c = {c!r}"
-                )
-            num = num_t[part_rows, parts].prod(axis=1)
-            term += np.dot(num / den, syt * _schur_block(parts, h))
-        term *= inv_mfact
+        parts, syt, n_short, lower = _weight_table(m, p)
+        den = den_t[rows, parts].prod(axis=1)
+        if not den.all():
+            pole = _first_pole(parts, den)
+            raise PochhammerPole(f"denominator symbol vanishes at partition {pole} for c = {c!r}")
+        num = num_t[rows, parts].prod(axis=1)
+        s = e_p * schur[m - p][lower] if lower.size else np.empty(0)
+        if n_short:
+            s = np.concatenate((_schur_block(parts[:n_short, : p - 1], h), s))
+        schur.append(s)
+        term = np.dot(num / den, syt * s) * inv_mfact
         total += term
         order_reached = m
         last_inc = float(abs(term))

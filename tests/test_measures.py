@@ -66,6 +66,24 @@ class TestMatrixGamma:
         with pytest.raises(DomainError):
             sample_matrix_gamma(3, 2.0, SeedSpec(1))
 
+    def test_underflowed_pivot_raises(self):
+        # alpha = p - 1 + 1e-3 gives the factor's last diagonal entry
+        # Gamma(0.001), which is exactly 0 in a large share of draws; W is
+        # then singular, outside the support
+        with pytest.raises(SamplerError, match="underflowed to 0 at sample 0$"):
+            sample_matrix_gamma(2, 1.001, SeedSpec(0))
+        raised = 0
+        for s in range(200):
+            t = _triangular_factor(SeedSpec(s).child(0), 2, 1.001, 1)
+            if any(row[-1][0] == 0 for row in t):
+                raised += 1
+                with pytest.raises(SamplerError, match="underflowed to 0 at sample 0$"):
+                    sample_matrix_gamma(2, 1.001, SeedSpec(s))
+            else:
+                # a positive pivot, however small, is inside the support
+                sample_matrix_gamma(2, 1.001, SeedSpec(s))
+        assert 0 < raised < 200
+
     def test_scalar_reduction_moments(self):
         # at p = 1 the matrix gamma is Gamma(alpha, 1): first four moments
         alpha = 2.5

@@ -430,20 +430,30 @@ class TestHyp1F1:
         # [1]_kappa = 0 first at kappa = (1, 1): its second row starts at 1 - 1
         with pytest.raises(PochhammerPole, match=r"partition \(1, 1\)"):
             hyp1f1_matrix(0.5, 1.0, [0.3, 0.2])
+        # [2]_kappa's third row starts at 2 - 2, so the first pole at p = 3
+        # is the first partition with 3 parts
+        with pytest.raises(PochhammerPole, match=r"partition \(1, 1, 1\)"):
+            hyp1f1_matrix(0.5, 2.0, [0.3, 0.2, 0.1])
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_batched_series_matches_per_partition_loop(self, p):
         rng = np.random.default_rng(61 + p)
+
+        def check(lam, policy):
+            a = float(rng.uniform(p - 0.8, p + 3.0))
+            c = a + float(rng.uniform(0.3, 4.0))
+            res = hyp1f1_matrix(a, c, lam, policy)
+            value, order, converged = reference_hyp1f1(a, c, lam, policy)
+            assert res.value == pytest.approx(value, rel=1e-12)
+            assert (res.order_reached, res.converged) == (order, converged)
+
         for max_order in (25, 40):
-            policy = TruncationPolicy(max_order=max_order)
             for _ in range(3):
-                lam = rng.uniform(0.05, 2.5, size=p)
-                a = float(rng.uniform(p - 0.8, p + 3.0))
-                c = a + float(rng.uniform(0.3, 4.0))
-                res = hyp1f1_matrix(a, c, lam, policy)
-                value, order, converged = reference_hyp1f1(a, c, lam, policy)
-                assert res.value == pytest.approx(value, rel=1e-12)
-                assert (res.order_reached, res.converged) == (order, converged)
+                check(rng.uniform(0.05, 2.5, size=p), TruncationPolicy(max_order=max_order))
+        # an eigenvalue exactly 0 makes every Schur value with p parts 0
+        check(np.append(rng.uniform(0.05, 2.5, size=p - 1), 0.0), TruncationPolicy(max_order=40))
+        # below order p no partition has p parts
+        check(rng.uniform(0.05, 2.5, size=p), TruncationPolicy(max_order=p - 1))
 
     def test_kummer_on_non_positive_spectra_against_mpmath(self):
         # Every point converges by order 150, so none is skipped. At x = -30
@@ -457,14 +467,20 @@ class TestHyp1F1:
                 want = float(mpmath.hyp1f1(a, c, x))
             assert res.value == pytest.approx(want, rel=1e-10), x
 
-    @pytest.mark.parametrize("eigs", [[-30.0, 0.5], [-20.0, 1.0], [-25.0, 2.0]])
-    def test_mixed_sign_cancellation_is_not_converged(self, eigs):
+    @pytest.mark.parametrize("eigs,off", [
+        pytest.param([-30.0, 0.5], 1e-6, id="eigs0"),
+        pytest.param([-20.0, 1.0], REL_STOP, id="eigs1"),
+        pytest.param([-25.0, 2.0], REL_STOP, id="eigs2"),
+    ])
+    def test_mixed_sign_cancellation_is_not_converged(self, eigs, off):
         # The alternating series meets the stopping rule (order < 150) while
-        # its order terms are too large for the sum to hold its digits.
+        # its order terms are too large for the sum to hold its digits: each
+        # value is off by more than REL_STOP, so converged=False is needed.
         res = hyp1f1_matrix(1.5, 3.2, eigs, TruncationPolicy(max_order=150))
         assert res.order_reached < 150
         assert res.converged is False
-        assert res.value != pytest.approx(gross_richards(1.5, 3.2, eigs), rel=1e-6)
+        want = gross_richards(1.5, 3.2, eigs)
+        assert abs(res.value - want) > off * abs(want)
 
     def test_mild_mixed_sign_spectrum_converges(self):
         eigs = [-3.0, 2.0]
