@@ -380,7 +380,7 @@ def _hyp1f1_series(
     """
     p = lam.size
     e_p = float(np.prod(lam))
-    h = _h_table(lam, policy.max_order + p)
+    h = _h_table(lam, policy.max_order + p) if p > 1 else None  # p = 1 rows are all full
     num_t = _pochhammer_table(a, p, policy.max_order)
     den_t = _pochhammer_table(c, p, policy.max_order)
     rows = np.arange(p)
