@@ -63,7 +63,13 @@ def _write(args, text: str) -> None:
 
 
 def _emit_json(args, doc) -> None:
-    _write(args, json.dumps(doc, indent=2) + "\n")
+    """Write doc as JSON; a NaN or infinity in it is a numerical error (exit
+    4), since JSON has no such values."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite value in output: {exc}") from None
+    _write(args, text + "\n")
 
 
 def _load_doc(spec: str, decode):

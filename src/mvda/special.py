@@ -9,14 +9,16 @@ That scaling is the unique one for which the weight-m class sums to
 (tr X)^m, which is the normalization every series here relies on. The
 1F1 series reads each weight's partitions from one cached table, and takes
 the Schur values of partitions with p parts in p variables as e_p times
-those of weight m - p (Macdonald, ch. I section 3).
+those of weight m - p (Macdonald, ch. I section 3). By the hook-content
+formula (ibid., example 4), its coefficient of kappa is the Weyl dimension
+s_kappa(1^p) times one factor per cell of kappa.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -184,15 +186,6 @@ def gamma_p_ln(p: int, alpha: complex) -> complex | float:
     return head + total
 
 
-def _pochhammer_table(a: complex, rows: int, order: int) -> np.ndarray:
-    """t[j, r] = prod_{i<r} (a - j + i), so [a]_kappa is the product of
-    t[j, kappa_j] over the rows j of kappa."""
-    t = np.ones((rows, order + 1), dtype=np.result_type(a, float))
-    base = a - np.arange(rows)[:, None] + np.arange(order)
-    np.cumprod(base, axis=1, out=t[:, 1:])
-    return t
-
-
 def pochhammer_gen(a: complex, kappa) -> complex | float:
     """Generalized Pochhammer symbol: product over rows j of (a - j + 1)
     rising to the j-th part.
@@ -200,9 +193,9 @@ def pochhammer_gen(a: complex, kappa) -> complex | float:
     Computed as a direct product, so legitimate zeros come out as exact
     zeros instead of gamma-ratio NaNs.
     """
-    parts = _as_parts(kappa)
-    t = _pochhammer_table(a, len(parts), max(parts, default=0))
-    return t[np.arange(len(parts)), np.array(parts, dtype=int)].prod().item()
+    a = complex(a) if np.iscomplexobj(a) else float(a)
+    rows = (math.prod(a - j + i for i in range(r)) for j, r in enumerate(_as_parts(kappa)))
+    return math.prod(rows, start=a**0)  # a**0 is 1 of a's type
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +232,12 @@ def _schur_block(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _weight_table(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(parts, syt, n_short, lower) for the partitions of weight m with at
+    """(parts, dim, n_short, lower) for the partitions of weight m with at
     most p parts: the (N, p) zero-padded small-int parts, those with fewer
-    than p parts first, each group lexicographically decreasing; their SYT
-    counts as floats; the number of rows with fewer than p parts; and for
-    each later row kappa the int32 row of kappa - (1^p) in table m - p."""
+    than p parts first, each group lexicographically decreasing; their Weyl
+    dimensions s_kappa(1^p) = prod_{i<j} (kappa_i - kappa_j + j - i) / (j - i)
+    as floats; the number of rows with fewer than p parts; and for each
+    later row kappa the int32 row of kappa - (1^p) in table m - p."""
     kappas = sorted(_partitions_tuple(m, p, m), key=lambda k: len(k) == p)
     parts = np.zeros((len(kappas), p), dtype=np.min_scalar_type(m))
     for row, kappa in zip(parts, kappas):
@@ -253,8 +247,10 @@ def _weight_table(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarr
     if n_short < len(kappas):
         below = {tuple(r): i for i, r in enumerate(_weight_table(m - p, p)[0].tolist())}
     lower = [below[tuple(x - 1 for x in k)] for k in kappas[n_short:]]
-    syt = np.array([float(syt_count(k)) for k in kappas])
-    return parts, syt, n_short, np.array(lower, dtype=np.int32)
+    shifted = parts - np.arange(p, dtype=float)
+    i, j = np.triu_indices(p, 1)
+    dim = (shifted[:, i] - shifted[:, j]).prod(axis=1) / np.prod(j - i)
+    return parts, dim, n_short, np.array(lower, dtype=np.int32)
 
 
 def schur_eval(kappa, lambdas: Sequence[float]) -> float:
@@ -322,12 +318,6 @@ class Hyp1F1Result:
     converged: bool
 
 
-def _first_pole(parts: np.ndarray, den: np.ndarray) -> tuple[int, ...]:
-    """The lexicographically first row of a weight table whose denominator
-    symbol den vanishes."""
-    return max(tuple(int(v) for v in row if v) for row in parts[den == 0])
-
-
 def hyp1f1_matrix(
     a: complex,
     c: complex,
@@ -339,11 +329,12 @@ def hyp1f1_matrix(
     Partial sum over partition weights m <= policy.max_order of
     [a]_M / [c]_M * C_M(X) / m!, with C_M the zonal polynomial. The matrix
     may be passed directly or as a sequence of eigenvalues. A vanishing
-    denominator symbol [c]_M raises PochhammerPole. converged=True means
-    the stopping rule (REL_STOP, CONSECUTIVE_ORDERS) was met within
-    max_order and the rounding error of the summed order terms, 2**-52
-    times the sum of their magnitudes, is within REL_STOP of the value;
-    anything else is reported via converged=False, not an error.
+    denominator symbol [c]_M raises PochhammerPole, and a partial sum
+    beyond double range DomainError. converged=True means the stopping
+    rule (REL_STOP, CONSECUTIVE_ORDERS) was met within max_order and the
+    rounding error of the summed order terms, 2**-52 times the sum of their
+    magnitudes, is within REL_STOP of the value; anything else is reported
+    via converged=False, not an error.
 
     When no eigenvalue is positive and one is negative, the Kummer relation
     1F1(a; c; X) = etr(X) 1F1(c - a; c; -X) (Herz 1955) is summed instead:
@@ -357,12 +348,7 @@ def hyp1f1_matrix(
     if lam.size and lam.max() <= 0.0 and lam.min() < 0.0:
         res = _hyp1f1_series(c - a, c, -lam, policy)
         scale = math.exp(float(lam.sum()))
-        return Hyp1F1Result(
-            value=scale * res.value,
-            order_reached=res.order_reached,
-            last_increment=scale * res.last_increment,
-            converged=res.converged,
-        )
+        return replace(res, value=scale * res.value, last_increment=scale * res.last_increment)
     return _hyp1f1_series(a, c, lam, policy)
 
 
@@ -371,52 +357,65 @@ def _hyp1f1_series(
 ) -> Hyp1F1Result:
     """The zonal series of hyp1f1_matrix, one batched step per weight m.
 
-    Each order gathers both Pochhammer tables once over its _weight_table
-    (a zero part reads t[j, 0] = 1). Rows with fewer than p parts take one
-    batched Jacobi-Trudi determinant of width p - 1: zero parts only add a
-    unit upper-triangular tail. Rows with p parts take
-    s_kappa = e_p s_{kappa - (1^p)}, e_p the product of the eigenvalues
-    (Macdonald, ch. I section 3), from the Schur values of order m - p.
+    The term of kappa is its Weyl dimension times s_kappa(lambda / scale)
+    times the product over its cells of (a + q) scale / ((c + q) (p + q)),
+    q = column - row the cell's content and scale = max |lambda_i|, so no
+    factor overflows alone; cell[j, k] is that product over the first k
+    cells of row j. Rows with fewer than p parts take one batched
+    Jacobi-Trudi determinant of width p - 1: zero parts only add a unit
+    upper-triangular tail. Rows with p parts take s_kappa = e_p
+    s_{kappa - (1^p)}, e_p the product of lambda / scale (Macdonald,
+    ch. I section 3), from the Schur values of order m - p.
     """
     p = lam.size
+    scale = float(np.abs(lam).max(initial=0.0)) or 1.0
+    lam = lam / scale
     e_p = float(np.prod(lam))
     h = _h_table(lam, policy.max_order + p) if p > 1 else None  # p = 1 rows are all full
-    num_t = _pochhammer_table(a, p, policy.max_order)
-    den_t = _pochhammer_table(c, p, policy.max_order)
     rows = np.arange(p)
+    # [c]_kappa vanishes only at an integer c < p, first at the one partition
+    # (1 - c) for c <= 0 and (1^(c + 1)) for c >= 1; no cell past it is read
+    pole = ()
+    if p and c.imag == 0 and float(c.real).is_integer() and c.real < p:
+        n = int(c.real)
+        pole = (1 - n,) if n <= 0 else (1,) * (n + 1)
     schur = [np.ones(1)]  # schur[m]: Schur values of table m; m = 0 is s_() = 1
     total = 1.0 + 0.0j  # m = 0 term
     abs_sum = 1.0  # sum of |term_m|, which bounds the rounding error of total
-    inv_mfact = 1.0
     streak = 0
     order_reached = 0
     last_inc = 0.0
     converged = False
-    for m in range(1, policy.max_order + 1):
-        inv_mfact /= m
-        parts, syt, n_short, lower = _weight_table(m, p)
-        den = den_t[rows, parts].prod(axis=1)
-        if not den.all():
-            pole = _first_pole(parts, den)
-            raise PochhammerPole(f"denominator symbol vanishes at partition {pole} for c = {c!r}")
-        num = num_t[rows, parts].prod(axis=1)
-        s = e_p * schur[m - p][lower] if lower.size else np.empty(0)
-        if n_short:
-            s = np.concatenate((_schur_block(parts[:n_short, : p - 1], h), s))
-        schur.append(s)
-        term = np.dot(num / den, syt * s) * inv_mfact
-        total += term
-        order_reached = m
-        last_inc = float(abs(term))
-        abs_sum += last_inc
-        if last_inc < REL_STOP * abs(total):
-            streak += 1
-            if streak >= CONSECUTIVE_ORDERS:
-                # cancelled digits cannot come back at higher orders
-                converged = bool(2.0**-52 * abs_sum <= REL_STOP * abs(total))
-                break
-        else:
-            streak = 0
+    # cells past a pole or beyond double range may be inf or nan; none is returned
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        j, t = rows[:, None], np.arange(policy.max_order)
+        factors = (a - j + t) * scale / ((c - j + t) * (p - j + t))
+        cell = np.ones((p, policy.max_order + 1), dtype=factors.dtype)
+        np.cumprod(factors, axis=1, out=cell[:, 1:])
+        for m in range(1, policy.max_order + 1):
+            if m == sum(pole):
+                raise PochhammerPole(f"denominator symbol vanishes at partition {pole} "
+                                     f"for c = {c!r}")
+            parts, dim, n_short, lower = _weight_table(m, p)
+            s = e_p * schur[m - p][lower] if lower.size else np.empty(0)
+            if n_short:
+                s = np.concatenate((_schur_block(parts[:n_short, : p - 1], h), s))
+            schur.append(s)
+            term = np.dot(cell[rows, parts].prod(axis=1) * dim, s)
+            total += term
+            order_reached = m
+            last_inc = float(abs(term))
+            abs_sum += last_inc
+            if not abs_sum < math.inf:
+                raise DomainError([f"1F1 value finite (order {m})"], context="1F1 overflows")
+            if last_inc < REL_STOP * abs(total):
+                streak += 1
+                if streak >= CONSECUTIVE_ORDERS:
+                    # cancelled digits cannot come back at higher orders
+                    converged = bool(2.0**-52 * abs_sum <= REL_STOP * abs(total))
+                    break
+            else:
+                streak = 0
 
     total = complex(total)
     value = total.real if abs(total.imag) <= 1e-12 * max(1.0, abs(total.real)) else total

@@ -38,6 +38,13 @@ class TestScalarCommands:
         assert code == 0
         assert json.loads(out)["value"] == 24.0
 
+    def test_non_finite_value_exit_4(self, capsys):
+        # (3)_200 is about 1e377: JSON has no infinity, so nothing is printed
+        assert main(["pochhammer", "--a", "3", "--partition", "200"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite value in output" in captured.err
+
     def test_zonal(self, capsys):
         code, out = run(capsys, ["zonal", "--partition", "2", "--matrix", MATRIX_05])
         assert code == 0
@@ -52,6 +59,12 @@ class TestScalarCommands:
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(math.exp(0.5), rel=1e-10)
         assert doc["converged"] is True
+
+    def test_hyp1f1_beyond_double_range_exit_2(self, capsys):
+        matrix = json.dumps(HermitianMatrix([[800.0]]).to_json())
+        argv = ["hyp1f1", "--a", "1.5", "--c", "3.2", "--matrix", matrix, "--max-order", "1500"]
+        assert main(argv) == 2
+        assert "1F1 value finite" in capsys.readouterr().err
 
     def test_power_mean(self, capsys):
         code, out = run(capsys, ["power-mean", "--weights", "0.5,0.5", "--values", "2,4", "-b", "1"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from mvda.special import (
     REL_STOP,
     Partition,
     TruncationPolicy,
+    _weight_table,
     gamma_p_ln,
     hyp1f1_matrix,
     partitions_of,
@@ -358,6 +360,16 @@ class TestSytCount:
             total = sum(syt_count(p.parts) ** 2 for p in partitions_of(m, m))
             assert total == math.factorial(m)
 
+    def test_weight_table_dim_is_schur_at_ones(self):
+        # the series' Weyl column is s_kappa(1^p), an integer; the
+        # Jacobi-Trudi determinant at ones rounds to about 1e-9 by m = 30
+        for p in range(1, 7):
+            for m in range(31):
+                parts, dim, _, _ = _weight_table(m, p)
+                for row, d in zip(parts.tolist(), dim):
+                    assert d == int(d)
+                    assert d == pytest.approx(schur_eval(tuple(row), [1.0] * p), rel=1e-8)
+
 
 class TestZonal:
     def test_scalar_power(self):
@@ -434,6 +446,13 @@ class TestHyp1F1:
         # is the first partition with 3 parts
         with pytest.raises(PochhammerPole, match=r"partition \(1, 1, 1\)"):
             hyp1f1_matrix(0.5, 2.0, [0.3, 0.2, 0.1])
+        # [-2]_(k) = (-2)(-1)(0)... first vanishes at the one row (3)
+        with pytest.raises(PochhammerPole, match=r"partition \(3,\)"):
+            hyp1f1_matrix(0.5, -2.0, [0.3])
+        with pytest.raises(PochhammerPole, match=r"partition \(1, 1, 1, 1\)"):
+            hyp1f1_matrix(0.5, 3.0, [0.3, 0.2, 0.1, 0.05])
+        # [4]_kappa would need a fifth row to reach 4 - 4
+        assert hyp1f1_matrix(0.5, 4.0, [0.3, 0.2, 0.1, 0.05]).converged
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_batched_series_matches_per_partition_loop(self, p):
@@ -454,6 +473,30 @@ class TestHyp1F1:
         check(np.append(rng.uniform(0.05, 2.5, size=p - 1), 0.0), TruncationPolicy(max_order=40))
         # below order p no partition has p parts
         check(rng.uniform(0.05, 2.5, size=p), TruncationPolicy(max_order=p - 1))
+
+    @pytest.mark.parametrize("eigs,max_order", [
+        pytest.param([0.5], 200, id="small-x"),
+        pytest.param([100.0], 400, id="x100"),
+        pytest.param([50.0, 40.0], 300, id="p2"),
+    ])
+    def test_orders_past_170_do_not_overflow(self, eigs, max_order):
+        # [a]_kappa, [c]_kappa, m! and x^m each overflow past order ~170,
+        # while the terms stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = hyp1f1_matrix(1.5, 3.2, eigs, TruncationPolicy(max_order=max_order))
+        if len(eigs) == 1:
+            with mpmath.workdps(40):
+                want = float(mpmath.hyp1f1(1.5, 3.2, eigs[0]))
+        else:
+            want = gross_richards(1.5, 3.2, eigs)
+        assert res.converged
+        assert res.value == pytest.approx(want, rel=1e-11)
+
+    def test_value_beyond_double_range_is_a_domain_error(self):
+        # 1F1(1.5; 3.2; 800) is about 8.6e342
+        with pytest.raises(DomainError, match="1F1 value finite"):
+            hyp1f1_matrix(1.5, 3.2, [800.0], TruncationPolicy(max_order=1500))
 
     def test_kummer_on_non_positive_spectra_against_mpmath(self):
         # Every point converges by order 150, so none is skipped. At x = -30
