@@ -41,7 +41,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts if x != 0)
+        parts = tuple(self.parts)
+        if not all(x % 1 == 0 for x in parts):  # refuses 2.5, inf and nan
+            raise ValueError(f"parts must be integers, got {parts}")
+        parts = tuple(int(x) for x in parts if x != 0)
         if any(x < 0 for x in parts):
             raise ValueError("parts must be non-negative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -57,12 +60,6 @@ class Partition:
 
     def __iter__(self):
         return iter(self.parts)
-
-
-def _as_parts(kappa) -> tuple[int, ...]:
-    if isinstance(kappa, Partition):
-        return kappa.parts
-    return Partition(tuple(kappa)).parts
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +191,7 @@ def pochhammer_gen(a: complex, kappa) -> complex | float:
     zeros instead of gamma-ratio NaNs.
     """
     a = complex(a) if np.iscomplexobj(a) else float(a)
-    rows = (math.prod(a - j + i for i in range(r)) for j, r in enumerate(_as_parts(kappa)))
+    rows = (math.prod(a - j + i for i in range(r)) for j, r in enumerate(Partition(kappa)))
     return math.prod(rows, start=a**0)  # a**0 is 1 of a's type
 
 
@@ -231,26 +228,27 @@ def _schur_block(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _weight_table(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(parts, dim, n_short, lower) for the partitions of weight m with at
-    most p parts: the (N, p) zero-padded small-int parts, those with fewer
-    than p parts first, each group lexicographically decreasing; their Weyl
-    dimensions s_kappa(1^p) = prod_{i<j} (kappa_i - kappa_j + j - i) / (j - i)
-    as floats; the number of rows with fewer than p parts; and for each
-    later row kappa the int32 row of kappa - (1^p) in table m - p."""
-    kappas = sorted(_partitions_tuple(m, p, m), key=lambda k: len(k) == p)
-    parts = np.zeros((len(kappas), p), dtype=np.min_scalar_type(m))
-    for row, kappa in zip(parts, kappas):
-        row[: len(kappa)] = kappa
-    n_short = sum(len(k) < p for k in kappas)
-    below = {}
-    if n_short < len(kappas):
-        below = {tuple(r): i for i, r in enumerate(_weight_table(m - p, p)[0].tolist())}
-    lower = [below[tuple(x - 1 for x in k)] for k in kappas[n_short:]]
+def _weight_table(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(parts, dim, n_short) for the partitions of weight m with at most p
+    parts: the (N, p) zero-padded small-int parts; their Weyl dimensions
+    s_kappa(1^p) = prod_{i<j} (kappa_i - kappa_j + j - i) / (j - i) as
+    floats; and the number of rows with fewer than p parts. The first
+    n_short rows are table (m, p - 1) with a zero appended, and row
+    n_short + r is row r of table (m - p, p) plus one in every part
+    (Macdonald, ch. I section 1), so rows run by increasing length. A cold
+    call recurses through the smaller tables; the series asks for m in
+    increasing order, so its calls recurse at most p + 1 deep."""
+    if p == 0 or m < 0:
+        n = int(m == 0)  # the empty partition
+        return np.zeros((n, p), dtype=np.uint8), np.ones(n), 0
+    short = _weight_table(m, p - 1)[0]
+    # cast before adding one: a uint8 255 would wrap
+    full = _weight_table(m - p, p)[0].astype(np.min_scalar_type(m)) + 1
+    parts = np.concatenate((np.pad(short, ((0, 0), (0, 1))), full))
     shifted = parts - np.arange(p, dtype=float)
     i, j = np.triu_indices(p, 1)
     dim = (shifted[:, i] - shifted[:, j]).prod(axis=1) / np.prod(j - i)
-    return parts, dim, n_short, np.array(lower, dtype=np.int32)
+    return parts, dim, len(short)
 
 
 def schur_eval(kappa, lambdas: Sequence[float]) -> float:
@@ -260,7 +258,7 @@ def schur_eval(kappa, lambdas: Sequence[float]) -> float:
     Jacobi-Trudi determinant, which stays well conditioned at coincident
     eigenvalues where the bialternant ratio degenerates.
     """
-    parts = _as_parts(kappa)
+    parts = Partition(kappa).parts
     lam = np.asarray(lambdas, dtype=np.float64)
     if len(parts) > lam.size:
         return 0.0
@@ -272,7 +270,7 @@ def schur_eval(kappa, lambdas: Sequence[float]) -> float:
 
 def zonal_from_eigs(kappa, lambdas: Sequence[float]) -> float:
     """Zonal polynomial value from eigenvalues: SYT count times Schur value."""
-    parts = _as_parts(kappa)
+    parts = Partition(kappa).parts
     return syt_count(parts) * schur_eval(parts, lambdas)
 
 
@@ -345,6 +343,8 @@ def hyp1f1_matrix(
         lam = eigvals_hermitian(x)
     else:
         lam = np.asarray(x, dtype=np.float64)
+        if lam.ndim != 1:
+            raise ValueError("eigenvalues must be 1-d; pass a matrix as a HermitianMatrix")
     if lam.size and lam.max() <= 0.0 and lam.min() < 0.0:
         res = _hyp1f1_series(c - a, c, -lam, policy)
         scale = math.exp(float(lam.sum()))
@@ -365,7 +365,7 @@ def _hyp1f1_series(
     Jacobi-Trudi determinant of width p - 1: zero parts only add a unit
     upper-triangular tail. Rows with p parts take s_kappa = e_p
     s_{kappa - (1^p)}, e_p the product of lambda / scale (Macdonald,
-    ch. I section 3), from the Schur values of order m - p.
+    ch. I section 3), from the Schur values of order m - p, row for row.
     """
     p = lam.size
     scale = float(np.abs(lam).max(initial=0.0)) or 1.0
@@ -396,8 +396,8 @@ def _hyp1f1_series(
             if m == sum(pole):
                 raise PochhammerPole(f"denominator symbol vanishes at partition {pole} "
                                      f"for c = {c!r}")
-            parts, dim, n_short, lower = _weight_table(m, p)
-            s = e_p * schur[m - p][lower] if lower.size else np.empty(0)
+            parts, dim, n_short = _weight_table(m, p)
+            s = e_p * schur[m - p] if len(parts) > n_short else np.empty(0)
             if n_short:
                 s = np.concatenate((_schur_block(parts[:n_short, : p - 1], h), s))
             schur.append(s)

@@ -154,6 +154,18 @@ class TestPartition:
         assert Partition((3, 2, 2)).weight == 7
         assert Partition(()).weight == 0
 
+    @pytest.mark.parametrize("parts", [(2.5, 1), (1, 0.5), (math.inf,), (math.nan,)],
+                             ids=["2.5", "0.5", "inf", "nan"])
+    def test_rejects_non_integral_parts(self, parts):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(parts)
+        with pytest.raises(ValueError, match="integers"):
+            pochhammer_gen(3.0, parts)
+
+    def test_accepts_integral_floats(self):
+        assert Partition((np.float64(2.0), 1.0, 0.0)).parts == (2, 1)
+        assert type(Partition((np.float64(2.0),)).parts[0]) is int
+
 
 class TestPartitionsOf:
     def test_zero_weight(self):
@@ -365,10 +377,25 @@ class TestSytCount:
         # Jacobi-Trudi determinant at ones rounds to about 1e-9 by m = 30
         for p in range(1, 7):
             for m in range(31):
-                parts, dim, _, _ = _weight_table(m, p)
+                parts, dim, _ = _weight_table(m, p)
                 for row, d in zip(parts.tolist(), dim):
                     assert d == int(d)
                     assert d == pytest.approx(schur_eval(tuple(row), [1.0] * p), rel=1e-8)
+
+    def test_weight_table_rows_are_the_partitions(self):
+        for p in range(1, 7):
+            for m in range(31):
+                parts, _, n_short = _weight_table(m, p)
+                rows = [tuple(x for x in row if x) for row in parts.tolist()]
+                assert len(rows) == len(set(rows))
+                assert set(rows) == {k.parts for k in partitions_of(m, p)}
+                assert all(len(row) < p for row in rows[:n_short])
+                # full row n_short + r is row r of table m - p plus one
+                if m >= p:
+                    below = _weight_table(m - p, p)[0].astype(np.int64)
+                    np.testing.assert_array_equal(parts[n_short:], below + 1)
+                else:
+                    assert n_short == len(rows)
 
 
 class TestZonal:
@@ -417,6 +444,16 @@ class TestHyp1F1:
         res = hyp1f1_matrix(1.5, 4.0, HermitianMatrix(np.zeros((2, 2))))
         assert res.value == 1.0
         assert res.converged
+
+    def test_empty_spectrum_is_one(self):
+        res = hyp1f1_matrix(1.5, 3.2, [])
+        assert res.value == 1.0
+        assert res.converged
+
+    @pytest.mark.parametrize("x", [[[0.5]], np.eye(2), 0.5], ids=["1x1", "eye2", "scalar"])
+    def test_array_not_1d_is_refused(self, x):
+        with pytest.raises(ValueError, match="HermitianMatrix"):
+            hyp1f1_matrix(1.5, 3.2, x)
 
     @pytest.mark.parametrize("x", [-5.0, -2.0, -0.5, 0.5, 2.0, 5.0])
     def test_equal_parameters_give_exp(self, x):
