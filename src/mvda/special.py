@@ -7,10 +7,11 @@ identities), and the zonal polynomials used throughout are Schur
 polynomials scaled by the standard-Young-tableaux count of their shape.
 That scaling is the unique one for which the weight-m class sums to
 (tr X)^m, which is the normalization every series here relies on. The
-1F1 series reads each weight's partitions from one cached table, and takes
-the Schur values of partitions with p parts in p variables as e_p times
-those of weight m - p (Macdonald, ch. I section 3). By the hook-content
-formula (ibid., example 4), its coefficient of kappa is the Weyl dimension
+1F1 series reads each weight's gather indices, cell positions and
+Jacobi-Trudi row starts, from one cached table, and takes the Schur
+values of partitions with p parts in p variables as e_p times those of
+weight m - p (Macdonald, ch. I section 3). By the hook-content formula
+(ibid., example 4), its coefficient of kappa is the Weyl dimension
 s_kappa(1^p) times one factor per cell of kappa.
 """
 
@@ -199,56 +200,72 @@ def pochhammer_gen(a: complex, kappa) -> complex | float:
 # Schur and zonal polynomials
 
 
-def _h_table(lambdas: np.ndarray, degree: int) -> np.ndarray:
+def _h_table(lambdas: np.ndarray, degree: int, pad: int) -> np.ndarray:
     """Complete homogeneous symmetric polynomials h_0..h_degree at lambdas,
-    followed by one zero that index -1 reads for every negative degree.
+    after pad zeros that the negative degrees of a Jacobi-Trudi window read.
 
     Newton's identities from power sums: k h_k = sum_{i<=k} p_i h_{k-i}.
     """
-    h = np.zeros(degree + 2)
-    h[0] = 1.0
+    h = np.zeros(pad + degree + 1)
+    hk = h[pad:]
+    hk[0] = 1.0
     pows = np.power.outer(lambdas, np.arange(1, degree + 1)).sum(axis=0)
     for k in range(1, degree + 1):
-        h[k] = np.dot(pows[:k][::-1], h[:k]) / k
+        hk[k] = np.dot(pows[:k][::-1], hk[:k]) / k
     return h
 
 
-def _schur_block(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Schur values of an (N, ell) stack of zero-padded partitions, ell >= 1.
-
-    Row n's Jacobi-Trudi matrix is h[parts[n, i] - i + j], in which a zero
-    part is a unit row of an upper-triangular tail; one batched call.
-    """
+def _jt_starts(parts: np.ndarray) -> np.ndarray:
+    """Where row i of each Jacobi-Trudi matrix h[kappa_i - i + j] of an
+    (N, ell) stack of zero-padded partitions starts in h padded in front by
+    ell - 1 zeros: kappa_i - i + ell - 1, never negative."""
     ell = parts.shape[1]
+    return parts + np.arange(ell - 1, -1, -1)
+
+
+def _jt_det(h: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Jacobi-Trudi determinants of the (N, ell) row starts, ell >= 1, in
+    padded h: one gather of the ell x ell windows and one batched det. A
+    zero part is a unit row of an upper-triangular tail."""
+    ell = starts.shape[1]
     if ell == 1:
-        return h[parts[:, 0]]
-    shift = np.arange(ell)
-    idx = parts[:, :, None].astype(np.intp) - shift[:, None] + shift
-    return np.linalg.det(h[np.maximum(idx, -1)])
+        return h[starts[:, 0]]
+    return np.linalg.det(h[starts[:, :, None] + np.arange(ell)])
+
+
+def _narrow(index: np.ndarray) -> np.ndarray:
+    """index in the smallest unsigned type that holds its largest entry."""
+    return index.astype(np.min_scalar_type(index.max(initial=0)))
 
 
 @lru_cache(maxsize=None)
-def _weight_table(m: int, p: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(parts, dim, n_short) for the partitions of weight m with at most p
-    parts: the (N, p) zero-padded small-int parts; their Weyl dimensions
-    s_kappa(1^p) = prod_{i<j} (kappa_i - kappa_j + j - i) / (j - i) as
-    floats; and the number of rows with fewer than p parts. The first
-    n_short rows are table (m, p - 1) with a zero appended, and row
+def _weight_table(m: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(cells, starts, dim, n_short) for the partitions kappa of weight m
+    with at most p parts; nothing in it depends on the eigenvalues.
+
+    cells[r, j] = kappa_j p + j is the flat index of cell[kappa_j, j] in
+    the series' (max_order + 1, p) cell table, so row r's parts are
+    cells[r] // p. The first n_short rows have fewer than p parts, and
+    starts holds _jt_starts of their first p - 1 parts. dim holds the Weyl
+    dimensions s_kappa(1^p) = prod_{i<j} (kappa_i - kappa_j + j - i) / (j - i).
+    The short rows are table (m, p - 1) with a zero appended, and row
     n_short + r is row r of table (m - p, p) plus one in every part
-    (Macdonald, ch. I section 1), so rows run by increasing length. A cold
-    call recurses through the smaller tables; the series asks for m in
-    increasing order, so its calls recurse at most p + 1 deep."""
+    (Macdonald, ch. I section 1). A cold call recurses through the smaller
+    tables; the series asks for m in increasing order, so its calls recurse
+    at most p + 1 deep. Both indices are built in intp and then narrowed,
+    so no small type wraps."""
     if p == 0 or m < 0:
         n = int(m == 0)  # the empty partition
-        return np.zeros((n, p), dtype=np.uint8), np.ones(n), 0
-    short = _weight_table(m, p - 1)[0]
-    # cast before adding one: a uint8 255 would wrap
-    full = _weight_table(m - p, p)[0].astype(np.min_scalar_type(m)) + 1
+        return np.zeros((n, p), dtype=np.uint8), np.zeros((0, 0), np.uint8), np.ones(n), 0
+    # table (m, 0) has no columns to decode
+    short = _weight_table(m, p - 1)[0].astype(np.intp) // max(p - 1, 1)
+    full = _weight_table(m - p, p)[0].astype(np.intp) // p + 1
     parts = np.concatenate((np.pad(short, ((0, 0), (0, 1))), full))
     shifted = parts - np.arange(p, dtype=float)
     i, j = np.triu_indices(p, 1)
     dim = (shifted[:, i] - shifted[:, j]).prod(axis=1) / np.prod(j - i)
-    return parts, dim, len(short)
+    cells = _narrow(parts * p + np.arange(p))
+    return cells, _narrow(_jt_starts(short)), dim, len(short)
 
 
 def schur_eval(kappa, lambdas: Sequence[float]) -> float:
@@ -256,16 +273,28 @@ def schur_eval(kappa, lambdas: Sequence[float]) -> float:
 
     Returns 0 when kappa has more nonzero parts than variables. Uses the
     Jacobi-Trudi determinant, which stays well conditioned at coincident
-    eigenvalues where the bialternant ratio degenerates.
+    eigenvalues where the bialternant ratio degenerates. The determinant
+    is taken at lambda / scale, scale = max |lambda_i|, and scaled back one
+    factor per cell, so an h_k beyond double range does not overflow it; a
+    value itself beyond double range raises DomainError.
     """
     parts = Partition(kappa).parts
     lam = np.asarray(lambdas, dtype=np.float64)
+    if lam.ndim != 1:
+        raise ValueError("eigenvalues must be 1-d; pass a matrix to zonal_c")
     if len(parts) > lam.size:
         return 0.0
     if len(parts) == 0:
         return 1.0
-    h = _h_table(lam, parts[0] + len(parts) - 1)
-    return float(_schur_block(np.array([parts]), h)[0])
+    scale = float(np.abs(lam).max()) or 1.0
+    h = _h_table(lam / scale, parts[0] + len(parts) - 1, len(parts) - 1)
+    value = float(_jt_det(h, _jt_starts(np.array([parts])))[0])
+    for _ in range(sum(parts)):
+        value *= scale
+    if not math.isfinite(value):
+        raise DomainError([f"Schur value finite (partition {parts})"],
+                          context="Schur value overflows")
+    return value
 
 
 def zonal_from_eigs(kappa, lambdas: Sequence[float]) -> float:
@@ -360,19 +389,21 @@ def _hyp1f1_series(
     The term of kappa is its Weyl dimension times s_kappa(lambda / scale)
     times the product over its cells of (a + q) scale / ((c + q) (p + q)),
     q = column - row the cell's content and scale = max |lambda_i|, so no
-    factor overflows alone; cell[j, k] is that product over the first k
-    cells of row j. Rows with fewer than p parts take one batched
-    Jacobi-Trudi determinant of width p - 1: zero parts only add a unit
-    upper-triangular tail. Rows with p parts take s_kappa = e_p
-    s_{kappa - (1^p)}, e_p the product of lambda / scale (Macdonald,
-    ch. I section 3), from the Schur values of order m - p, row for row.
+    factor overflows alone; cell[k, j] is that product over the first k
+    cells of row j. Every index an order needs comes from its cached
+    _weight_table, so an order is one take, one batched Jacobi-Trudi
+    determinant of width p - 1 for the rows with fewer than p parts (zero
+    parts only add a unit upper-triangular tail), one multiply and one dot.
+    Rows with p parts take s_kappa = e_p s_{kappa - (1^p)}, e_p the product
+    of lambda / scale (Macdonald, ch. I section 3), from the Schur values of
+    order m - p, row for row.
     """
     p = lam.size
     scale = float(np.abs(lam).max(initial=0.0)) or 1.0
     lam = lam / scale
     e_p = float(np.prod(lam))
-    h = _h_table(lam, policy.max_order + p) if p > 1 else None  # p = 1 rows are all full
-    rows = np.arange(p)
+    # p = 1 rows are all full
+    h = _h_table(lam, policy.max_order + p - 2, p - 2) if p > 1 else None
     # [c]_kappa vanishes only at an integer c < p, first at the one partition
     # (1 - c) for c <= 0 and (1^(c + 1)) for c >= 1; no cell past it is read
     pole = ()
@@ -388,20 +419,22 @@ def _hyp1f1_series(
     converged = False
     # cells past a pole or beyond double range may be inf or nan; none is returned
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        j, t = rows[:, None], np.arange(policy.max_order)
+        j, t = np.arange(p), np.arange(policy.max_order)[:, None]
         factors = (a - j + t) * scale / ((c - j + t) * (p - j + t))
-        cell = np.ones((p, policy.max_order + 1), dtype=factors.dtype)
-        np.cumprod(factors, axis=1, out=cell[:, 1:])
+        cell = np.ones((policy.max_order + 1, p), dtype=factors.dtype)
+        np.cumprod(factors, axis=0, out=cell[1:])
         for m in range(1, policy.max_order + 1):
             if m == sum(pole):
                 raise PochhammerPole(f"denominator symbol vanishes at partition {pole} "
                                      f"for c = {c!r}")
-            parts, dim, n_short = _weight_table(m, p)
-            s = e_p * schur[m - p] if len(parts) > n_short else np.empty(0)
+            cells, starts, dim, n_short = _weight_table(m, p)
+            s = np.empty(len(cells))
+            if len(cells) > n_short:
+                np.multiply(e_p, schur[m - p], out=s[n_short:])
             if n_short:
-                s = np.concatenate((_schur_block(parts[:n_short, : p - 1], h), s))
+                s[:n_short] = _jt_det(h, starts)
             schur.append(s)
-            term = np.dot(cell[rows, parts].prod(axis=1) * dim, s)
+            term = np.dot(cell.take(cells).prod(axis=1) * dim, s)
             total += term
             order_reached = m
             last_inc = float(abs(term))

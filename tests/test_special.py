@@ -15,6 +15,7 @@ from mvda.special import (
     REL_STOP,
     Partition,
     TruncationPolicy,
+    _h_table,
     _weight_table,
     gamma_p_ln,
     hyp1f1_matrix,
@@ -357,6 +358,28 @@ class TestSchur:
             ssyt_sum((2, 1), [1.0, 1.0, 1.0]), rel=1e-10
         )
 
+    @pytest.mark.parametrize("kappa,x,want", [
+        pytest.param((1, 1), 1e154, 1e308, id="e2"),
+        pytest.param((2, 1), 4e102, 1.28e308, id="s21"),
+    ])
+    def test_clustered_spectrum_near_double_range(self, kappa, x, want):
+        # h_1^2 and h_3 overflow at these eigenvalues while the value does not
+        assert schur_eval(kappa, [x, x]) == pytest.approx(want, rel=1e-14)
+        assert zonal_c(kappa, HermitianMatrix.diagonal([x, x])) == pytest.approx(
+            syt_count(kappa) * want, rel=1e-14)
+
+    def test_value_beyond_double_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="Schur value finite"):
+            schur_eval((1,), [1e308, 1e308])
+
+    @pytest.mark.parametrize("kappa,lam", [((2,), [[0.5]]), ((1,), [[1.0, 2.0]])],
+                             ids=["1x1", "1x2"])
+    def test_array_not_1d_is_refused(self, kappa, lam):
+        with pytest.raises(ValueError, match="zonal_c"):
+            schur_eval(kappa, lam)
+        with pytest.raises(ValueError, match="zonal_c"):
+            zonal_from_eigs(kappa, lam)
+
 
 class TestSytCount:
     @pytest.mark.parametrize(
@@ -377,25 +400,54 @@ class TestSytCount:
         # Jacobi-Trudi determinant at ones rounds to about 1e-9 by m = 30
         for p in range(1, 7):
             for m in range(31):
-                parts, dim, _ = _weight_table(m, p)
-                for row, d in zip(parts.tolist(), dim):
+                cells, _, dim, _ = _weight_table(m, p)
+                for row, d in zip((cells // p).tolist(), dim):
                     assert d == int(d)
                     assert d == pytest.approx(schur_eval(tuple(row), [1.0] * p), rel=1e-8)
 
     def test_weight_table_rows_are_the_partitions(self):
         for p in range(1, 7):
             for m in range(31):
-                parts, _, n_short = _weight_table(m, p)
+                cells, _, _, n_short = _weight_table(m, p)
+                parts = cells // p
                 rows = [tuple(x for x in row if x) for row in parts.tolist()]
                 assert len(rows) == len(set(rows))
                 assert set(rows) == {k.parts for k in partitions_of(m, p)}
                 assert all(len(row) < p for row in rows[:n_short])
                 # full row n_short + r is row r of table m - p plus one
                 if m >= p:
-                    below = _weight_table(m - p, p)[0].astype(np.int64)
+                    below = (_weight_table(m - p, p)[0] // p).astype(np.int64)
                     np.testing.assert_array_equal(parts[n_short:], below + 1)
                 else:
                     assert n_short == len(rows)
+
+    def test_weight_table_indices(self):
+        # cells[r, j] = kappa_j p + j indexes cell[kappa_j, j] of a flat
+        # (max_order + 1, p) table; starts[r, i] = kappa_i - i + p - 2 is where
+        # row i of a short row's Jacobi-Trudi matrix starts in h padded in
+        # front by p - 2 zeros
+        rng = np.random.default_rng(67)
+        for p in range(1, 7):
+            # max |lambda| = 1, so schur_eval takes its determinant unscaled
+            lam = np.append(1.0, rng.uniform(0.2, 1.0, size=p - 1))
+            h = _h_table(lam, 30 + p - 2, max(p - 2, 0))
+            # h_k labelled k + 1, so a 0 in a window marks a negative degree
+            labels = np.concatenate((np.zeros(max(p - 2, 0)), np.arange(1.0, 30 + p)))
+            window = np.arange(p - 1)
+            for m in range(31):
+                cells, starts, _, n_short = _weight_table(m, p)
+                parts = (cells // p).astype(np.int64)  # checked by the test above
+                assert (cells % p == np.arange(p)).all()
+                assert starts.shape == (n_short, p - 1)
+                if p == 1:
+                    continue
+                idx = starts[:, :, None].astype(np.intp) + window
+                for row, got, wins in zip(parts[:n_short].tolist(), labels[idx], h[idx]):
+                    jt = np.array([[row[i] - i + j + 1 if row[i] - i + j >= 0 else 0
+                                    for j in range(p - 1)] for i in range(p - 1)])
+                    assert np.array_equal(got, jt), (m, p, row)
+                    det = wins[0, 0] if p == 2 else np.linalg.det(wins)
+                    assert det == pytest.approx(schur_eval(tuple(row), lam), rel=1e-12)
 
 
 class TestZonal:
@@ -515,6 +567,11 @@ class TestHyp1F1:
         pytest.param([0.5], 200, id="small-x"),
         pytest.param([100.0], 400, id="x100"),
         pytest.param([50.0, 40.0], 300, id="p2"),
+        # orders 292 and 240: the partition tables' cells outgrow uint8 at
+        # both, and their starts at p = 2; at p = 3, a = 1.5 < p - 1 makes
+        # the value negative
+        pytest.param([100.0, 90.0], 400, id="p2-uint8"),
+        pytest.param([60.0, 50.0, 40.0], 300, id="p3-uint8"),
     ])
     def test_orders_past_170_do_not_overflow(self, eigs, max_order):
         # [a]_kappa, [c]_kappa, m! and x^m each overflow past order ~170,
