@@ -66,6 +66,11 @@ class TestScalarCommands:
         assert main(argv) == 2
         assert "1F1 value finite" in capsys.readouterr().err
 
+    def test_hyp1f1_non_finite_parameter_exit_2(self, capsys):
+        argv = ["hyp1f1", "--a", "nan", "--c", "3.2", "--matrix", MATRIX_05]
+        assert main(argv) == 2
+        assert "1F1 undefined: a finite (got nan)" in capsys.readouterr().err
+
     def test_power_mean(self, capsys):
         code, out = run(capsys, ["power-mean", "--weights", "0.5,0.5", "--values", "2,4", "-b", "1"])
         assert code == 0

@@ -423,31 +423,40 @@ class TestSytCount:
 
     def test_weight_table_indices(self):
         # cells[r, j] = kappa_j p + j indexes cell[kappa_j, j] of a flat
-        # (max_order + 1, p) table; starts[r, i] = kappa_i - i + p - 2 is where
-        # row i of a short row's Jacobi-Trudi matrix starts in h padded in
-        # front by p - 2 zeros
-        rng = np.random.default_rng(67)
+        # (max_order + 1, p) table
         for p in range(1, 7):
-            # max |lambda| = 1, so schur_eval takes its determinant unscaled
-            lam = np.append(1.0, rng.uniform(0.2, 1.0, size=p - 1))
-            h = _h_table(lam, 30 + p - 2, max(p - 2, 0))
-            # h_k labelled k + 1, so a 0 in a window marks a negative degree
-            labels = np.concatenate((np.zeros(max(p - 2, 0)), np.arange(1.0, 30 + p)))
-            window = np.arange(p - 1)
             for m in range(31):
-                cells, starts, _, n_short = _weight_table(m, p)
-                parts = (cells // p).astype(np.int64)  # checked by the test above
+                cells = _weight_table(m, p)[0]
                 assert (cells % p == np.arange(p)).all()
-                assert starts.shape == (n_short, p - 1)
-                if p == 1:
-                    continue
-                idx = starts[:, :, None].astype(np.intp) + window
-                for row, got, wins in zip(parts[:n_short].tolist(), labels[idx], h[idx]):
-                    jt = np.array([[row[i] - i + j + 1 if row[i] - i + j >= 0 else 0
-                                    for j in range(p - 1)] for i in range(p - 1)])
-                    assert np.array_equal(got, jt), (m, p, row)
-                    det = wins[0, 0] if p == 2 else np.linalg.det(wins)
-                    assert det == pytest.approx(schur_eval(tuple(row), lam), rel=1e-12)
+
+    def test_weight_table_cofactor_indices(self):
+        # h_index[r - 1] of a short row is 1 + 2 k + (sign < 0) at
+        # k = kappa_r - r + ell, sign (-1)^(r + ell); its s_index[r - 1] is
+        # the position of nu(r) among the short rows of tables (0, p),
+        # (1, p), ... one after another; rows past ell read 0
+        for p in range(1, 7):
+            tables = [_weight_table(w, p) for w in range(31)]
+            offsets = np.cumsum([0] + [t[3] for t in tables])
+            for m in range(31):
+                cells, (h_index, s_index), _, n_short = tables[m]
+                assert h_index.shape == s_index.shape == (p - 1, n_short)
+                parts = (cells // p).astype(np.int64)  # checked by the tests above
+                for row, hs, ss in zip(parts[:n_short].tolist(), h_index.T.tolist(),
+                                       s_index.T.tolist()):
+                    kappa = [x for x in row if x]
+                    ell = len(kappa)
+                    for r in range(1, p):
+                        if r > ell:
+                            assert (hs[r - 1], ss[r - 1]) == (0, 0), (m, p, row)
+                            continue
+                        k, negative = divmod(hs[r - 1] - 1, 2)
+                        assert k == kappa[r - 1] - r + ell, (m, p, row, r)
+                        assert negative == (r + ell) % 2, (m, p, row, r)
+                        nu = kappa[:r - 1] + [x - 1 for x in kappa[r:]]
+                        w = int(np.searchsorted(offsets, ss[r - 1], side="right")) - 1
+                        got = tables[w][0][ss[r - 1] - offsets[w]] // p
+                        assert [x for x in got.tolist() if x] == [x for x in nu if x]
+                        assert w == m - kappa[r - 1] - (ell - r)
 
 
 class TestZonal:
@@ -622,11 +631,35 @@ class TestHyp1F1:
         want = gross_richards(1.5, 3.2, eigs)
         assert abs(res.value - want) > off * abs(want)
 
-    def test_mild_mixed_sign_spectrum_converges(self):
-        eigs = [-3.0, 2.0]
-        res = hyp1f1_matrix(1.5, 3.2, eigs, TruncationPolicy(max_order=150))
+    @pytest.mark.parametrize("eigs,a,c,rel", [
+        pytest.param([-3.0, 2.0], 1.5, 3.2, 1e-12, id="p2"),
+        # at p >= 4 the short rows' Schur values come from cofactor
+        # expansions over lower weights, whose terms cancel at mixed signs
+        pytest.param([2.5, -1.5, 1.0, -3.0], 3.5, 7.2, 1e-11, id="p4"),
+        pytest.param([4.0, -2.0, 3.0, -1.0, 0.5], 4.5, 9.3, 1e-11, id="p5"),
+        pytest.param([6.0, -3.0, 5.5, -2.5, 1.0, -0.5], 2.5, 8.1, 1e-11, id="p6"),
+    ])
+    def test_mild_mixed_sign_spectrum_converges(self, eigs, a, c, rel):
+        res = hyp1f1_matrix(a, c, eigs, TruncationPolicy(max_order=150))
         assert res.converged is True
-        assert res.value == pytest.approx(gross_richards(1.5, 3.2, eigs), rel=1e-12)
+        assert res.value == pytest.approx(gross_richards(a, c, eigs), rel=rel)
+
+    @pytest.mark.parametrize("a,c,x,named", [
+        pytest.param(math.nan, 3.2, [1.0, 2.0], "a finite (got nan)", id="a-nan"),
+        pytest.param(complex(1.5, math.inf), 3.2, [1.0, 2.0], "a finite (got (1.5+infj))",
+                     id="a-imag-inf"),
+        pytest.param(1.5, math.nan, [1.0, 2.0], "c finite (got nan)", id="c-nan"),
+        # the series used to return 1.0 with converged=True here
+        pytest.param(1.5, math.inf, [1.0, 2.0], "c finite (got inf)", id="c-inf"),
+        pytest.param(1.5, 3.2, [math.nan, 2.0], "eigenvalue 1 finite (got nan)", id="eig-nan"),
+        pytest.param(1.5, 3.2, [1.0, math.inf], "eigenvalue 2 finite (got inf)", id="eig-inf"),
+        pytest.param(1.5, 3.2, [-math.inf], "eigenvalue 1 finite (got -inf)", id="eig-minus-inf"),
+    ])
+    def test_non_finite_input_is_named(self, a, c, x, named):
+        # refused before summing, not reported as an overflowing value
+        with pytest.raises(DomainError, match="1F1 undefined") as info:
+            hyp1f1_matrix(a, c, x)
+        assert info.value.violated == (named,)
 
     def test_kummer_on_negative_definite_matrix(self):
         eigs = [-0.4, -1.1, -2.3]
