@@ -286,7 +286,9 @@ def phi6_average(measure: MeasureSpec, A: HermitianMatrix) -> AverageResult:
 
 def _phi6_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     a = functional.A.array
-    expo = measure.alphas[0] + measure.alphas[2]
+    # alpha_1 + alpha_3, as alpha_{k+1} so that it reads the same on the k = 1
+    # measure of X_1 alone
+    expo = measure.alphas[0] + measure.alphas[-1]
 
     def phi6(draws: Draws) -> np.ndarray:
         return np.exp(expo * draws.logdet_eye_plus((0,)) - draws.trace(a, 0))
@@ -349,6 +351,9 @@ class Functional:
     exponent names the parameter that squaring the functional doubles, so
     its second moment is the closed form there; None for exp_trace (bounded
     on 0 < X_1 < I) and phi6 (finite for every positive definite A).
+    reads names the component sums the integrand reads (measures.READS):
+    "each" X_j, only "sum" X_1 + ... + X_k, or only the "first" X_1; the
+    Monte Carlo harness draws MeasureSpec.sums_measure(reads) for it.
     """
 
     required: tuple[str, ...]
@@ -356,17 +361,20 @@ class Functional:
     closed_form: Callable[..., AverageResult]
     integrand: Callable[[MeasureSpec, FunctionalSpec], Integrand]
     exponent: Optional[str] = None
+    reads: str = "each"
 
 
 FUNCTIONALS: dict[str, Functional] = {
     "det_power": Functional(("gammas",), (), det_power_average, _det_power_integrand, "gammas"),
     "complement_power": Functional(
-        ("delta",), (), complement_power_average, _complement_power_integrand, "delta"
+        ("delta",), (), complement_power_average, _complement_power_integrand, "delta", "sum"
     ),
-    "exp_trace": Functional((), ("A", "policy"), exp_trace_average, _exp_trace_integrand),
-    "phi6": Functional(("A",), (), phi6_average, _phi6_integrand),
+    "exp_trace": Functional(
+        (), ("A", "policy"), exp_trace_average, _exp_trace_integrand, reads="first"
+    ),
+    "phi6": Functional(("A",), (), phi6_average, _phi6_integrand, reads="first"),
     "hermitian_form_moment": Functional(
-        ("h",), (), hermitian_form_moment, _form_moment_integrand, "h"
+        ("h",), (), hermitian_form_moment, _form_moment_integrand, "h", "sum"
     ),
 }
 

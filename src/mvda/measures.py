@@ -39,6 +39,19 @@ same with T_{k+1}. The Hermitian grids of the X_j, and log det(I + sum X_j),
 are formed only when an integrand asks for them, as is every answer at
 p = 1. Draws.stack() packs the (k, n, p, p) matrices for output.
 
+A sum of independent complex matrix gammas with one scale is itself a
+matrix gamma at the summed shape (Goodman, Ann. Math. Statist. 34, 1963).
+So a functional that reads only one group sum, X_1 + ... + X_k or X_1
+alone, has the law it takes under a k = 1 measure at the group's summed
+alpha: at type-1 the group's W_j sum to one gamma and the other
+components' W_j to another, which joins W_{k+1} in S, so the closing
+alpha takes in the other alphas; at type-2, X_j = C W_j C* involves only
+W_j and W_{k+1}, so the other components drop out. This is the
+aggregation property of the Dirichlet (Olkin & Rubin, 1964).
+MeasureSpec.sums_measure gives that measure, and the Monte Carlo harness
+draws it in place of the full one for a functional that reads only
+X_1 + ... + X_k or only X_1.
+
 Sampler correctness is not assumed: the Monte Carlo harness cross-checks
 every construction against the closed-form averages.
 """
@@ -67,6 +80,8 @@ from .rng import CounterRng, SeedSpec
 logger = logging.getLogger(__name__)
 
 KINDS = ("type1", "type2", "rect_type1_p1", "rect_type2_p1")
+# the component sums an integrand can read (MeasureSpec.sums_measure)
+READS = ("each", "sum", "first")
 
 _floor_events = 0
 
@@ -120,6 +135,27 @@ class MeasureSpec:
         if not self.rectangular:
             return self.alphas
         return tuple(a + n for a, n in zip(self.alphas, self.ns)) + self.alphas[-1:]
+
+    def sums_measure(self, reads: str) -> "MeasureSpec":
+        """The Dirichlet measure of the component sums an integrand reads.
+
+        reads is one of READS: "each" X_j, which is this measure itself;
+        "sum", X_1 + ... + X_k alone; "first", X_1 alone. Either of the last
+        two is the k = 1 measure of one group, whose alpha is the sum of the
+        group's. Components outside the group fold into the closing alpha at
+        type-1 and are dropped at type-2 (see the module docstring). A
+        rectangular measure becomes the p = 1 kind at its scalar_alphas.
+        """
+        self.validate()
+        if reads not in READS:
+            raise ValueError(f"unknown reads {reads!r}; choose from {', '.join(READS)}")
+        if reads == "each":
+            return self
+        alphas = self.scalar_alphas
+        group = alphas[:-1] if reads == "sum" else alphas[:1]
+        closing = alphas[-1] + (sum(alphas[len(group):-1]) if self.type1 else 0.0)
+        kind = "type1" if self.type1 else "type2"
+        return MeasureSpec(kind=kind, p=self.p, k=1, alphas=(sum(group), closing))
 
     def validate(self) -> None:
         """Raise DomainError naming every violated existence condition."""

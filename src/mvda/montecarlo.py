@@ -6,6 +6,17 @@ pure function of the configuration. Workers only change who computes a
 chunk, never what the chunk contains, and the reduction runs in chunk
 order, which makes reports bit-reproducible across worker counts.
 
+Each functional names the component sums its integrand reads
+(averages.Functional.reads), and the estimate draws the Dirichlet measure
+of those sums, MeasureSpec.sums_measure, in place of the case's own: a
+functional of X_1 + ... + X_k or of X_1 alone draws two gamma components
+where the full measure draws k + 1. A sum of independent complex matrix
+gammas with one scale is a matrix gamma at the summed shape (Goodman,
+Ann. Math. Statist. 34, 1963), so the integrand has exactly the same law
+on either measure, and the estimate is unbiased with the same standard
+error in expectation. sampled_alphas in the diagnostics names the drawn
+measure wherever its alphas differ from the case's own.
+
 A case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR). The SE
 is a standard error only when the integrand has a finite second moment. For
 the power functionals that moment is the closed form at twice the exponent,
@@ -180,9 +191,15 @@ def mc_estimate_full(
     measure: MeasureSpec, functional: FunctionalSpec, config: McConfig, workers: int = 1
 ) -> tuple[float, float, int, dict]:
     """(estimate, std_error, n, diagnostics) from n = config.samples draws:
-    the sample mean, the sample standard deviation over sqrt(n), and {}."""
+    the sample mean and the sample standard deviation over sqrt(n).
+
+    The draws come from measure.sums_measure of the functional's reads (see
+    the module docstring). diagnostics holds its alphas as sampled_alphas
+    when they differ from the measure's own scalar_alphas, else it is {}.
+    """
     _pin_heap()
-    run = partial(_chunk_sums, measure, make_integrand(measure, functional), config)
+    drawn = measure.sums_measure(FUNCTIONALS[functional.kind].reads)
+    run = partial(_chunk_sums, drawn, make_integrand(drawn, functional), config)
     chunks = range(-(-config.samples // config.chunk))
     if workers <= 1:
         parts = [run(c) for c in chunks]
@@ -197,7 +214,9 @@ def mc_estimate_full(
         s2 += b
     mean = s1 / n
     var = max(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
-    return mean, (var / n) ** 0.5, n, {}
+    sampled = drawn.scalar_alphas
+    same = sampled == measure.scalar_alphas
+    return mean, (var / n) ** 0.5, n, {} if same else {"sampled_alphas": list(sampled)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Scalar and matrix-argument special functions.
 
-The polynomial layer is built on integer partitions: Schur polynomials are
-evaluated at eigenvalues through Jacobi-Trudi determinants in complete
-homogeneous symmetric polynomials (obtained from power sums by Newton's
-identities), and the zonal polynomials used throughout are Schur
-polynomials scaled by the standard-Young-tableaux count of their shape.
-That scaling is the unique one for which the weight-m class sums to
-(tr X)^m, which is the normalization every series here relies on. The
-1F1 series reads each weight's gather indices from one cached table. It
-takes the Schur values of partitions with fewer than p parts from the
-cofactor expansion of their Jacobi-Trudi determinants along the last
-column, over Schur values of lower weight that it already holds, and
-those of partitions with p parts in p variables as e_p times those of
-weight m - p (Macdonald, ch. I section 3). By the hook-content formula
-(ibid., example 4), its coefficient of kappa is the Weyl dimension
-s_kappa(1^p) times one factor per cell of kappa.
+The polynomial layer is built on integer partitions: schur_eval takes a
+Schur polynomial at eigenvalues by the branching rule over horizontal
+strips, and the zonal polynomials used throughout are Schur polynomials
+scaled by the standard-Young-tableaux count of their shape. That scaling
+is the unique one for which the weight-m class sums to (tr X)^m, which is
+the normalization every series here relies on. The 1F1 series reads each
+weight's gather indices from one cached table. Over complete homogeneous
+symmetric polynomials (from power sums by Newton's identities), it takes
+the Schur values of partitions with fewer than p parts from the cofactor
+expansion of their Jacobi-Trudi determinants along the last column, over
+Schur values of lower weight that it already holds, and those of
+partitions with p parts in p variables as e_p times those of weight m - p
+(Macdonald, ch. I section 3). By the hook-content formula (ibid.,
+example 4), its coefficient of kappa is the Weyl dimension s_kappa(1^p)
+times one factor per cell of kappa.
 """
 
 from __future__ import annotations
@@ -202,30 +202,17 @@ def pochhammer_gen(a: complex, kappa) -> complex | float:
 # Schur and zonal polynomials
 
 
-def _h_table(lambdas: np.ndarray, degree: int, pad: int) -> np.ndarray:
-    """Complete homogeneous symmetric polynomials h_0..h_degree at lambdas,
-    after pad zeros that the negative degrees of a Jacobi-Trudi window read.
+def _h_table(lambdas: np.ndarray, degree: int) -> np.ndarray:
+    """Complete homogeneous symmetric polynomials h_0..h_degree at lambdas.
 
     Newton's identities from power sums: k h_k = sum_{i<=k} p_i h_{k-i}.
     """
-    h = np.zeros(pad + degree + 1)
-    hk = h[pad:]
-    hk[0] = 1.0
+    h = np.zeros(degree + 1)
+    h[0] = 1.0
     pows = np.power.outer(lambdas, np.arange(1, degree + 1)).sum(axis=0)
     for k in range(1, degree + 1):
-        hk[k] = np.dot(pows[:k][::-1], hk[:k]) / k
+        h[k] = np.dot(pows[:k][::-1], h[:k]) / k
     return h
-
-
-def _jt_det(h: np.ndarray, parts: tuple[int, ...]) -> float:
-    """Jacobi-Trudi determinant det h[kappa_i - i + j] of one partition
-    with ell >= 1 parts, in h padded in front by ell - 1 zeros: row i of
-    the matrix is the window of ell values starting at kappa_i - i + ell - 1."""
-    ell = len(parts)
-    starts = np.array(parts) + np.arange(ell - 1, -1, -1)
-    if ell == 1:
-        return float(h[starts[0]])
-    return float(np.linalg.det(h[starts[:, None] + np.arange(ell)]))
 
 
 def _narrow(index: np.ndarray) -> np.ndarray:
@@ -351,11 +338,13 @@ def schur_eval(kappa, lambdas: Sequence[float]) -> float:
     """Schur polynomial s_kappa at the given (real) eigenvalues.
 
     Returns 0 when kappa has more nonzero parts than variables. Uses the
-    Jacobi-Trudi determinant, which stays well conditioned at coincident
-    eigenvalues where the bialternant ratio degenerates. The determinant
-    is taken at lambda / scale, scale = max |lambda_i|, and scaled back one
-    factor per cell, so an h_k beyond double range does not overflow it; a
-    value itself beyond double range raises DomainError.
+    branching rule over horizontal strips (Koev & Edelman, Math. Comp. 75,
+    2006), a sum of products with no cancellation of its own: its error
+    relative to s_kappa(|lambda|) is a few ulps, also at widely spread or
+    coincident eigenvalues. It runs at lambda / scale, scale = max
+    |lambda_i|, and scales back one factor per cell, so no power of an
+    eigenvalue overflows; a value itself beyond double range raises
+    DomainError.
     """
     parts = Partition(kappa).parts
     lam = np.asarray(lambdas, dtype=np.float64)
@@ -366,14 +355,59 @@ def schur_eval(kappa, lambdas: Sequence[float]) -> float:
     if len(parts) == 0:
         return 1.0
     scale = float(np.abs(lam).max()) or 1.0
-    h = _h_table(lam / scale, parts[0] + len(parts) - 1, len(parts) - 1)
-    value = _jt_det(h, parts)
+    value = _branching(parts, lam / scale)
     for _ in range(sum(parts)):
         value *= scale
     if not math.isfinite(value):
         raise DomainError([f"Schur value finite (partition {parts})"],
                           context="Schur value overflows")
     return value
+
+
+# entries of the largest array _branching forms
+_BRANCHING_LIMIT = 1 << 22
+
+
+def _branching(parts: tuple[int, ...], x: np.ndarray) -> float:
+    """s_kappa(x_1..x_n) for a partition kappa with 1 <= len(kappa) <= n, by
+    s_mu(x_1..x_t) = sum_nu s_nu(x_1..x_{t-1}) x_t^(|mu| - |nu|) over the nu
+    with mu_{i+1} <= nu_i <= mu_i.
+
+    After variable t only the mu with kappa_{i+n-t} <= mu_i <= kappa_i and
+    at most t parts can still reach kappa, so s holds one entry per such mu,
+    an axis per part: axis i runs over the interval old[i] before the step
+    and new[i] after it. The step sums out the nu_i one axis at a time, the
+    last first: each sum is a product with a slice of the Toeplitz matrix
+    x_t^(m - j), j <= m, after zeroing the nu_i below mu_{i+1}.
+    """
+    ell, n = len(parts), len(x)
+    if (parts[0] + 1) ** 2 > _BRANCHING_LIMIT:
+        raise ValueError(f"partition {parts} too large for the branching rule")
+    pad = parts + (0,) * n
+    cols = np.arange(parts[0] + 1)
+    diff = cols[:, None] - cols
+    at_least = diff >= 0
+    power_index = np.maximum(diff, -1)  # -1 reads the 0 appended below
+    s = np.ones(1)
+    old = [(0, 0)] * ell
+    for t, xt in enumerate(x, start=1):
+        new = [(pad[i + n - t], parts[i]) for i in range(min(t, ell))]
+        if math.prod(hi - lo + 1 for lo, hi in new) > _BRANCHING_LIMIT:
+            raise ValueError(f"partition {parts} too large for the branching rule")
+        step = np.append(xt ** cols, 0.0)[power_index]
+        s = s.reshape([hi - lo + 1 for lo, hi in old[:len(new)]])
+        for i in reversed(range(len(new))):
+            (old_lo, old_hi), (lo, hi) = old[i], new[i]
+            if i + 1 < len(new):
+                next_lo, next_hi = new[i + 1]
+                keep = at_least[old_lo:old_hi + 1, next_lo:next_hi + 1]
+                s = s * keep.reshape(keep.shape + (1,) * (len(new) - i - 2))
+            shape = s.shape
+            s = np.matmul(step[lo:hi + 1, old_lo:old_hi + 1],
+                          s.reshape(math.prod(shape[:i]), shape[i], -1))
+            s = s.reshape(shape[:i] + (hi - lo + 1,) + shape[i + 1:])
+        old = new + old[len(new):]
+    return float(s.reshape(-1)[0])
 
 
 def zonal_from_eigs(kappa, lambdas: Sequence[float]) -> float:
@@ -505,7 +539,7 @@ def _hyp1f1_series(
     e_p = float(np.prod(lam))
     # p = 1 rows are all full
     if p > 1:
-        h = _h_table(lam, policy.max_order, 0)
+        h = _h_table(lam, policy.max_order)
         hh = np.zeros(2 * h.size + 1, dtype=np.longdouble)
         hh[1::2] = h
         hh[2::2] = -h

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mvda.averages import FunctionalSpec
+from mvda.averages import FUNCTIONALS, FunctionalSpec
 from mvda.errors import DomainError, SamplerError
 from mvda.linalg import (
     EIG_FLOOR_RTOL,
@@ -19,6 +19,7 @@ from mvda.linalg import (
     is_pd,
 )
 from mvda.measures import (
+    READS,
     MeasureSpec,
     _matrix_gamma_batch,
     _pivot,
@@ -574,3 +575,124 @@ class TestMeasureSpec:
         spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(2.0, 2.0))
         (x,) = sample_one(spec, SeedSpec(1, 1))
         assert HermitianMatrix.from_json(x.to_json()) == x
+
+
+def _t1(p, *alphas):
+    return MeasureSpec(kind="type1", p=p, k=len(alphas) - 1, alphas=alphas)
+
+
+def _t2(p, *alphas):
+    return MeasureSpec(kind="type2", p=p, k=len(alphas) - 1, alphas=alphas)
+
+
+RECT1 = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
+RECT2 = MeasureSpec(kind="rect_type2_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
+
+
+class TestSumsMeasure:
+    """The Dirichlet measure of the component sums an integrand reads: a
+    group's alphas summed; at type-1 the other components fold into the
+    closing alpha, at type-2 they drop; a rect kind is the p = 1 kind at
+    its scalar_alphas (here (2.5, 4.0, 2.0))."""
+
+    @pytest.mark.parametrize(
+        "measure, reads, want",
+        [
+            pytest.param(_t1(2, 2.0, 2.5, 3.0, 3.5), "sum", _t1(2, 7.5, 3.5), id="type1-sum"),
+            pytest.param(_t1(2, 2.0, 2.5, 3.0, 3.5), "first", _t1(2, 2.0, 9.0), id="type1-first"),
+            pytest.param(_t2(2, 2.0, 2.5, 3.0, 3.5), "sum", _t2(2, 7.5, 3.5), id="type2-sum"),
+            pytest.param(_t2(2, 2.0, 2.5, 3.0, 3.5), "first", _t2(2, 2.0, 3.5), id="type2-first"),
+            pytest.param(_t1(1, 0.4, 0.6, 0.5), "first", _t1(1, 0.4, 1.1), id="type1-p1-first"),
+            pytest.param(_t2(3, 3.5, 4.0, 20.0), "first", _t2(3, 3.5, 20.0), id="type2-p3-first"),
+            pytest.param(RECT1, "sum", _t1(1, 6.5, 2.0), id="rect_type1-sum"),
+            pytest.param(RECT1, "first", _t1(1, 2.5, 6.0), id="rect_type1-first"),
+            pytest.param(RECT2, "sum", _t2(1, 6.5, 2.0), id="rect_type2-sum"),
+            pytest.param(RECT2, "first", _t2(1, 2.5, 2.0), id="rect_type2-first"),
+        ],
+    )
+    def test_table(self, measure, reads, want):
+        assert measure.sums_measure(reads) == want
+
+    @pytest.mark.parametrize("measure", [_t1(2, 2.0, 2.5, 3.0), _t2(1, 2.0, 3.0), RECT1, RECT2],
+                             ids=["type1", "type2", "rect_type1_p1", "rect_type2_p1"])
+    def test_each_and_det_power_draw_the_measure_itself(self, measure):
+        assert FUNCTIONALS["det_power"].reads == "each"
+        assert measure.sums_measure("each") is measure
+
+    @pytest.mark.parametrize("reads", ["sum", "first"])
+    def test_k1_measure_is_its_own_sums_measure(self, reads):
+        for measure in (_t1(2, 2.0, 1.5), _t2(1, 0.3, 0.7)):
+            assert measure.sums_measure(reads) == measure
+
+    def test_reads_of_each_functional(self):
+        assert {name: f.reads for name, f in FUNCTIONALS.items()} == {
+            "det_power": "each",
+            "complement_power": "sum",
+            "exp_trace": "first",
+            "phi6": "first",
+            "hermitian_form_moment": "sum",
+        }
+        assert set(READS) == {"each", "sum", "first"}
+
+    def test_unknown_reads_and_invalid_measure_refused(self):
+        with pytest.raises(ValueError, match="unknown reads"):
+            _t1(1, 1.0, 1.0).sums_measure("last")
+        with pytest.raises(DomainError):
+            _t1(2, 1.0, 2.0, 2.0).sums_measure("sum")
+
+
+def _values(measure, functional, seed, n=200_000, chunk=50_000):
+    integrand = make_integrand(measure, functional)
+    return np.concatenate([
+        integrand(sample_batch(measure, seed, chunk, chunk=c)) for c in range(n // chunk)
+    ])
+
+
+def _two_sample_z(a, b):
+    """z of the difference in mean and in variance between two samples."""
+    def var_se(x):
+        c = x - x.mean()
+        v = np.mean(c * c)
+        return v, math.sqrt(max(np.mean(c**4) - v * v, 0.0) / len(x))
+
+    se_mean = math.hypot(*(x.std(ddof=1) / math.sqrt(len(x)) for x in (a, b)))
+    z_mean = (a.mean() - b.mean()) / se_mean
+    (va, sa), (vb, sb) = var_se(a), var_se(b)
+    return z_mean, (va - vb) / math.hypot(sa, sb)
+
+
+def _law_cases():
+    for p, k in ((1, 3), (2, 2), (3, 2)):
+        alphas = tuple(p + 0.5 * j for j in range(1, k + 2))
+        type1, type2 = _t1(p, *alphas), _t2(p, *alphas)
+        yield f"complement_type1_p{p}", type1, FunctionalSpec(kind="complement_power", delta=1.5)
+        yield f"complement_type2_p{p}", type2, FunctionalSpec(kind="complement_power", delta=0.5)
+        yield f"exp_trace_p{p}", _t1(p, *alphas[:3]), FunctionalSpec(kind="exp_trace")
+        # A = 4 I keeps phi6 light-tailed, so a wrong sums measure shows
+        phi6 = FunctionalSpec(kind="phi6", A=HermitianMatrix.diagonal([4.0] * p))
+        yield f"phi6_p{p}", _t2(p, *alphas[:3]), phi6
+    yield "complement_rect_type1", RECT1, FunctionalSpec(kind="complement_power", delta=1.0)
+    yield "complement_rect_type2", RECT2, FunctionalSpec(kind="complement_power", delta=0.5)
+    yield "form_moment_rect_type1", RECT1, FunctionalSpec(kind="hermitian_form_moment", h=1.5)
+    rect2 = MeasureSpec(kind="rect_type2_p1", p=1, k=2, alphas=(0.5, 1.0, 7.0), ns=(2, 3))
+    yield "form_moment_rect_type2", rect2, FunctionalSpec(kind="hermitian_form_moment", h=0.5)
+
+
+LAW_CASES = list(_law_cases())
+
+
+class TestSumsMeasureLaw:
+    """The integrand has one law on the measure and on its sums measure:
+    200k values from each, at fixed seeds, agree in mean and in variance
+    within 4 two-sample standard errors."""
+
+    @pytest.mark.parametrize("stream, measure, functional",
+                             [(i, *c[1:]) for i, c in enumerate(LAW_CASES)],
+                             ids=[c[0] for c in LAW_CASES])
+    def test_same_mean_and_variance(self, stream, measure, functional):
+        drawn = measure.sums_measure(FUNCTIONALS[functional.kind].reads)
+        assert drawn.k == 1 < measure.k
+        full = _values(measure, functional, SeedSpec(11, stream))
+        summed = _values(drawn, functional, SeedSpec(12, stream))
+        z_mean, z_var = _two_sample_z(full, summed)
+        assert abs(z_mean) <= 4 and abs(z_var) <= 4, (z_mean, z_var)

@@ -212,9 +212,57 @@ class TestSecondMomentGate:
                 stream=1,
             ),
         ]
-        for r in verify_suite(cases):
+        sampled = [[1.0, 2.0], [1.5, 3.0]]  # each draws the k = 1 measure of X_1
+        for r, alphas in zip(verify_suite(cases), sampled):
             assert r.verdict == "pass" and r.n == 20_000, r.diagnostics
+            assert r.diagnostics == {"sampled_alphas": alphas}
+
+
+class TestSampledAlphas:
+    """A report names the drawn measure's alphas wherever they differ from
+    the case's own scalar_alphas, one test per reads mode."""
+
+    @staticmethod
+    def report(measure, functional):
+        (r,) = verify_suite([case("c", measure, functional, n=5_000)])
+        assert r.verdict == "pass", r
+        return r
+
+    def test_each_draws_the_case_measure(self):
+        rect = MeasureSpec(kind="rect_type2_p1", p=1, k=2, alphas=(0.5, 1.0, 8.0), ns=(2, 3))
+        for measure in (scalar_type1(), rect):
+            r = self.report(measure, FunctionalSpec(kind="det_power", gammas=(0.5, 1.0)))
             assert r.diagnostics == {}
+
+    def test_sum_draws_the_sum(self):
+        measure = MeasureSpec(kind="type2", p=2, k=2, alphas=(2.5, 2.5, 3.5))
+        r = self.report(measure, FunctionalSpec(kind="complement_power", delta=1.0))
+        assert r.diagnostics == {"sampled_alphas": [5.0, 3.5]}
+        rect = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
+        r = self.report(rect, FunctionalSpec(kind="hermitian_form_moment", h=1.0))
+        assert r.diagnostics == {"sampled_alphas": [6.5, 2.0]}
+        # canonical output keeps it; the CSV columns stay as they are
+        doc = json.loads(report_emit([r], canonical=True))[0]
+        assert doc["diagnostics"] == {"sampled_alphas": [6.5, 2.0]}
+        assert report_emit([r], format="csv").decode().splitlines()[0] == CSV_HEADER
+
+    def test_first_draws_x1(self):
+        measure = MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 1.5, 1.5))
+        r = self.report(measure, FunctionalSpec(kind="exp_trace"))
+        assert r.diagnostics == {"sampled_alphas": [2.0, 3.0]}
+
+    @pytest.mark.parametrize(
+        "measure, functional",
+        [
+            (MeasureSpec(kind="type1", p=2, k=1, alphas=(2.5, 3.0)),
+             FunctionalSpec(kind="complement_power", delta=1.0)),
+            (MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(0.5, 2.0), ns=(2,)),
+             FunctionalSpec(kind="hermitian_form_moment", h=1.0)),
+        ],
+        ids=["type1_k1", "rect_k1"],
+    )
+    def test_k1_draws_its_own_alphas_unreported(self, measure, functional):
+        assert self.report(measure, functional).diagnostics == {}
 
 
 def _hermitian(rng, p):

@@ -368,6 +368,36 @@ class TestSchur:
         assert zonal_c(kappa, HermitianMatrix.diagonal([x, x])) == pytest.approx(
             syt_count(kappa) * want, rel=1e-14)
 
+    def test_widely_spread_spectrum_does_not_cancel(self):
+        # Jacobi-Trudi at lambda / 1e20 took e_2 as h_1^2 - h_2 = 1 - 1
+        assert schur_eval((1, 1), [1e20, 1.0]) == pytest.approx(1e20, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [
+        pytest.param((8.0, 7.0, 6.0, 5.0, 4.0, 3.0), id="integers"),
+        pytest.param((1.0, 0.9, 0.7, 0.5, 0.35, 0.2), id="decaying"),
+        pytest.param((-2.77, 1.38, -2.34, -0.24, -4.43, -4.81), id="mixed-signs"),
+    ])
+    def test_against_mpmath_up_to_weight_16(self, lam):
+        # within 1e-14 of s_kappa(|lambda|); Jacobi-Trudi in doubles was 2e-11..2e-10 off
+        def schur_mp(parts, x):
+            # Jacobi-Trudi at 50 digits, over h_k from Newton's identities
+            with mpmath.workdps(50):
+                x = [mpmath.mpf(v) for v in x]
+                ell = len(parts)
+                pows = [mpmath.fsum(v**r for v in x) for r in range(parts[0] + ell)]
+                h = [mpmath.mpf(1)]
+                for k in range(1, parts[0] + ell):
+                    h.append(mpmath.fsum(pows[i] * h[k - i] for i in range(1, k + 1)) / k)
+                rows = [[h[d] if d >= 0 else 0 for d in (parts[i] - i + j for j in range(ell))]
+                        for i in range(ell)]
+                return float(mpmath.det(mpmath.matrix(rows)))
+
+        for m in range(1, 17):
+            for kappa in partitions_of(m, len(lam)):
+                want = schur_mp(kappa.parts, lam)
+                bound = schur_mp(kappa.parts, [abs(v) for v in lam])
+                assert abs(schur_eval(kappa, lam) - want) <= 1e-14 * bound, kappa.parts
+
     def test_value_beyond_double_range_is_a_domain_error(self):
         with pytest.raises(DomainError, match="Schur value finite"):
             schur_eval((1,), [1e308, 1e308])
