@@ -354,6 +354,10 @@ class Functional:
     reads names the component sums the integrand reads (measures.READS):
     "each" X_j, only "sum" X_1 + ... + X_k, or only the "first" X_1; the
     Monte Carlo harness draws MeasureSpec.sums_measure(reads) for it.
+    determinants is True when the integrand reads only determinants: log
+    det X_j for reads "each", the complement determinant for "sum". At
+    p >= 2 the harness then draws the p scalar layers
+    MeasureSpec.layers(reads) in place of matrices.
     """
 
     required: tuple[str, ...]
@@ -362,12 +366,16 @@ class Functional:
     integrand: Callable[[MeasureSpec, FunctionalSpec], Integrand]
     exponent: Optional[str] = None
     reads: str = "each"
+    determinants: bool = False
 
 
 FUNCTIONALS: dict[str, Functional] = {
-    "det_power": Functional(("gammas",), (), det_power_average, _det_power_integrand, "gammas"),
+    "det_power": Functional(
+        ("gammas",), (), det_power_average, _det_power_integrand, "gammas", determinants=True
+    ),
     "complement_power": Functional(
-        ("delta",), (), complement_power_average, _complement_power_integrand, "delta", "sum"
+        ("delta",), (), complement_power_average, _complement_power_integrand, "delta", "sum",
+        determinants=True,
     ),
     "exp_trace": Functional(
         (), ("A", "policy"), exp_trace_average, _exp_trace_integrand, reads="first"

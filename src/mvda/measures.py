@@ -28,8 +28,9 @@ The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
 laws with the shifted parameters alpha_j + n_j (MeasureSpec.scalar_alphas).
 So every kind at p = 1 is drawn the same way, as a ratio of scalar gammas.
-A draw outside the support (a p = 1 value at 0 or inf, or at p >= 2 a
-gamma pivot that underflowed to 0) raises SamplerError.
+A draw outside the support (a p = 1 value at 0 or inf, a layer's value
+likewise, or at p >= 2 a gamma pivot that underflowed to 0) raises
+SamplerError.
 
 sample_batch returns the draws in the form it built them (Draws), not as
 matrices, and integrands ask a Draws the same four questions at every p.
@@ -51,6 +52,48 @@ aggregation property of the Dirichlet (Olkin & Rubin, 1964).
 MeasureSpec.sums_measure gives that measure, and the Monte Carlo harness
 draws it in place of the full one for a functional that reads only
 X_1 + ... + X_k or only X_1.
+
+A functional that reads only determinants needs no matrices at all. The
+complex matrix gamma function is Gamma_p(a) = pi^(p(p-1)/2) prod_{i<p}
+Gamma(a - i) (Goodman, 1963), and det W = prod_i |T_ii|^2 is a product of
+p independent gammas at shapes a - i. So sample_layers draws p independent
+p = 1 "layers" of the sums measure, layer i = 0..p-1 a scalar Dirichlet
+draw of the same kind at the alphas MeasureSpec.layers gives, and sums
+their logs: log det X_j = sum_i log x_ij, at type-1 log det(I - sum X_j) =
+sum_i log(1 - sum_j x_ij), at type-2 log det(I + sum X_j) = sum_i
+log(1 + sum_j x_ij). For reads "each" layer i is at (alpha_1 - i, ...,
+alpha_k - i, alpha_{k+1} + (k - 1) i) at type-1 and at (alpha_1 - i, ...,
+alpha_{k+1} - i) at type-2; for reads "sum", whose sums measure has
+k = 1 and alphas (a, b), it is at (a, b - i) at either kind. The law is
+exact:
+
+- Type-2, reads "each": det X_j = det W_j / det W_{k+1}, since |det C|^2
+  = 1 / det W_{k+1}. Each determinant is a product over the Bartlett
+  diagonal gammas, prod_i g_ij / g_i,k+1 with g_ij at shape alpha_j - i,
+  which is draw for draw the product of the layers' x_ij.
+- Every other case reads bounded values: det X_j in (0, 1) at type-1, the
+  type-1 complement determinant in (0, 1], and det(I + X)^-1 in (0, 1) at
+  type-2. A law on a bounded box is fixed by its integer moments
+  (Hausdorff), and the closed forms give those moments. At type-1, reads
+  "each", E prod_j det X_j^m_j = prod_j Gamma_p(alpha_j + m_j) /
+  Gamma_p(alpha_j) Gamma_p(A) / Gamma_p(A + M), A = sum alpha,
+  M = sum m. Written out, the pi heads cancel and this is prod_i of
+  prod_j Gamma(alpha_j - i + m_j) / Gamma(alpha_j - i) Gamma(A - i) /
+  Gamma(A - i + M), the scalar Dirichlet moment E prod_j x_ij^m_j at
+  (alpha_1 - i, ..., alpha_k - i, c_i) whenever the layer's alphas sum to
+  A - i, that is c_i = alpha_{k+1} + (k - 1) i; independent layers
+  multiply these moments. For reads "sum", E det(I - X)^m at type-1 and
+  E det(I + X)^-m at type-2 are both Gamma_p(b + m) Gamma_p(a + b) /
+  (Gamma_p(b) Gamma_p(a + b + m)) = prod_i Gamma(b - i + m) Gamma(a + b -
+  i) / (Gamma(b - i) Gamma(a + b - i + m)), the m-th moment of a
+  Beta(b - i, a) variable, which 1 - x_i is at type-1 and 1 / (1 + x_i)
+  at type-2 for layer i at (a, b - i).
+
+Layers drawn for one reads give only those determinants: the complement
+of "each" layers and the det X of "sum" layers have other laws, so a
+layered Draws refuses them. Every layer of a chunk comes from the one
+substream seed.child(chunk), in layer order; at p = 1 the one layer is
+the sums measure, drawn exactly as sample_batch draws it.
 
 Sampler correctness is not assumed: the Monte Carlo harness cross-checks
 every construction against the closed-form averages.
@@ -156,6 +199,32 @@ class MeasureSpec:
         closing = alphas[-1] + (sum(alphas[len(group):-1]) if self.type1 else 0.0)
         kind = "type1" if self.type1 else "type2"
         return MeasureSpec(kind=kind, p=self.p, k=1, alphas=(sum(group), closing))
+
+    def layers(self, reads: str) -> tuple["MeasureSpec", ...]:
+        """The p independent p = 1 layers of the determinants an integrand
+        reads, drawn by sample_layers (proof in the module docstring).
+
+        The layers are those of the sums measure. reads "each" gives the
+        layers of log det X_j: layer i (i = 0..p-1) at (alpha_1 - i, ...,
+        alpha_k - i, alpha_{k+1} + (k - 1) i) at type-1, and at every alpha
+        less i at type-2. reads "sum" gives the layers of the complement
+        determinant of the k = 1 sums measure (a, b), layer i at
+        (a, b - i) at either kind. At p = 1 the one layer is the sums
+        measure itself.
+        """
+        drawn = self.sums_measure(reads)
+        if drawn.p == 1:
+            return (drawn,)
+        if reads not in ("each", "sum"):
+            raise ValueError(f"layers take reads 'each' or 'sum', got {reads!r}")
+        a, k, p = drawn.alphas, drawn.k, drawn.p
+        if reads == "sum":
+            rows = [(a[0], a[1] - i) for i in range(p)]
+        else:
+            # the closing alpha gains (k - 1) i at type-1 and loses i at type-2
+            fold = k - 1 if drawn.type1 else -1
+            rows = [tuple(x - i for x in a[:-1]) + (a[-1] + fold * i,) for i in range(p)]
+        return tuple(MeasureSpec(kind=drawn.kind, p=1, k=k, alphas=row) for row in rows)
 
     def validate(self) -> None:
         """Raise DomainError naming every violated existence condition."""
@@ -336,6 +405,71 @@ class Draws:
         return _pack([self.gram(j) for j in range(len(self.t))])
 
 
+class _LayeredDraws(Draws):
+    """n draws of a measure's determinants as the sums of their p = 1
+    layers' (MeasureSpec.layers; proof in the module docstring).
+
+    Layers drawn for reads "each" give log det X_j; layers drawn for
+    "sum" give the complement determinant of the k = 1 sums measure,
+    log det(I - X) at type-1 and log det(I + X) at type-2. The layers have
+    no matrices, and no other answer has the measure's law, so asking for
+    one raises ValueError.
+    """
+
+    def __init__(self, layers: list[Draws], reads: str):
+        super().__init__()
+        self.layers = layers
+        self.reads = reads
+
+    def _sum(self, reads: str, answer) -> np.ndarray:
+        if reads != self.reads:
+            raise ValueError(f"layers drawn for reads {self.reads!r} do not give this answer")
+        return sum(answer(layer) for layer in self.layers)
+
+    @property
+    def logdet(self) -> np.ndarray:
+        return self._sum("each", lambda layer: layer.logdet)
+
+    @property
+    def log_complement(self) -> Optional[np.ndarray]:
+        if self.layers[0].complement is None:
+            return None
+        return self._sum("sum", lambda layer: layer.log_complement)
+
+    @property
+    def n(self) -> int:
+        return self.layers[0].n
+
+    def logdet_eye_plus(self, js) -> np.ndarray:
+        return self._sum("sum", lambda layer: layer.logdet_eye_plus(js))
+
+    def gram(self, *args):
+        raise ValueError("layered draws hold determinants only")
+
+    stack = gram
+
+
+def sample_layers(spec: MeasureSpec, reads: str, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
+    """n draws of the determinants an integrand reads, from the p = 1
+    layers spec.layers(reads) (see _LayeredDraws).
+
+    Every layer of a chunk is drawn in order from the one substream
+    seed.child(chunk), so the layers are independent of each other and the
+    output is a pure function of (seed, stream, chunk, n), as in
+    sample_batch. A draw outside a layer's support raises SamplerError
+    naming p, the layer and its shapes.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0 (got {n})")
+    layers = spec.layers(reads)
+    rng = seed.child(chunk)
+    draws = [
+        _scalar_draws(rng, layer, n, f"p = {spec.p} layer {i} at shapes {layer.alphas}:")
+        for i, layer in enumerate(layers)
+    ]
+    return _LayeredDraws(draws, reads)
+
+
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
     """n draws of the p x p complex matrix gamma, as an (n, p, p) stack.
 
@@ -345,6 +479,25 @@ def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.nda
     t = _triangular_factor(rng, p, alpha, n)
     _check_support(_log_diagonal(t)[None])
     return Draws(t=[t]).stack()[0]
+
+
+def _scalar_draws(rng: CounterRng, spec: MeasureSpec, n: int, where: str = "p = 1") -> Draws:
+    """n draws of a p = 1 measure from rng: the scalar Dirichlet law.
+
+    k gammas, then the closing one, divided in place: by their sum at
+    type-1, which leaves the complement in the last row, and by the
+    closing gamma at type-2. where names the draw in a SamplerError.
+    """
+    k = spec.k
+    w = np.stack([rng.gammas(a, n) for a in spec.scalar_alphas])
+    with np.errstate(all="ignore"):  # _check_p1_support reports 0, inf and nan
+        if spec.type1:
+            np.divide(w, w.sum(axis=0), out=w)
+        else:
+            np.divide(w[:k], w[k], out=w[:k])
+    x, complement = w[:k], (w[k] if spec.type1 else None)
+    _check_p1_support(x, complement, where)
+    return Draws(values=x, complement=complement)
 
 
 def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
@@ -360,18 +513,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     k, p = spec.k, spec.p
 
     if p == 1:
-        # the scalar Dirichlet law: k gammas, then the closing one, divided in
-        # place: by their sum at type-1, which leaves the complement in the
-        # last row, and by the closing gamma at type-2
-        w = np.stack([rng.gammas(a, n) for a in spec.scalar_alphas])
-        with np.errstate(all="ignore"):  # _check_p1_support reports 0, inf and nan
-            if spec.type1:
-                np.divide(w, w.sum(axis=0), out=w)
-            else:
-                np.divide(w[:k], w[k], out=w[:k])
-        x, complement = w[:k], (w[k] if spec.type1 else None)
-        _check_p1_support(x, complement)
-        return Draws(values=x, complement=complement)
+        return _scalar_draws(rng, spec, n)
 
     t = [_triangular_factor(rng, p, a, n) for a in spec.alphas]
     if spec.type1:
@@ -395,9 +537,11 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     return Draws(t=t[:k], l=l, logdet=logs[:k], log_complement=logs[k] if spec.type1 else None)
 
 
-def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray] = None) -> None:
+def _check_p1_support(
+    x: np.ndarray, complement: Optional[np.ndarray] = None, where: str = "p = 1"
+) -> None:
     """Raise unless every p = 1 value x_j is positive and finite and, at
-    type-1, the complement is positive.
+    type-1, the complement is positive; where names the draw in the message.
 
     A gamma draw at a shape below 1 can underflow to 0, which puts x_j at
     0 or at inf. The type-1 complement 1 - sum(x) is the ratio
@@ -407,11 +551,10 @@ def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray] = None) ->
     # initial=1.0 passes an empty batch (n = 0); a nan fails both
     if not (x.min(initial=1.0) > 0 and x.max(initial=1.0) < np.inf):
         bad = ~((x > 0) & (x < np.inf)).all(axis=0)
-        raise SamplerError(f"p = 1 value not positive and finite at sample {int(np.argmax(bad))}")
+        raise SamplerError(f"{where} value not positive and finite at sample {int(np.argmax(bad))}")
     if complement is not None and np.any(complement <= 0):
-        raise SamplerError(
-            f"type-1 complement 1 - sum x_j is 0 at sample {int(np.argmax(complement <= 0))}"
-        )
+        first = int(np.argmax(complement <= 0))
+        raise SamplerError(f"{where} type-1 complement 1 - sum x_j is 0 at sample {first}")
 
 
 def _check_support(logs: np.ndarray) -> None:

@@ -17,6 +17,13 @@ on either measure, and the estimate is unbiased with the same standard
 error in expectation. sampled_alphas in the diagnostics names the drawn
 measure wherever its alphas differ from the case's own.
 
+A functional that reads only determinants (averages.Functional.determinants:
+det_power and complement_power) draws no matrices at p >= 2. Each chunk
+draws the p scalar layers of the sums measure, MeasureSpec.layers, from
+its one substream, and the integrand's log-determinants are sums over the
+layers (measures.sample_layers, where the law is proved). At p = 1, and for
+every other functional, the chunk draws the sums measure with sample_batch.
+
 A case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR). The SE
 is a standard error only when the integrand has a finite second moment. For
 the power functionals that moment is the closed form at twice the exponent,
@@ -40,7 +47,7 @@ import numpy as np
 
 from .averages import FUNCTIONALS, FunctionalSpec, Integrand, evaluate_average
 from .errors import DomainError, MvdaError, NonFiniteIntegrand
-from .measures import MeasureSpec, sample_batch
+from .measures import MeasureSpec, sample_batch, sample_layers
 from .rng import SeedSpec
 
 # Comparator floor: a case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR).
@@ -175,9 +182,15 @@ def _pin_heap() -> bool:
     return all(mallopt(param, value) == 1 for param, value in _HEAP_PIN)
 
 
-def _chunk_sums(measure, integrand, config, c):
+def _chunk_sums(measure, integrand, config, c, layer_reads=None):
+    """(sum, sum of squares) of the integrand over chunk c: on the draws of
+    sample_batch, or on the scalar layers of layer_reads when it is set."""
     start = c * config.chunk
-    draws = sample_batch(measure, config.seed, min(config.chunk, config.samples - start), chunk=c)
+    n = min(config.chunk, config.samples - start)
+    if layer_reads is None:
+        draws = sample_batch(measure, config.seed, n, chunk=c)
+    else:
+        draws = sample_layers(measure, layer_reads, config.seed, n, chunk=c)
     # inf and nan surface as NonFiniteIntegrand below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         vals = integrand(draws)
@@ -193,13 +206,18 @@ def mc_estimate_full(
     """(estimate, std_error, n, diagnostics) from n = config.samples draws:
     the sample mean and the sample standard deviation over sqrt(n).
 
-    The draws come from measure.sums_measure of the functional's reads (see
-    the module docstring). diagnostics holds its alphas as sampled_alphas
-    when they differ from the measure's own scalar_alphas, else it is {}.
+    The draws come from measure.sums_measure of the functional's reads,
+    as its p scalar layers at p >= 2 for a functional of determinants (see
+    the module docstring). diagnostics holds the sums measure's alphas as
+    sampled_alphas when they differ from the measure's own scalar_alphas,
+    else it is {}.
     """
     _pin_heap()
-    drawn = measure.sums_measure(FUNCTIONALS[functional.kind].reads)
-    run = partial(_chunk_sums, drawn, make_integrand(drawn, functional), config)
+    entry = FUNCTIONALS[functional.kind]
+    drawn = measure.sums_measure(entry.reads)
+    layered = entry.reads if entry.determinants and drawn.p > 1 else None
+    run = partial(_chunk_sums, drawn, make_integrand(drawn, functional), config,
+                  layer_reads=layered)
     chunks = range(-(-config.samples // config.chunk))
     if workers <= 1:
         parts = [run(c) for c in chunks]

@@ -435,6 +435,10 @@ def zonal_c(kappa, x: HermitianMatrix) -> float:
 REL_STOP = 1e-12
 CONSECUTIVE_ORDERS = 3
 
+# dtype of the short rows' Schur values in the series (see _hyp1f1_series);
+# a double where the platform's long double is one
+_SHORT_ROW_DTYPE = np.longdouble
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -512,8 +516,9 @@ def _hyp1f1_series(
     factor overflows alone; cell[k, j] is that product over the first k
     cells of row j. Every index an order needs comes from its cached
     _weight_table. The Schur values of the short rows, those with fewer
-    than p parts, of every order so far sit in one flat np.longdouble
-    array, table after table, grown by doubling. A short row expands its
+    than p parts, of every order so far sit in one flat array of
+    _SHORT_ROW_DTYPE (np.longdouble), table after table, grown by
+    doubling. A short row expands its
     Jacobi-Trudi determinant along the last column over Schur values of
     lower weight that this array holds: one einsum of p - 1 signed h,
     taken from the interleaved [0, h_0, -h_0, h_1, -h_1, ...], times p - 1
@@ -540,7 +545,7 @@ def _hyp1f1_series(
     # p = 1 rows are all full
     if p > 1:
         h = _h_table(lam, policy.max_order)
-        hh = np.zeros(2 * h.size + 1, dtype=np.longdouble)
+        hh = np.zeros(2 * h.size + 1, dtype=_SHORT_ROW_DTYPE)
         hh[1::2] = h
         hh[2::2] = -h
     # [c]_kappa vanishes only at an integer c < p, first at the one partition
@@ -552,7 +557,7 @@ def _hyp1f1_series(
     schur = [np.ones(1)]  # schur[m]: Schur values of table m; m = 0 is s_() = 1
     # the short rows' Schur values of every order so far, table after table;
     # ext[0] is s_() and ext[:ext_end] is filled
-    ext, ext_end = np.ones(64, dtype=np.longdouble), 1
+    ext, ext_end = np.ones(64, dtype=_SHORT_ROW_DTYPE), 1
     total = 1.0 + 0.0j  # m = 0 term
     abs_sum = 1.0  # sum of |term_m|, which bounds the rounding error of total
     streak = 0
@@ -576,7 +581,7 @@ def _hyp1f1_series(
             if n_short:
                 lo, ext_end = ext_end, ext_end + n_short
                 if ext_end > ext.size:
-                    grown = np.empty(max(2 * ext.size, ext_end), dtype=np.longdouble)
+                    grown = np.empty(max(2 * ext.size, ext_end), dtype=_SHORT_ROW_DTYPE)
                     grown[:lo] = ext[:lo]
                     ext = grown
                 short = ext[lo:ext_end]

@@ -4,14 +4,23 @@ from hypothesis import given, settings, strategies as st
 
 from mvda.errors import NotPositiveDefinite
 from mvda.linalg import (
+    EIG_FLOOR_RTOL,
     PIVOT_RTOL,
     HermitianMatrix,
+    _cholesky,
+    _forward,
+    _gram,
+    _pack,
+    _refuse,
     cholesky,
     eigvals_hermitian,
     inv_sqrt,
     is_pd,
     logdet_abs,
 )
+from mvda.measures import _pivot, floor_event_count
+
+from grids import dense, grid, herm, max_rel, random_lower
 
 
 def random_hermitian(p, rng, scale=1.0):
@@ -237,3 +246,56 @@ class TestInvSqrt:
     def test_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
             inv_sqrt(HermitianMatrix.diagonal([1.0, -2.0]))
+
+
+class TestEntrywiseKernels:
+    """Each grid kernel of linalg against numpy's LAPACK or matmul to 1e-12."""
+
+    N = 2_000
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_gram_matches_matmul(self, p):
+        t = random_lower(np.random.default_rng(p), self.N, p)
+        assert max_rel(_pack([_gram(grid(t))])[0], t @ herm(t)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_cholesky_matches_lapack(self, p):
+        t = random_lower(np.random.default_rng(10 + p), self.N, p)
+        s = t @ herm(t)
+        assert max_rel(dense(_cholesky(grid(s), _refuse)), np.linalg.cholesky(s)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_forward_substitution_matches_solve(self, p):
+        rng = np.random.default_rng(20 + p)
+        l, t = random_lower(rng, self.N, p), random_lower(rng, self.N, p)
+        u = dense(_forward(grid(l), grid(t)))
+        assert max_rel(u, np.linalg.solve(l, t)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_pack_rebuilds_hermitian_stacks(self, p):
+        rng = np.random.default_rng(50 + p)
+        s = [t @ herm(t) for t in (random_lower(rng, self.N, p) for _ in range(3))]
+        packed = _pack([grid(x) for x in s])
+        assert packed.shape == (3, self.N, p, p)
+        assert np.array_equal(packed, packed.conj().swapaxes(-1, -2))
+        assert np.array_equal(np.tril(packed, -1), np.tril(np.stack(s), -1))
+        assert max_rel(packed.reshape(-1, p, p), np.concatenate(s)) <= 1e-12
+
+class TestPivotFloor:
+    """A squared pivot of the type-1 S below EIG_FLOOR_RTOL times its largest
+    diagonal entry is raised to that value and counted once."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cholesky_pivot_raised_and_counted(self, p):
+        # integer factor with a zero second pivot: S = L0 L0* is exact in
+        # floating point, so that pivot comes out exactly 0 and the rest exact
+        l0 = np.array([[2, 0, 0], [1 + 1j, 0, 0], [1, 3 - 1j, 1]])[:p, :p]
+        t = random_lower(np.random.default_rng(60 + p), 1_000, p)
+        t[:5] = l0
+        s = t @ herm(t)
+        before = floor_event_count()
+        l = _cholesky(grid(s), _pivot)
+        assert floor_event_count() - before == 5
+        scale = np.max(np.einsum("nii->ni", s).real, axis=1)
+        assert np.allclose(l[1][1][:5] ** 2, EIG_FLOOR_RTOL * scale[:5], rtol=1e-12, atol=0)
+        assert max_rel(dense(l)[5:], np.linalg.cholesky(s[5:])) <= 1e-12

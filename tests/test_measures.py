@@ -8,29 +8,22 @@ from scipy.special import gammaln
 
 from mvda.averages import FUNCTIONALS, FunctionalSpec
 from mvda.errors import DomainError, SamplerError
-from mvda.linalg import (
-    EIG_FLOOR_RTOL,
-    HermitianMatrix,
-    _cholesky,
-    _forward,
-    _gram,
-    _pack,
-    _refuse,
-    is_pd,
-)
+from mvda.linalg import HermitianMatrix, is_pd
 from mvda.measures import (
     READS,
     MeasureSpec,
     _matrix_gamma_batch,
-    _pivot,
     _triangular_factor,
     floor_event_count,
     sample_batch,
+    sample_layers,
     sample_matrix_gamma,
     sample_one,
 )
 from mvda.montecarlo import McConfig, VerifyCase, make_integrand, verify_suite
 from mvda.rng import SeedSpec
+
+from grids import dense, herm, max_rel
 
 N = 100_000
 
@@ -288,70 +281,9 @@ class TestScalarSupport:
         assert "rect" not in str(err.value)
 
 
-def _random_lower(rng, n, p):
-    """n lower-triangular p x p matrices with positive real diagonals."""
-    t = np.tril(rng.normal(size=(n, p, p)) + 1j * rng.normal(size=(n, p, p)), -1)
-    t[:, range(p), range(p)] = rng.uniform(0.5, 2.0, size=(n, p))
-    return t
-
-
-def _grid(a):
-    """The grid of an (n, p, p) stack: its lower triangle, with real diagonal
-    entries."""
-    p = a.shape[-1]
-    return [[a[:, i, j].real if i == j else a[:, i, j] for j in range(i + 1)] for i in range(p)]
-
-
-def _dense(rows):
-    """The (n, p, p) stack of a lower-triangular grid, zero above it."""
-    p = len(rows)
-    out = np.zeros(np.shape(rows[0][0]) + (p, p), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, z in enumerate(row):
-            out[..., i, j] = z
-    return out
-
-
-def _max_rel(x, ref):
-    return np.max(np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2)))
-
-
-def _herm(a):
-    return a.conj().transpose(0, 2, 1)
-
-
 class TestEntrywiseKernels:
-    """Each grid kernel of linalg against numpy's LAPACK or matmul to 1e-12."""
-
-    N = 2_000
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
-    def test_gram_matches_matmul(self, p):
-        t = _random_lower(np.random.default_rng(p), self.N, p)
-        assert _max_rel(_pack([_gram(_grid(t))])[0], t @ _herm(t)) <= 1e-12
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
-    def test_cholesky_matches_lapack(self, p):
-        t = _random_lower(np.random.default_rng(10 + p), self.N, p)
-        s = t @ _herm(t)
-        assert _max_rel(_dense(_cholesky(_grid(s), _refuse)), np.linalg.cholesky(s)) <= 1e-12
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
-    def test_forward_substitution_matches_solve(self, p):
-        rng = np.random.default_rng(20 + p)
-        l, t = _random_lower(rng, self.N, p), _random_lower(rng, self.N, p)
-        u = _dense(_forward(_grid(l), _grid(t)))
-        assert _max_rel(u, np.linalg.solve(l, t)) <= 1e-12
-
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
-    def test_pack_rebuilds_hermitian_stacks(self, p):
-        rng = np.random.default_rng(50 + p)
-        s = [t @ _herm(t) for t in (_random_lower(rng, self.N, p) for _ in range(3))]
-        packed = _pack([_grid(x) for x in s])
-        assert packed.shape == (3, self.N, p, p)
-        assert np.array_equal(packed, packed.conj().swapaxes(-1, -2))
-        assert np.array_equal(np.tril(packed, -1), np.tril(np.stack(s), -1))
-        assert _max_rel(packed.reshape(-1, p, p), np.concatenate(s)) <= 1e-12
+    """The matrix gamma's grid factor against a dense rebuild from the same
+    stream (the grid kernels themselves are tested in test_linalg)."""
 
     def test_matrix_gamma_reads_stream_in_triangular_order(self):
         # diagonal gammas at alpha, alpha - 1, ..., then the normals row by row
@@ -364,27 +296,12 @@ class TestEntrywiseKernels:
             for j in range(i):
                 t[:, i, j] = rng.complex_normals(n)
         w = _matrix_gamma_batch(SeedSpec(21).child(0), p, alpha, n)
-        assert _max_rel(w, t @ _herm(t)) <= 1e-14
+        assert max_rel(w, t @ herm(t)) <= 1e-14
 
 
 class TestPivotFloor:
-    """A squared pivot of the type-1 S below EIG_FLOOR_RTOL times its largest
-    diagonal entry is raised to that value and counted once."""
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_cholesky_pivot_raised_and_counted(self, p):
-        # integer factor with a zero second pivot: S = L0 L0* is exact in
-        # floating point, so that pivot comes out exactly 0 and the rest exact
-        l0 = np.array([[2, 0, 0], [1 + 1j, 0, 0], [1, 3 - 1j, 1]])[:p, :p]
-        t = _random_lower(np.random.default_rng(60 + p), 1_000, p)
-        t[:5] = l0
-        s = t @ _herm(t)
-        before = floor_event_count()
-        l = _cholesky(_grid(s), _pivot)
-        assert floor_event_count() - before == 5
-        scale = np.max(np.einsum("nii->ni", s).real, axis=1)
-        assert np.allclose(l[1][1][:5] ** 2, EIG_FLOOR_RTOL * scale[:5], rtol=1e-12, atol=0)
-        assert _max_rel(_dense(l)[5:], np.linalg.cholesky(s[5:])) <= 1e-12
+    """The type-2 L is never factored, so nothing floors its pivots (the
+    floor of the type-1 S is tested in test_linalg)."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_type2_zero_pivot_raises_without_floor_event(self, p):
@@ -395,7 +312,7 @@ class TestPivotFloor:
         n = 2_000
         rng = SeedSpec(42, 14).child(0)
         _triangular_factor(rng, p, spec.alphas[0], n)
-        last = _dense(_triangular_factor(rng, p, spec.alphas[1], n))
+        last = dense(_triangular_factor(rng, p, spec.alphas[1], n))
         zero = np.einsum("nii->ni", last).real == 0
         assert not zero[:, :-1].any() and 0 < zero[:, -1].sum() < n
         before = floor_event_count()
@@ -421,7 +338,7 @@ class TestGammaPivotSupport:
         spec = MeasureSpec(kind=kind, p=p, k=2, alphas=tuple(alphas))
         n = 2_000
         rng = SeedSpec(42, 18).child(0)
-        diag = [np.einsum("nii->ni", _dense(_triangular_factor(rng, p, a, n))).real
+        diag = [np.einsum("nii->ni", dense(_triangular_factor(rng, p, a, n))).real
                 for a in spec.alphas]
         zero = [(d == 0).any(axis=1) for d in diag]
         assert not any(z.any() for j, z in enumerate(zero) if j != small)
@@ -439,15 +356,15 @@ class TestType2Construction:
         spec = MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0))
         n = 2_000
         rng = SeedSpec(42, 16).child(0)
-        t = [_dense(_triangular_factor(rng, p, a, n)) for a in spec.alphas]
-        l = np.flip(_herm(t[-1]), axis=(1, 2))
+        t = [dense(_triangular_factor(rng, p, a, n)) for a in spec.alphas]
+        l = np.flip(herm(t[-1]), axis=(1, 2))
         assert np.array_equal(l, np.tril(l))
-        w = t[-1] @ _herm(t[-1])
-        assert _max_rel(_herm(l) @ l, np.flip(w, axis=(1, 2))) <= 1e-12
+        w = t[-1] @ herm(t[-1])
+        assert max_rel(herm(l) @ l, np.flip(w, axis=(1, 2))) <= 1e-12
         c = np.linalg.inv(l)
         x = sample_batch(spec, SeedSpec(42, 16), n).stack()
         for j in range(spec.k):
-            assert _max_rel(x[j], c @ t[j] @ _herm(t[j]) @ _herm(c)) <= 1e-12
+            assert max_rel(x[j], c @ t[j] @ herm(t[j]) @ herm(c)) <= 1e-12
 
 
 class TestSupportByConstruction:
@@ -695,4 +612,144 @@ class TestSumsMeasureLaw:
         full = _values(measure, functional, SeedSpec(11, stream))
         summed = _values(drawn, functional, SeedSpec(12, stream))
         z_mean, z_var = _two_sample_z(full, summed)
+        assert abs(z_mean) <= 4 and abs(z_var) <= 4, (z_mean, z_var)
+
+
+class TestLayers:
+    """The p scalar layers of the determinants an integrand reads. At
+    type-1, reads "each" takes i off alpha_1..alpha_k and folds (k - 1) i
+    into the closing alpha; at type-2 every alpha loses i; reads "sum"
+    takes i off the closing alpha of the k = 1 sums measure."""
+
+    @pytest.mark.parametrize(
+        "measure, reads, want",
+        [
+            pytest.param(_t1(3, 3.5, 4.0, 4.5), "each",
+                         [_t1(1, 3.5, 4.0, 4.5), _t1(1, 2.5, 3.0, 5.5), _t1(1, 1.5, 2.0, 6.5)],
+                         id="type1-each"),
+            pytest.param(_t2(3, 3.5, 4.0, 4.5), "each",
+                         [_t2(1, 3.5, 4.0, 4.5), _t2(1, 2.5, 3.0, 3.5), _t2(1, 1.5, 2.0, 2.5)],
+                         id="type2-each"),
+            pytest.param(_t1(2, 2.0, 2.5, 3.0), "sum", [_t1(1, 4.5, 3.0), _t1(1, 4.5, 2.0)],
+                         id="type1-sum"),
+            pytest.param(_t2(2, 2.0, 2.5, 3.0), "sum", [_t2(1, 4.5, 3.0), _t2(1, 4.5, 2.0)],
+                         id="type2-sum"),
+            pytest.param(_t1(2, 2.0, 3.0), "each", [_t1(1, 2.0, 3.0), _t1(1, 1.0, 3.0)],
+                         id="type1-k1-each"),
+        ],
+    )
+    def test_table(self, measure, reads, want):
+        assert list(measure.layers(reads)) == want
+
+    @pytest.mark.parametrize("reads", ["each", "sum", "first"])
+    def test_p1_layer_is_the_sums_measure(self, reads):
+        for measure in (_t1(1, 0.4, 0.6, 0.5), _t2(1, 0.4, 0.6, 0.5), RECT1, RECT2):
+            assert measure.layers(reads) == (measure.sums_measure(reads),)
+
+    def test_first_refused_at_p2(self):
+        with pytest.raises(ValueError, match="layers take reads 'each' or 'sum'"):
+            _t1(2, 2.0, 2.5, 3.0).layers("first")
+
+    def test_determinant_functionals(self):
+        assert {name for name, f in FUNCTIONALS.items() if f.determinants} == {
+            "det_power", "complement_power"
+        }
+
+    @pytest.mark.parametrize("reads", ["each", "sum"])
+    def test_p1_draws_are_sample_batch_draws(self, reads):
+        measure = _t1(1, 0.4, 0.6, 0.5).sums_measure(reads)
+        layered = sample_layers(measure, reads, SeedSpec(42, 19), 1_000, chunk=3)
+        direct = sample_batch(measure, SeedSpec(42, 19), 1_000, chunk=3)
+        if reads == "each":
+            assert np.array_equal(layered.logdet, direct.logdet)
+        else:
+            assert np.array_equal(layered.log_complement, direct.log_complement)
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_layers_read_one_stream_in_order(self, kind):
+        # layer 0's gammas, then layer 1's, from the one substream of the chunk
+        measure = MeasureSpec(kind=kind, p=2, k=2, alphas=(2.5, 3.0, 3.5))
+        n = 1_000
+        rng = SeedSpec(42, 20).child(4)
+        logdet = 0
+        for layer in measure.layers("each"):
+            w = np.stack([rng.gammas(a, n) for a in layer.alphas])
+            logdet = logdet + np.log(w[:2] / (w.sum(axis=0) if layer.type1 else w[2]))
+        got = sample_layers(measure, "each", SeedSpec(42, 20), n, chunk=4).logdet
+        assert np.allclose(got, logdet, rtol=1e-14, atol=0)
+
+    def test_only_the_read_determinants_answer(self):
+        each = sample_layers(_t1(2, 2.5, 3.0, 3.5), "each", SeedSpec(1), 10)
+        assert each.logdet.shape == (2, 10) and each.n == 10
+        for ask in (lambda: each.log_complement, lambda: each.logdet_eye_plus((0,))):
+            with pytest.raises(ValueError, match="reads 'each' do not give"):
+                ask()
+        for ask in (each.stack, lambda: each.trace(np.eye(2), 0)):
+            with pytest.raises(ValueError, match="determinants only"):
+                ask()
+        for measure in (_t1(2, 4.5, 3.5), _t2(2, 4.5, 3.5)):
+            summed = sample_layers(measure, "sum", SeedSpec(1), 10)
+            comp = summed.log_complement if measure.type1 else summed.logdet_eye_plus((0,))
+            assert comp.shape == (10,) and np.isfinite(comp).all()
+            with pytest.raises(ValueError, match="reads 'sum' do not give"):
+                summed.logdet
+
+    def test_draw_outside_support_names_the_layer(self):
+        # layer 1 of alpha_1 = 1 + 1e-7 at p = 2 draws Gamma(1e-7), which
+        # underflows to 0 in nearly every draw: x_1 = 0, outside the support
+        measure = _t1(2, 1 + 1e-7, 2.0)
+        named = (r"^p = 2 layer 1 at shapes \(1\.0000000005838672e-07, 2\.0\): "
+                 r"value not positive and finite at sample \d+$")
+        with pytest.raises(SamplerError, match=named):
+            sample_layers(measure, "each", SeedSpec(42), 1_000)
+        # the grid path refuses the same measure
+        with pytest.raises(SamplerError, match="underflowed to 0"):
+            sample_batch(measure, SeedSpec(42), 1_000)
+        functional = FunctionalSpec(kind="det_power", gammas=(1.0,))
+        case = VerifyCase("near", measure, functional, McConfig(20_000, SeedSpec(42)))
+        (r,) = verify_suite([case])
+        assert r.verdict == "fail" and r.n == 0 and r.estimate is None
+        assert r.diagnostics["error"] == "SamplerError"
+        assert r.diagnostics["message"].startswith("p = 2 layer 1 at shapes")
+
+
+def _layer_law_cases():
+    for p in (2, 3, 4):
+        for k in (1, 2):
+            alphas = tuple(p + 0.5 * j for j in range(1, k + 2))
+            # a closing alpha 3 above the rest keeps the type-2 powers' fourth
+            # moments finite
+            wide = alphas[:-1] + (alphas[-1] + 3.0,)
+            yield (f"det_type1_p{p}_k{k}", _t1(p, *alphas),
+                   FunctionalSpec(kind="det_power", gammas=(1.0, 0.5)[:k]))
+            yield (f"det_type2_p{p}_k{k}", _t2(p, *wide),
+                   FunctionalSpec(kind="det_power", gammas=(0.25, 0.5)[:k]))
+            yield (f"complement_type1_p{p}_k{k}", _t1(p, *alphas),
+                   FunctionalSpec(kind="complement_power", delta=1.5))
+            yield (f"complement_type2_p{p}_k{k}", _t2(p, *alphas),
+                   FunctionalSpec(kind="complement_power", delta=0.5))
+
+
+LAYER_LAW_CASES = list(_layer_law_cases())
+
+
+class TestLayersLaw:
+    """The integrand has one law on the matrix draws and on the layers:
+    200k values from each, at fixed seeds, agree in mean and in variance
+    within 4 two-sample standard errors."""
+
+    @pytest.mark.parametrize("stream, measure, functional",
+                             [(i, *c[1:]) for i, c in enumerate(LAYER_LAW_CASES)],
+                             ids=[c[0] for c in LAYER_LAW_CASES])
+    def test_same_mean_and_variance(self, stream, measure, functional):
+        reads = FUNCTIONALS[functional.kind].reads
+        drawn = measure.sums_measure(reads)
+        integrand = make_integrand(drawn, functional)
+        n, chunk = 200_000, 50_000
+        layered = np.concatenate([
+            integrand(sample_layers(drawn, reads, SeedSpec(14, stream), chunk, chunk=c))
+            for c in range(n // chunk)
+        ])
+        grid = _values(drawn, functional, SeedSpec(13, stream), n, chunk)
+        z_mean, z_var = _two_sample_z(grid, layered)
         assert abs(z_mean) <= 4 and abs(z_var) <= 4, (z_mean, z_var)

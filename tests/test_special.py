@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from mvda.errors import BadSupport, BadWeights, DomainError, PochhammerPole
+from mvda import special
 from mvda.linalg import HermitianMatrix
 from mvda.special import (
     CONSECUTIVE_ORDERS,
@@ -673,6 +674,35 @@ class TestHyp1F1:
         res = hyp1f1_matrix(a, c, eigs, TruncationPolicy(max_order=150))
         assert res.converged is True
         assert res.value == pytest.approx(gross_richards(a, c, eigs), rel=rel)
+
+    # p = 5 and 6 spectra: mixed signs near the closed_form benchmark's
+    # (4, -2, ...) pattern at a == c, and two spectra from the cofactor
+    # expansion's error study
+    DOUBLE_SHORT_ROWS = [
+        ([4.1, -1.9, 3.8, -2.1, 4.2], 6.4, 6.4),
+        ([4.1, -1.9, 3.8, -2.1, 4.2, -2.05], 7.3, 7.3),
+        ([3.9, -2.1, 4.2, -1.95, 3.85, -2.0], 6.2, 6.2),
+        ([4.0, -2.0, 3.0, -1.0, 0.5], 4.5, 9.3),
+        ([-2.77, 1.38, -2.34, -0.24, -4.43, -4.81], 2.5, 8.1),
+    ]
+
+    def test_short_rows_in_doubles(self, monkeypatch):
+        # Where long double is a double (MSVC, macOS on arm64) the short rows'
+        # Schur values carry the cofactor expansion's error in doubles. The
+        # worst 1F1 error measured that way is 9.7e-13 on these spectra (at
+        # most 1.8e-13 in x86 long double) and 1.6e-12 on the closed_form
+        # benchmark's.
+        policy = TruncationPolicy(max_order=150)
+        wide = [hyp1f1_matrix(a, c, eigs, policy).value for eigs, a, c in self.DOUBLE_SHORT_ROWS]
+        monkeypatch.setattr(special, "_SHORT_ROW_DTYPE", np.float64)
+        narrow = []
+        for eigs, a, c in self.DOUBLE_SHORT_ROWS:
+            res = hyp1f1_matrix(a, c, eigs, policy)
+            assert res.converged
+            assert res.value == pytest.approx(gross_richards(a, c, eigs), rel=5e-12), eigs
+            narrow.append(res.value)
+        if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+            assert narrow != wide  # the doubles were used
 
     @pytest.mark.parametrize("a,c,x,named", [
         pytest.param(math.nan, 3.2, [1.0, 2.0], "a finite (got nan)", id="a-nan"),
