@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from mvda.errors import NotPositiveDefinite
 from mvda.linalg import (
-    EIG_FLOOR_RTOL,
     PIVOT_RTOL,
     HermitianMatrix,
     _cholesky,
@@ -18,8 +17,6 @@ from mvda.linalg import (
     is_pd,
     logdet_abs,
 )
-from mvda.measures import _pivot, floor_event_count
-
 from grids import dense, grid, herm, max_rel, random_lower
 
 
@@ -280,22 +277,3 @@ class TestEntrywiseKernels:
         assert np.array_equal(packed, packed.conj().swapaxes(-1, -2))
         assert np.array_equal(np.tril(packed, -1), np.tril(np.stack(s), -1))
         assert max_rel(packed.reshape(-1, p, p), np.concatenate(s)) <= 1e-12
-
-class TestPivotFloor:
-    """A squared pivot of the type-1 S below EIG_FLOOR_RTOL times its largest
-    diagonal entry is raised to that value and counted once."""
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_cholesky_pivot_raised_and_counted(self, p):
-        # integer factor with a zero second pivot: S = L0 L0* is exact in
-        # floating point, so that pivot comes out exactly 0 and the rest exact
-        l0 = np.array([[2, 0, 0], [1 + 1j, 0, 0], [1, 3 - 1j, 1]])[:p, :p]
-        t = random_lower(np.random.default_rng(60 + p), 1_000, p)
-        t[:5] = l0
-        s = t @ herm(t)
-        before = floor_event_count()
-        l = _cholesky(grid(s), _pivot)
-        assert floor_event_count() - before == 5
-        scale = np.max(np.einsum("nii->ni", s).real, axis=1)
-        assert np.allclose(l[1][1][:5] ** 2, EIG_FLOOR_RTOL * scale[:5], rtol=1e-12, atol=0)
-        assert max_rel(dense(l)[5:], np.linalg.cholesky(s[5:])) <= 1e-12

@@ -8,11 +8,12 @@ from scipy.special import gammaln
 
 from mvda.averages import FUNCTIONALS, FunctionalSpec
 from mvda.errors import DomainError, SamplerError
-from mvda.linalg import HermitianMatrix, is_pd
+from mvda.linalg import EIG_FLOOR_RTOL, HermitianMatrix, _cholesky, is_pd
 from mvda.measures import (
     READS,
     MeasureSpec,
     _matrix_gamma_batch,
+    _pivot,
     _triangular_factor,
     floor_event_count,
     sample_batch,
@@ -23,7 +24,7 @@ from mvda.measures import (
 from mvda.montecarlo import McConfig, VerifyCase, make_integrand, verify_suite
 from mvda.rng import SeedSpec
 
-from grids import dense, herm, max_rel
+from grids import dense, grid, herm, max_rel, random_lower
 
 N = 100_000
 
@@ -300,8 +301,24 @@ class TestEntrywiseKernels:
 
 
 class TestPivotFloor:
-    """The type-2 L is never factored, so nothing floors its pivots (the
-    floor of the type-1 S is tested in test_linalg)."""
+    """A squared pivot of the type-1 S below EIG_FLOOR_RTOL times its largest
+    diagonal entry is raised to that value and counted once. The type-2 L is
+    never factored, so nothing floors its pivots."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cholesky_pivot_raised_and_counted(self, p):
+        # integer factor with a zero second pivot: S = L0 L0* is exact in
+        # floating point, so that pivot comes out exactly 0 and the rest exact
+        l0 = np.array([[2, 0, 0], [1 + 1j, 0, 0], [1, 3 - 1j, 1]])[:p, :p]
+        t = random_lower(np.random.default_rng(60 + p), 1_000, p)
+        t[:5] = l0
+        s = t @ herm(t)
+        before = floor_event_count()
+        l = _cholesky(grid(s), _pivot)
+        assert floor_event_count() - before == 5
+        scale = np.max(np.einsum("nii->ni", s).real, axis=1)
+        assert np.allclose(l[1][1][:5] ** 2, EIG_FLOOR_RTOL * scale[:5], rtol=1e-12, atol=0)
+        assert max_rel(dense(l)[5:], np.linalg.cholesky(s[5:])) <= 1e-12
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_type2_zero_pivot_raises_without_floor_event(self, p):
