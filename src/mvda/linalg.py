@@ -110,7 +110,9 @@ class HermitianMatrix:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    return z * z if np.isrealobj(z) else z.real**2 + z.imag**2
+    # products, not squares: a numpy scalar's ** 2 calls pow, which rounds
+    # differently from the product an array's ** 2 takes
+    return z * z if z.dtype.kind != "c" else z.real * z.real + z.imag * z.imag
 
 
 def _gram(rows: list) -> list:
@@ -137,7 +139,9 @@ def _cholesky(s: list, pivot: Callable[[np.ndarray, np.ndarray], np.ndarray]) ->
     for i, si in enumerate(s):
         row = []
         for j in range(i):
-            acc = sum(row[m] * np.conj(l[j][m]) for m in range(j))
+            # np.multiply, not *: on numpy scalars * rounds apart from the
+            # fused multiply-adds of numpy's array loop
+            acc = sum(np.multiply(row[m], np.conj(l[j][m])) for m in range(j))
             row.append((si[j] - acc) / l[j][j])
         row.append(pivot(si[i] - sum(_abs2(z) for z in row), scale))
         l.append(row)
@@ -178,16 +182,17 @@ def _log_diagonal(rows: list) -> np.ndarray:
 def _refuse(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """The pivot sqrt(d2); NotPositiveDefinite if d2 <= PIVOT_RTOL * scale."""
     tol = PIVOT_RTOL * scale
-    if np.any(d2 <= tol):
+    if (d2 <= tol).any():
         raise NotPositiveDefinite(f"squared pivot {d2.min():.3e} is <= {tol.max():.3e}")
     return np.sqrt(d2)
 
 
 def _factor(h: HermitianMatrix) -> list:
-    """The Cholesky grid (of length 1) of H, refusing small pivots."""
+    """The Cholesky grid of H on numpy scalars, refusing small pivots: a
+    length-1 grid would pay a numpy array call for every entry operation."""
     a = h.array
     return _cholesky(
-        [[a[i, j:j + 1] for j in range(i)] + [a[i, i:i + 1].real] for i in range(h.dim)],
+        [[a[i, j] for j in range(i)] + [a[i, i].real] for i in range(h.dim)],
         _refuse,
     )
 
@@ -201,14 +206,14 @@ def cholesky(h: HermitianMatrix) -> np.ndarray:
     scale-relative rather than absolute.
     """
     t = np.zeros((h.dim, h.dim), dtype=np.complex128)
-    t[np.tril_indices(h.dim)] = np.concatenate([z for row in _factor(h) for z in row])
+    t[np.tril_indices(h.dim)] = [z for row in _factor(h) for z in row]
     t.flags.writeable = False
     return t
 
 
 def logdet_abs(h: HermitianMatrix) -> float:
     """log|det(H)| for Hermitian positive definite H, via the Cholesky diagonal."""
-    return 2.0 * float(_log_diagonal(_factor(h))[0])
+    return 2.0 * float(_log_diagonal(_factor(h)))
 
 
 def eigvals_hermitian(h: HermitianMatrix) -> np.ndarray:

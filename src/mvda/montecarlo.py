@@ -147,23 +147,29 @@ def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integran
 
 # glibc mallopt(3) parameters, and the values pinned for them: a chunk's
 # temporaries (about 10 MB at 25k draws) stay on the heap instead of being
-# mapped, trimmed back to the kernel and faulted in again by the next chunk.
+# mapped, trimmed back to the kernel and faulted in again by the next chunk,
+# and worker threads share the one arena, whose trim threshold would
+# otherwise keep each extra arena's chunks resident.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_HEAP_PIN = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
-_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+_M_ARENA_MAX = -8
+_HEAP_PIN = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20), (_M_ARENA_MAX, 1))
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_ARENA_MAX")
 
 _heap_pin_lock = threading.Lock()
 _heap_pin_tried = False
 
 
 def _pin_heap() -> bool:
-    """Pin glibc's malloc mmap and trim thresholds, once per process.
+    """Pin glibc's malloc mmap and trim thresholds and its arena count
+    (M_ARENA_MAX = 1), once per process.
 
     True iff this call pinned them. Nothing is pinned off glibc, or when
-    the environment sets either threshold or any glibc.malloc tunable,
-    since a user's own allocator settings win; a mallopt call that
-    returns 0 leaves the rest as they are.
+    the environment sets either threshold, MALLOC_ARENA_MAX or any
+    glibc.malloc tunable, since a user's own allocator settings win; a
+    mallopt call that returns 0 leaves the rest as they are. The arena
+    limit stops new arenas only: one made before the pin, by a thread that
+    allocated earlier, stays.
     """
     global _heap_pin_tried
     with _heap_pin_lock:

@@ -418,9 +418,10 @@ class TestPinnedHeap:
         [
             ({}, [True, False]),
             ({"MALLOC_TRIM_THRESHOLD_": "131072"}, [False, False]),
+            ({"MALLOC_ARENA_MAX": "4"}, [False, False]),
             ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, [False, False]),
         ],
-        ids=["default", "malloc_env", "glibc_tunables"],
+        ids=["default", "malloc_env", "arena_env", "glibc_tunables"],
     )
     def test_user_settings_win(self, env, pinned):
         program = "from mvda import montecarlo as m; print(m._pin_heap(), m._pin_heap())"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from mvda.special import (
     Partition,
     TruncationPolicy,
     _h_table,
+    _hyp1f1_series,
     _weight_table,
     gamma_p_ln,
     hyp1f1_matrix,
@@ -490,6 +492,28 @@ class TestSytCount:
                         assert w == m - kappa[r - 1] - (ell - r)
 
 
+def test_h_table_against_exact_values():
+    # h_k from the convolution of geometric sequences against the exact
+    # h_k in mpmath, on spectra scaled as the series scales them; Newton's
+    # identities, which it replaced, were 6.5 ulp off on these
+    rng = np.random.default_rng(2024)
+    degree = 40
+    for n in range(50):
+        lam = rng.uniform(-1.0, 1.0, size=2 + n % 5)
+        lam /= np.abs(lam).max()
+        got = _h_table(lam, degree)
+        with mpmath.workdps(40):
+            exact = [mpmath.mpf(1)] + [mpmath.mpf(0)] * degree
+            magnitude = list(exact)
+            for x in lam.tolist():  # multiply by 1 / (1 - x t), term by term
+                for k in range(1, degree + 1):
+                    exact[k] += x * exact[k - 1]
+                    magnitude[k] += abs(x) * magnitude[k - 1]
+            for k in range(degree + 1):
+                ulp = np.spacing(float(magnitude[k]))
+                assert abs(got[k] - exact[k]) <= 4 * ulp, (lam, k)
+
+
 class TestZonal:
     def test_scalar_power(self):
         x = HermitianMatrix([[1.7]])
@@ -720,6 +744,71 @@ class TestHyp1F1:
         with pytest.raises(DomainError, match="1F1 undefined") as info:
             hyp1f1_matrix(a, c, x)
         assert info.value.violated == (named,)
+
+    @staticmethod
+    def series_route(a, c, x, policy):
+        # hyp1f1_matrix at p = 1 through the general series, Kummer branch
+        # included, as it was summed before the scalar recurrence
+        lam = np.array([x])
+        if x < 0:
+            res = _hyp1f1_series(c - a, c, -lam, policy)
+            scale = math.exp(x)
+            return replace(res, value=scale * res.value, last_increment=scale * res.last_increment)
+        return _hyp1f1_series(a, c, lam, policy)
+
+    @staticmethod
+    def without_general_series(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("p = 1 reached the general series")
+        monkeypatch.setattr(special, "_hyp1f1_series", refuse)
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            res = f(*args)
+        except (DomainError, PochhammerPole) as exc:
+            return type(exc).__name__, str(exc)
+        return "value", repr(res.value), res.order_reached, repr(res.last_increment), res.converged
+
+    def test_p1_recurrence_matches_the_series_bit_for_bit(self, monkeypatch):
+        # c = 0, -1 and -2 are poles, at orders 1, 2 and 3; x = 800 overflows
+        # at order 475 of 1500; x = +-650 sums past 2**900, so the recurrence
+        # rescales its sums, and the result is still the series' own bits
+        self.without_general_series(monkeypatch)
+        seen = set()
+        for a, c, x, max_order in itertools.product(
+                [-2.5, -1.0, 0.0, 0.7, 1.5, 6.25], [-2.0, -1.0, -0.5, 0.0, 0.3, 3.2, 7.0],
+                [-650.0, -60.0, -3.3, -0.0, 0.0, 0.4, 5.0, 42.0, 650.0, 800.0], [2, 25, 1500]):
+            policy = TruncationPolicy(max_order=max_order)
+            want = self.outcome(self.series_route, a, c, x, policy)
+            assert self.outcome(hyp1f1_matrix, a, c, [x], policy) == want, (a, c, x, max_order)
+            seen.add(want[0])
+        assert seen == {"value", "DomainError", "PochhammerPole"}
+
+    def test_p1_recurrence_with_complex_a_matches_the_series(self, monkeypatch):
+        # numpy divides complex numbers by a reciprocal and a product, Python
+        # divides: the running products round apart, by at most 1.7e-15 at
+        # order 150 here, and both are as close to mpmath (1.7e-13 at worst)
+        self.without_general_series(monkeypatch)
+        for a, c, x, max_order in itertools.product(
+                [1.5 + 0.5j, -2.0 + 1.0j, 0.3j], [3.2, 0.3 - 0.2j, -0.5],
+                [-60.0, -3.3, 0.0, 0.4, 5.0, 42.0], [2, 25, 150]):
+            policy = TruncationPolicy(max_order=max_order)
+            res = hyp1f1_matrix(a, c, [x], policy)
+            want = self.series_route(a, c, x, policy)
+            assert (res.order_reached, res.converged) == (want.order_reached, want.converged)
+            assert abs(res.value - want.value) <= 4e-15 * abs(want.value), (a, c, x, max_order)
+            assert (abs(res.last_increment - want.last_increment)
+                    <= 4e-15 * abs(want.last_increment)), (a, c, x, max_order)
+
+    def test_p1_kummer_sum_beyond_double_range(self):
+        # 1F1(1.7; 3.2; 800) is about 3e343; etr(X) = e^-800 brings it back
+        res = hyp1f1_matrix(1.5, 3.2, [-800.0], TruncationPolicy(max_order=1500))
+        assert res.converged
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp1f1(1.5, 3.2, -800))
+        assert want == pytest.approx(1.177414962643664e-4, rel=1e-15)
+        assert res.value == pytest.approx(want, rel=1e-10)
 
     def test_kummer_on_negative_definite_matrix(self):
         eigs = [-0.4, -1.1, -2.3]
