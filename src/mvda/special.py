@@ -18,8 +18,10 @@ example 4), its coefficient of kappa is the Weyl dimension s_kappa(1^p)
 times one factor per cell of kappa, gathered once per block of orders.
 At p = 1 every partition is one row, and the series is the scalar Kummer
 recurrence of its terms, summed in Python numbers with its sums rescaled
-by powers of two, so that etr(X) of the Kummer branch can bring a sum
-beyond double range back into it.
+by powers of two. At every p, etr(X) of the Kummer branch is applied to
+the finished sum in one step (_hyp1f1_result), so a factor below double
+range still scales a sum in range, and at p = 1 a sum beyond double range
+is brought back into it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -236,23 +238,28 @@ def _narrow(index: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _partition_cells(m: int, p: int) -> np.ndarray:
-    """cells[r, j] = kappa_j p + j for the partitions kappa of weight m with
-    at most p parts, so row r's parts are cells[r] // p.
+    """cells[j, r] = kappa_j p + j for the partitions kappa of weight m with
+    at most p parts, kappa the r-th, so column r's parts are cells[:, r] // p.
 
-    The n_short rows with fewer than p parts come first: they are table
-    (m, p - 1) with a zero appended, and row n_short + r is row r of table
-    (m - p, p) plus one in every part (Macdonald, ch. I section 1). A cold call
-    recurses through the smaller tables; the series asks for m in
-    increasing order, so its calls recurse at most p + 1 deep. The index
-    is built in intp and then narrowed, so no small type wraps."""
+    This (p, partitions) layout is the one the series gathers in: cells[j, r]
+    is the flat index of cell[kappa_j, j] in its (max_order + 1, p) cell
+    table, so a take and a product over the first axis give the cell
+    products. The n_short columns with fewer than p parts come first: they
+    are table (m, p - 1) with a zero appended, and column n_short + r is
+    column r of table (m - p, p) plus one in every part (Macdonald, ch. I
+    section 1). A cold call recurses through the smaller tables; the series
+    asks for m in increasing order, so its calls recurse at most p + 1
+    deep. The index is built in intp and then narrowed, so no small type
+    wraps."""
     if p == 0 or m < 0:
-        return np.zeros((int(m == 0), p), dtype=np.uint8)  # the empty partition
+        return np.zeros((p, int(m == 0)), dtype=np.uint8)  # the empty partition
     short = _partition_cells(m, p - 1)
     full = _partition_cells(m - p, p)
-    parts = np.zeros((len(short) + len(full), p), dtype=np.intp)
-    parts[:len(short), :-1] = short // max(p - 1, 1)  # table (m, 0) has no columns
-    parts[len(short):] = full.astype(np.intp) // p + 1
-    return _narrow(parts * p + np.arange(p))
+    n_short = short.shape[1]
+    parts = np.zeros((p, n_short + full.shape[1]), dtype=np.intp)
+    parts[:-1, :n_short] = short // max(p - 1, 1)  # table (m, 0) has no rows
+    parts[:, n_short:] = full.astype(np.intp) // p + 1
+    return _narrow(parts * p + np.arange(p)[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -296,10 +303,9 @@ def _flat_positions(nu: np.ndarray, p: int) -> np.ndarray:
     return offsets[weight] + counts.take(left).sum(axis=0) - counts.take(below).sum(axis=0)
 
 
-def _cofactor_indices(short: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(h_index, s_index) of _weight_table for the (n_short, p - 1)
-    zero-padded parts of its short rows."""
-    parts = short.T
+def _cofactor_indices(parts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h_index, s_index) of one order of _order_block for the (p - 1,
+    n_short) zero-padded parts of its short rows."""
     ell = np.count_nonzero(parts, axis=0)
     r = np.arange(1, p)[:, None]
     live = r <= ell
@@ -310,42 +316,6 @@ def _cofactor_indices(short: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
     nu = np.where(np.arange(1, p - 1)[:, None, None] < r, parts[:-1, None], lowered)
     s_index = np.where(live, _flat_positions(nu, p - 1), 0)
     return _narrow(h_index), _narrow(s_index)
-
-
-def _weight_table(
-    m: int, p: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, int]:
-    """(cells, (h_index, s_index), dim, n_short) for the partitions kappa
-    of weight m with at most p parts, in the row order of
-    _partition_cells; nothing in it depends on the eigenvalues. The series
-    reads it through the cached _order_block, so it is not cached itself.
-
-    cells[r, j] = kappa_j p + j is the flat index of cell[kappa_j, j] in
-    the series' (max_order + 1, p) cell table. dim holds the Weyl
-    dimensions s_kappa(1^p) = prod_{i<j} (kappa_i - kappa_j + j - i) / (j - i).
-
-    The first n_short rows have ell < p parts, and their Jacobi-Trudi
-    determinant expands along its last column (Macdonald, ch. I (3.4)):
-    s_kappa = sum_{r <= ell} (-1)^(r + ell) h_{kappa_r - r + ell} s_nu(r),
-    nu(r) = (kappa_1, ..., kappa_{r-1}, kappa_{r+1} - 1, ..., kappa_ell - 1)
-    of weight m - kappa_r - (ell - r) < m. Row r - 1 of the (p - 1,
-    n_short) h_index holds 1 + 2 k + (sign < 0) at degree
-    k = kappa_r - r + ell, the position of h_k, or of -h_k, in the series'
-    interleaved [0, h_0, -h_0, h_1, -h_1, ...]; s_index holds the position
-    of nu(r) among the short rows of tables (0, p), (1, p), ... one after
-    another, which are tables (0, p - 1), (1, p - 1), ... (_flat_positions).
-    Rows r > ell hold 0 in both, which reads 0 times s_() = 1. Both are narrowed like cells. Up to
-    order 40 at p = 1..6 the two take 0.37 MB."""
-    cells = _partition_cells(m, p)
-    if p == 0:  # an empty spectrum: only the empty partition, of weight 0
-        empty = np.zeros((0, 0), dtype=np.uint8)
-        return cells, (empty, empty), np.ones(len(cells)), 0
-    parts = cells.astype(np.intp) // p
-    n_short = len(_partition_cells(m, p - 1))
-    shifted = parts.T - np.arange(p, dtype=float)[:, None]
-    i, j = np.triu_indices(p, 1)
-    dim = (shifted[i] - shifted[j]).prod(axis=0) / np.prod(j - i)
-    return cells, _cofactor_indices(parts[:n_short, :-1], p), dim, n_short
 
 
 def schur_eval(kappa, lambdas: Sequence[float]) -> float:
@@ -498,10 +468,11 @@ def hyp1f1_matrix(
     When no eigenvalue is positive and one is negative, the Kummer relation
     1F1(a; c; X) = etr(X) 1F1(c - a; c; -X) (Herz 1955) is summed instead:
     the series at X alternates and loses digits while still meeting the
-    stopping rule. Mixed-sign spectra are summed as given. At p = 1 the
-    series is the scalar recurrence of _hyp1f1_scalar, which carries the
-    factor etr(X) to the end, so a Kummer sum beyond double range still
-    gives a value in range; at p >= 2, _hyp1f1_series sums it.
+    stopping rule. Mixed-sign spectra are summed as given. The series is
+    the scalar recurrence of _hyp1f1_scalar at p = 1 and _hyp1f1_series at
+    p >= 2; both carry the factor etr(X) to their shared last step,
+    _hyp1f1_result, so a value in range is found where etr(X) alone
+    underflows, and at p = 1 also where the Kummer sum alone overflows.
     """
     if isinstance(x, HermitianMatrix):
         lam = eigvals_hermitian(x)
@@ -515,17 +486,12 @@ def hyp1f1_matrix(
             for i, v in enumerate(lam.tolist()) if not math.isfinite(v)]
     if bad:
         raise DomainError(bad, context="1F1 undefined")
-    kummer = lam.size and lam.max() <= 0.0 and lam.min() < 0.0
+    log_etr = 0.0
+    if lam.size and lam.max() <= 0.0 and lam.min() < 0.0:
+        a, lam, log_etr = c - a, -lam, float(lam.sum())
     if lam.size == 1:
-        x1 = float(lam[0])
-        if kummer:
-            return _hyp1f1_scalar(c - a, c, -x1, policy, log_etr=x1)
-        return _hyp1f1_scalar(a, c, x1, policy)
-    if kummer:
-        res = _hyp1f1_series(c - a, c, -lam, policy)
-        scale = math.exp(float(lam.sum()))
-        return replace(res, value=scale * res.value, last_increment=scale * res.last_increment)
-    return _hyp1f1_series(a, c, lam, policy)
+        return _hyp1f1_scalar(a, c, float(lam[0]), policy, log_etr)
+    return _hyp1f1_series(a, c, lam, policy, log_etr)
 
 
 # Once its sum of term magnitudes passes 2**_RESCALE_BITS, _hyp1f1_scalar
@@ -547,9 +513,8 @@ def _etr_times(v: complex, shift: int, log_etr: float) -> complex:
     """exp(log_etr) v 2**shift for a float or complex v; OverflowError
     beyond double range.
 
-    It is the plain product while exp(log_etr) is a normal double and
-    v 2**shift is finite, so a sum that fits in doubles is scaled as
-    hyp1f1_matrix scales the sum of _hyp1f1_series. Otherwise
+    It is the plain product exp(log_etr) v 2**shift while exp(log_etr) is
+    a normal double and v 2**shift is finite. Otherwise
     exp(log_etr) is taken as 2**k exp(r), r = log_etr - k ln 2 and
     |r| <= ln 2 / 2, so only ldexp sees the range.
     """
@@ -561,6 +526,44 @@ def _etr_times(v: complex, shift: int, log_etr: float) -> complex:
             pass
     k = round(log_etr / math.log(2))
     return _ldexp(v * math.exp(log_etr - k * _LN2_HI - k * _LN2_LO), shift + k)
+
+
+def _first_pole(c: complex, p: int) -> tuple[int, PochhammerPole | None]:
+    """(weight, error) of the lightest partition kappa with at most p parts
+    at which [c]_kappa vanishes, the error for a series to raise on
+    reaching that weight, or (0, None) if there is none: only an integer
+    c < p has one, (1 - c) for c <= 0 and (1^(c + 1)) for c >= 1."""
+    if not (p and c.imag == 0 and float(c.real).is_integer() and c.real < p):
+        return 0, None
+    n = int(c.real)
+    kappa = (1 - n,) if n <= 0 else (1,) * (n + 1)
+    return sum(kappa), PochhammerPole(
+        f"denominator symbol vanishes at partition {kappa} for c = {c!r}")
+
+
+def _hyp1f1_result(
+    total: complex, order_reached: int, last_inc: float, converged: bool,
+    shift: int, log_etr: float,
+) -> Hyp1F1Result:
+    """The Hyp1F1Result of a finished sum, total 2**shift before etr(X): the
+    imaginary part is dropped when it is at most 1e-12 times
+    max(1, |real part|), and the value and the last increment are scaled
+    by exp(log_etr) 2**shift (_etr_times). A value beyond double range
+    raises DomainError."""
+    total = complex(total)
+    unit = math.ldexp(1.0, -shift)  # 1, at the scale of total
+    value = total.real if abs(total.imag) <= 1e-12 * max(unit, abs(total.real)) else total
+    try:
+        value = _etr_times(value, shift, log_etr)
+    except OverflowError:
+        raise DomainError([f"1F1 value finite (order {order_reached})"],
+                          context="1F1 overflows") from None
+    return Hyp1F1Result(
+        value=value,
+        order_reached=order_reached,
+        last_increment=_etr_times(last_inc, shift, log_etr),
+        converged=converged,
+    )
 
 
 def _hyp1f1_scalar(
@@ -582,17 +585,16 @@ def _hyp1f1_scalar(
     partial sum and the running term are divided by a power of two that
     shift counts. The stopping rule and the converged test compare ratios
     of these, which the exact scaling leaves as they are. 2**shift and
-    exp(log_etr), the etr(X) of the Kummer branch, are applied at the end,
-    so 1F1(c - a; c; 800) e^-800 is found where the sum alone overflows. A
+    exp(log_etr), the etr(X) of the Kummer branch, are applied at the end
+    (_hyp1f1_result), so 1F1(c - a; c; 800) e^-800 is found where the sum
+    alone overflows. A
     sum of term magnitudes that stays beyond double range once multiplied
     by exp(log_etr), or a value beyond it, raises DomainError: at
     log_etr = 0 at the same order as _hyp1f1_series.
     """
     scale = abs(x) or 1.0
     sign = x / scale
-    pole = 0
-    if c.imag == 0 and float(c.real).is_integer() and c.real < 1:
-        pole = 1 - int(c.real)  # [c]_(m) vanishes first at m = 1 - c
+    pole_order, pole = _first_pole(c, 1)
     # the largest binary exponent of the sum of term magnitudes, unscaled,
     # that stays in range once multiplied by exp(log_etr)
     top = 1024 + int(-log_etr / math.log(2))
@@ -602,9 +604,8 @@ def _hyp1f1_scalar(
     last_inc = 0.0
     converged = False
     for m in range(1, policy.max_order + 1):
-        if m == pole:
-            raise PochhammerPole(f"denominator symbol vanishes at partition {(pole,)} "
-                                 f"for c = {c!r}")
+        if m == pole_order:
+            raise pole
         t = m - 1
         coef *= (a + t) * scale / ((c + t) * (1 + t))
         power *= sign
@@ -627,20 +628,7 @@ def _hyp1f1_scalar(
             step = 2.0**-k
             coef, total, abs_sum, last_inc = coef * step, total * step, abs_sum * step, last_inc * step
             shift += k
-
-    unit = math.ldexp(1.0, -shift)  # 1, at the scale of total
-    value = total.real if abs(total.imag) <= 1e-12 * max(unit, abs(total.real)) else total
-    try:
-        value = _etr_times(value, shift, log_etr)
-    except OverflowError:
-        raise DomainError([f"1F1 value finite (order {order_reached})"],
-                          context="1F1 overflows") from None
-    return Hyp1F1Result(
-        value=value,
-        order_reached=order_reached,
-        last_increment=_etr_times(last_inc, shift, log_etr),
-        converged=converged,
-    )
+    return _hyp1f1_result(total, order_reached, last_inc, converged, shift, log_etr)
 
 
 # Partitions per block of orders whose coefficients _hyp1f1_series gathers
@@ -666,28 +654,57 @@ def _order_blocks(max_order: int, p: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _order_block(lo: int, hi: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """(cells, dim, h_index, rows) of the _weight_table of each order
-    lo..hi - 1 stacked partition after partition: cells transposed to
-    (p, partitions), so that a take along it and a product over its first
-    axis give the block's cell products, dim and h_index along their last
-    axis. rows[m - lo] = (start, end, short_start, s_index) places order m:
+    """(cells, dim, h_index, rows) for the partitions kappa of weight
+    lo..hi - 1 with at most p parts, order after order, each in the column
+    order of _partition_cells; nothing in it depends on the eigenvalues.
+    rows[m - lo] = (start, end, short_start, s_index) places order m:
     partitions start..end - 1, its short rows first, and columns
-    short_start.. of h_index, with s_index its own."""
-    tables = [_weight_table(m, p) for m in range(lo, hi)]
-    rows, start, short = [], 0, 0
-    for cells, (_, s_index), _, n_short in tables:
-        rows.append((start, start + len(cells), short, s_index))
-        start += len(cells)
-        short += n_short
-    return (np.concatenate([t[0].T for t in tables], axis=1),
-            np.concatenate([t[2] for t in tables]),
-            np.concatenate([t[1][0] for t in tables], axis=1), tuple(rows))
+    short_start.. of h_index, with s_index its own.
+
+    cells are the tables of _partition_cells side by side; a one-order
+    block holds the cached table itself. dim holds the Weyl dimensions
+    s_kappa(1^p) = prod_{i<j} (kappa_i - kappa_j + j - i) / (j - i).
+
+    The first n_short partitions of an order have ell < p parts, and their
+    Jacobi-Trudi determinant expands along its last column (Macdonald,
+    ch. I (3.4)):
+    s_kappa = sum_{r <= ell} (-1)^(r + ell) h_{kappa_r - r + ell} s_nu(r),
+    nu(r) = (kappa_1, ..., kappa_{r-1}, kappa_{r+1} - 1, ..., kappa_ell - 1)
+    of weight m - kappa_r - (ell - r) < m. Row r - 1 of the (p - 1,
+    n_short) h_index holds 1 + 2 k + (sign < 0) at degree
+    k = kappa_r - r + ell, the position of h_k, or of -h_k, in the series'
+    interleaved [0, h_0, -h_0, h_1, -h_1, ...]; s_index holds the position
+    of nu(r) among the short rows of tables (0, p), (1, p), ... one after
+    another, which are tables (0, p - 1), (1, p - 1), ... (_flat_positions).
+    Rows r > ell hold 0 in both, which reads 0 times s_() = 1. Both are
+    narrowed like cells. Up to order 40 at p = 1..6 the two take 0.37 MB."""
+    cells, dims, h_indices, rows = [], [], [], []
+    start = short_start = 0
+    i, j = np.triu_indices(p, 1)
+    empty = np.zeros((max(p - 1, 0), 0), dtype=np.uint8)  # no short rows
+    for m in range(lo, hi):
+        table = _partition_cells(m, p)
+        n_short = _partition_cells(m, p - 1).shape[1] if p else 0
+        parts = table.astype(np.intp) // max(p, 1)
+        shifted = parts - np.arange(p, dtype=float)[:, None]
+        h_index, s_index = _cofactor_indices(parts[:-1, :n_short], p) if n_short else (empty,) * 2
+        cells.append(table)
+        dims.append((shifted[i] - shifted[j]).prod(axis=0) / np.prod(j - i))
+        h_indices.append(h_index)
+        rows.append((start, start + table.shape[1], short_start, s_index))
+        start += table.shape[1]
+        short_start += n_short
+    if hi - lo == 1:
+        return table, dims[0], h_index, tuple(rows)
+    return (np.concatenate(cells, axis=1), np.concatenate(dims),
+            np.concatenate(h_indices, axis=1), tuple(rows))
 
 
 def _hyp1f1_series(
-    a: complex, c: complex, lam: np.ndarray, policy: TruncationPolicy
+    a: complex, c: complex, lam: np.ndarray, policy: TruncationPolicy, log_etr: float = 0.0
 ) -> Hyp1F1Result:
-    """The zonal series of hyp1f1_matrix, one batched step per weight m.
+    """exp(log_etr) times the zonal series of hyp1f1_matrix, one batched
+    step per weight m.
 
     The term of kappa is its Weyl dimension times s_kappa(lambda / scale)
     times the product over its cells of (a + q) scale / ((c + q) (p + q)),
@@ -720,6 +737,11 @@ def _hyp1f1_series(
     is double, the values lose those digits. At p <= 2 the expansion is
     the single exact term h_m s_() = h_m, so every value there is the
     double the Jacobi-Trudi determinant gives.
+
+    exp(log_etr) is applied to the finished sum (_hyp1f1_result), so a
+    value is found where the factor alone underflows. The sum itself is not
+    rescaled: one beyond double range raises DomainError, since its cell
+    products overflow with it.
     """
     p = lam.size
     scale = float(np.abs(lam).max(initial=0.0)) or 1.0
@@ -731,13 +753,7 @@ def _hyp1f1_series(
         hh = np.zeros(2 * h.size + 1, dtype=_SHORT_ROW_DTYPE)
         hh[1::2] = h
         hh[2::2] = -h
-    # [c]_kappa vanishes only at an integer c < p, first at the one partition
-    # (1 - c) for c <= 0 and (1^(c + 1)) for c >= 1; no cell past it is read
-    pole = ()
-    if p and c.imag == 0 and float(c.real).is_integer() and c.real < p:
-        n = int(c.real)
-        pole = (1 - n,) if n <= 0 else (1,) * (n + 1)
-    pole_order = sum(pole)
+    pole_order, pole = _first_pole(c, p)
     schur = [np.ones(1)]  # schur[m]: Schur values of table m; m = 0 is s_() = 1
     # the short rows' Schur values of every order so far, table after table;
     # ext[0] is s_() and ext[:ext_end] is filled
@@ -758,9 +774,8 @@ def _hyp1f1_series(
         cell = np.ones((policy.max_order + 1, p), dtype=factors.dtype)
         np.cumprod(factors, axis=0, out=cell[1:])
         for m in range(1, policy.max_order + 1):
-            if m == pole_order:
-                raise PochhammerPole(f"denominator symbol vanishes at partition {pole} "
-                                     f"for c = {c!r}")
+            if m == pole_order:  # no cell past the pole is read
+                raise pole
             if m == bounds[block]:
                 first = m
                 block += 1
@@ -800,12 +815,4 @@ def _hyp1f1_series(
                     break
             else:
                 streak = 0
-
-    total = complex(total)
-    value = total.real if abs(total.imag) <= 1e-12 * max(1.0, abs(total.real)) else total
-    return Hyp1F1Result(
-        value=value,
-        order_reached=order_reached,
-        last_increment=last_inc,
-        converged=converged,
-    )
+    return _hyp1f1_result(total, order_reached, last_inc, converged, 0, log_etr)

@@ -19,7 +19,8 @@ from mvda.special import (
     TruncationPolicy,
     _h_table,
     _hyp1f1_series,
-    _weight_table,
+    _order_block,
+    _partition_cells,
     gamma_p_ln,
     hyp1f1_matrix,
     partitions_of,
@@ -32,6 +33,13 @@ from mvda.special import (
 )
 
 WIDE_SERIES = TruncationPolicy(max_order=60)
+
+
+def weight_table(m, p):
+    """(cells, (h_index, s_index), dim, n_short) of the one-order block of
+    weight m, with its cells one row per partition."""
+    cells, dim, h_index, ((_, _, _, s_index),) = _order_block(m, m + 1, p)
+    return cells.T, (h_index, s_index), dim, s_index.shape[1]
 
 
 def brute_force_partitions(m, max_len):
@@ -433,7 +441,7 @@ class TestSytCount:
         # Jacobi-Trudi determinant at ones rounds to about 1e-9 by m = 30
         for p in range(1, 7):
             for m in range(31):
-                cells, _, dim, _ = _weight_table(m, p)
+                cells, _, dim, _ = weight_table(m, p)
                 for row, d in zip((cells // p).tolist(), dim):
                     assert d == int(d)
                     assert d == pytest.approx(schur_eval(tuple(row), [1.0] * p), rel=1e-8)
@@ -441,7 +449,7 @@ class TestSytCount:
     def test_weight_table_rows_are_the_partitions(self):
         for p in range(1, 7):
             for m in range(31):
-                cells, _, _, n_short = _weight_table(m, p)
+                cells, _, _, n_short = weight_table(m, p)
                 parts = cells // p
                 rows = [tuple(x for x in row if x) for row in parts.tolist()]
                 assert len(rows) == len(set(rows))
@@ -449,17 +457,24 @@ class TestSytCount:
                 assert all(len(row) < p for row in rows[:n_short])
                 # full row n_short + r is row r of table m - p plus one
                 if m >= p:
-                    below = (_weight_table(m - p, p)[0] // p).astype(np.int64)
+                    below = (weight_table(m - p, p)[0] // p).astype(np.int64)
                     np.testing.assert_array_equal(parts[n_short:], below + 1)
                 else:
                     assert n_short == len(rows)
+
+    def test_one_order_block_is_the_cached_table(self):
+        # a block of one order holds the table of _partition_cells itself,
+        # not a copy in another layout; at p = 6 each order from 16 on
+        # fills a block of its own
+        for m in range(16, 41):
+            assert _order_block(m, m + 1, 6)[0] is _partition_cells(m, 6)
 
     def test_weight_table_indices(self):
         # cells[r, j] = kappa_j p + j indexes cell[kappa_j, j] of a flat
         # (max_order + 1, p) table
         for p in range(1, 7):
             for m in range(31):
-                cells = _weight_table(m, p)[0]
+                cells = weight_table(m, p)[0]
                 assert (cells % p == np.arange(p)).all()
 
     def test_weight_table_cofactor_indices(self):
@@ -468,7 +483,7 @@ class TestSytCount:
         # the position of nu(r) among the short rows of tables (0, p),
         # (1, p), ... one after another; rows past ell read 0
         for p in range(1, 7):
-            tables = [_weight_table(w, p) for w in range(31)]
+            tables = [weight_table(w, p) for w in range(31)]
             offsets = np.cumsum([0] + [t[3] for t in tables])
             for m in range(31):
                 cells, (h_index, s_index), _, n_short = tables[m]
@@ -809,6 +824,18 @@ class TestHyp1F1:
             want = float(mpmath.hyp1f1(1.5, 3.2, -800))
         assert want == pytest.approx(1.177414962643664e-4, rel=1e-15)
         assert res.value == pytest.approx(want, rel=1e-10)
+
+    def test_p2_kummer_where_etr_alone_underflows(self):
+        # etr(X) = e^-748 is below the smallest double, while the Kummer sum
+        # 1F1(2; 42; [376, 372]) is 2.9e216: the product of the two was
+        # once returned as 0.0 with converged=True
+        eigs = [-376.0, -372.0]
+        res = hyp1f1_matrix(40.0, 42.0, eigs, TruncationPolicy(max_order=2500))
+        assert res.converged
+        want = gross_richards(40.0, 42.0, eigs)
+        assert abs(want - 4.0442928968623943e-109) <= 1e-15 * want
+        # not pytest.approx, whose default absolute tolerance of 1e-12 takes 0.0
+        assert abs(res.value - want) <= 1e-10 * want
 
     def test_kummer_on_negative_definite_matrix(self):
         eigs = [-0.4, -1.1, -2.3]
