@@ -2,17 +2,16 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error (nonexistent moment
 or invalid parameter domain), 3 verification failure, 4 internal or
-numerical error. `mvda sample` seeds with MVDA_SEED, or 42 when unset;
-`mvda verify` takes each case's seed from the suite. --seed wins in both.
+numerical error. `mvda sample` seeds with 42 unless --seed is given;
+`mvda verify` takes each case's seed from the suite unless --seed is given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +48,6 @@ from .special import (
 )
 
 DEFAULT_SEED = 42
-
-
-def _env_seed() -> int:
-    return int(os.environ.get("MVDA_SEED", DEFAULT_SEED))
 
 
 def _write(args, text: str) -> None:
@@ -122,15 +117,7 @@ def _cmd_zonal(args) -> int:
 def _cmd_hyp1f1(args) -> int:
     matrix = _load_doc(args.matrix, HermitianMatrix.from_json)
     res = hyp1f1_matrix(args.a, args.c, matrix, TruncationPolicy(max_order=args.max_order))
-    _emit_json(
-        args,
-        {
-            "value": res.value,
-            "order_reached": res.order_reached,
-            "last_increment": res.last_increment,
-            "converged": res.converged,
-        },
-    )
+    _emit_json(args, asdict(res))
     return 0
 
 
@@ -142,8 +129,7 @@ def _cmd_power_mean(args) -> int:
 
 def _cmd_sample(args) -> int:
     measure = _load_doc(args.spec, MeasureSpec.from_json)
-    seed = SeedSpec(seed=args.seed if args.seed is not None else _env_seed(),
-                    stream=args.stream)
+    seed = SeedSpec(seed=args.seed, stream=args.stream)
     batch = sample_batch(measure, seed, args.n).stack()
     lines = [json.dumps({"measure": measure.to_json(), "seed": seed.to_json(), "n": args.n})]
     for i in range(args.n):
@@ -235,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw from a Dirichlet measure as JSON lines")
     p.add_argument("--spec", required=True, help="MeasureSpec JSON file or inline document")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--stream", type=int, default=0)
     _add_out(p)
     p.set_defaults(func=_cmd_sample)

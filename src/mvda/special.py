@@ -5,8 +5,10 @@ Schur polynomial at eigenvalues by the branching rule over horizontal
 strips, and the zonal polynomials used throughout are Schur polynomials
 scaled by the standard-Young-tableaux count of their shape. That scaling
 is the unique one for which the weight-m class sums to (tr X)^m, which is
-the normalization every series here relies on. The 1F1 series at p >= 2
-reads its gather indices from cached tables, one per block of orders. Over
+the normalization every series here relies on. schur_eval, zonal_c and
+hyp1f1_matrix each take a HermitianMatrix or its 1-d eigenvalues, read in
+one place (_eigenvalues). The 1F1 series at p >= 2 reads its gather
+indices from cached tables, one per block of orders. Over
 complete homogeneous symmetric polynomials (the coefficients of
 prod_i 1 / (1 - lambda_i t), one convolution per eigenvalue), it takes
 the Schur values of partitions with fewer than p parts from the cofactor
@@ -21,7 +23,7 @@ recurrence of its terms, summed in Python numbers with its sums rescaled
 by powers of two. At every p, etr(X) of the Kummer branch is applied to
 the finished sum in one step (_hyp1f1_result), so a factor below double
 range still scales a sum in range, and at p = 1 a sum beyond double range
-is brought back into it.
+is brought back into it. That step alone decides converged.
 """
 
 from __future__ import annotations
@@ -73,29 +75,24 @@ class Partition:
         return iter(self.parts)
 
 
-@lru_cache(maxsize=None)
-def _partitions_tuple(m: int, max_len: int, max_part: int) -> tuple[tuple[int, ...], ...]:
-    if m == 0:
-        return ((),)
-    if max_len == 0:
-        return ()
-    out = []
-    for first in range(min(m, max_part), 0, -1):
-        for rest in _partitions_tuple(m - first, max_len - 1, first):
-            out.append((first, *rest))
-    return tuple(out)
-
-
 def partitions_of(m: int, max_len: int) -> list[Partition]:
     """All partitions of weight m with at most max_len parts.
 
     Ordered lexicographically decreasing: (4), (3,1), (2,2), (2,1,1), ...
+    They are the columns of _partition_cells(m, max_len), sorted; the tables
+    of lower weight are built first, in increasing order, so no call
+    recurses more than max_len + 1 deep.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return [Partition(p) for p in _partitions_tuple(m, max_len, m)]
+    max_len = min(max_len, max(m, 1))  # no partition of m has more than m parts
+    for w in range(m):
+        _partition_cells(w, max_len)
+    parts = _partition_cells(m, max_len).astype(np.intp) // max_len
+    order = np.lexsort(-parts[::-1])  # the first part is the primary key
+    return [Partition(col) for col in parts[:, order].T.tolist()]
 
 
 def syt_count(parts: tuple[int, ...]) -> int:
@@ -318,8 +315,19 @@ def _cofactor_indices(parts: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
     return _narrow(h_index), _narrow(s_index)
 
 
-def schur_eval(kappa, lambdas: Sequence[float]) -> float:
-    """Schur polynomial s_kappa at the given (real) eigenvalues.
+def _eigenvalues(x: HermitianMatrix | Sequence[float]) -> np.ndarray:
+    """The eigenvalues of a HermitianMatrix, or x as 1-d float64 eigenvalues."""
+    if isinstance(x, HermitianMatrix):
+        return eigvals_hermitian(x)
+    lam = np.asarray(x, dtype=np.float64)
+    if lam.ndim != 1:
+        raise ValueError("eigenvalues must be 1-d; pass a matrix as a HermitianMatrix")
+    return lam
+
+
+def schur_eval(kappa, x: HermitianMatrix | Sequence[float]) -> float:
+    """Schur polynomial s_kappa at the eigenvalues of a Hermitian matrix, or
+    at the given (real) eigenvalues.
 
     Returns 0 when kappa has more nonzero parts than variables. Uses the
     branching rule over horizontal strips (Koev & Edelman, Math. Comp. 75,
@@ -331,9 +339,7 @@ def schur_eval(kappa, lambdas: Sequence[float]) -> float:
     DomainError.
     """
     parts = Partition(kappa).parts
-    lam = np.asarray(lambdas, dtype=np.float64)
-    if lam.ndim != 1:
-        raise ValueError("eigenvalues must be 1-d; pass a matrix to zonal_c")
+    lam = _eigenvalues(x)
     if len(parts) > lam.size:
         return 0.0
     if len(parts) == 0:
@@ -394,19 +400,15 @@ def _branching(parts: tuple[int, ...], x: np.ndarray) -> float:
     return float(s.reshape(-1)[0])
 
 
-def zonal_from_eigs(kappa, lambdas: Sequence[float]) -> float:
-    """Zonal polynomial value from eigenvalues: SYT count times Schur value."""
-    parts = Partition(kappa).parts
-    return syt_count(parts) * schur_eval(parts, lambdas)
-
-
-def zonal_c(kappa, x: HermitianMatrix) -> float:
-    """Zonal polynomial of a Hermitian matrix argument.
+def zonal_c(kappa, x: HermitianMatrix | Sequence[float]) -> float:
+    """Zonal polynomial of a Hermitian matrix argument, given as the matrix
+    or as its eigenvalues: SYT count times Schur value.
 
     Normalized so that the weight-m polynomials sum to (tr X)^m; depends on
     X only through its eigenvalues, hence is unitarily invariant.
     """
-    return zonal_from_eigs(kappa, eigvals_hermitian(x))
+    parts = Partition(kappa).parts
+    return syt_count(parts) * schur_eval(parts, x)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +472,12 @@ def hyp1f1_matrix(
     the series at X alternates and loses digits while still meeting the
     stopping rule. Mixed-sign spectra are summed as given. The series is
     the scalar recurrence of _hyp1f1_scalar at p = 1 and _hyp1f1_series at
-    p >= 2; both carry the factor etr(X) to their shared last step,
-    _hyp1f1_result, so a value in range is found where etr(X) alone
-    underflows, and at p = 1 also where the Kummer sum alone overflows.
+    p >= 2; both carry the factor etr(X) and whether they stopped to their
+    shared last step, _hyp1f1_result, so a value in range is found where
+    etr(X) alone underflows, and at p = 1 also where the Kummer sum alone
+    overflows.
     """
-    if isinstance(x, HermitianMatrix):
-        lam = eigvals_hermitian(x)
-    else:
-        lam = np.asarray(x, dtype=np.float64)
-        if lam.ndim != 1:
-            raise ValueError("eigenvalues must be 1-d; pass a matrix as a HermitianMatrix")
+    lam = _eigenvalues(x)
     bad = [f"{name} finite (got {v!r})"
            for name, v in (("a", a), ("c", c)) if not cmath.isfinite(v)]
     bad += [f"eigenvalue {i + 1} finite (got {v!r})"
@@ -542,14 +540,21 @@ def _first_pole(c: complex, p: int) -> tuple[int, PochhammerPole | None]:
 
 
 def _hyp1f1_result(
-    total: complex, order_reached: int, last_inc: float, converged: bool,
-    shift: int, log_etr: float,
+    total: complex, order_reached: int, last_inc: float, streak: int,
+    abs_sum: float, shift: int, log_etr: float,
 ) -> Hyp1F1Result:
     """The Hyp1F1Result of a finished sum, total 2**shift before etr(X): the
     imaginary part is dropped when it is at most 1e-12 times
     max(1, |real part|), and the value and the last increment are scaled
     by exp(log_etr) 2**shift (_etr_times). A value beyond double range
-    raises DomainError."""
+    raises DomainError.
+
+    converged holds when the sum stopped by the stopping rule, its streak
+    of small increments at CONSECUTIVE_ORDERS, and 2**-52 abs_sum, abs_sum
+    the sum of the magnitudes of its order terms at the scale of total,
+    bounds its rounding error within REL_STOP of |total|: digits cancelled
+    by then cannot come back at higher orders."""
+    converged = bool(streak == CONSECUTIVE_ORDERS and 2.0**-52 * abs_sum <= REL_STOP * abs(total))
     total = complex(total)
     unit = math.ldexp(1.0, -shift)  # 1, at the scale of total
     value = total.real if abs(total.imag) <= 1e-12 * max(unit, abs(total.real)) else total
@@ -602,7 +607,6 @@ def _hyp1f1_scalar(
     coef, power = 1.0, 1.0
     streak = order_reached = 0
     last_inc = 0.0
-    converged = False
     for m in range(1, policy.max_order + 1):
         if m == pole_order:
             raise pole
@@ -616,19 +620,15 @@ def _hyp1f1_scalar(
         abs_sum += last_inc
         if not abs_sum < math.inf or math.frexp(abs_sum)[1] + shift > top:
             raise DomainError([f"1F1 value finite (order {m})"], context="1F1 overflows")
-        if last_inc < REL_STOP * abs(total):
-            streak += 1
-            if streak >= CONSECUTIVE_ORDERS:
-                converged = bool(2.0**-52 * abs_sum <= REL_STOP * abs(total))
-                break
-        else:
-            streak = 0
+        streak = streak + 1 if last_inc < REL_STOP * abs(total) else 0
+        if streak == CONSECUTIVE_ORDERS:
+            break
         if abs_sum > 2.0**_RESCALE_BITS:
             k = math.frexp(abs_sum)[1]
             step = 2.0**-k
             coef, total, abs_sum, last_inc = coef * step, total * step, abs_sum * step, last_inc * step
             shift += k
-    return _hyp1f1_result(total, order_reached, last_inc, converged, shift, log_etr)
+    return _hyp1f1_result(total, order_reached, last_inc, streak, abs_sum, shift, log_etr)
 
 
 # Partitions per block of orders whose coefficients _hyp1f1_series gathers
@@ -763,7 +763,6 @@ def _hyp1f1_series(
     streak = 0
     order_reached = 0
     last_inc = 0.0
-    converged = False
     bounds = _order_blocks(policy.max_order, p)
     block = 0
     # cells past a pole or beyond double range may be inf or nan; none is returned
@@ -807,12 +806,7 @@ def _hyp1f1_series(
             abs_sum += last_inc
             if not abs_sum < math.inf:
                 raise DomainError([f"1F1 value finite (order {m})"], context="1F1 overflows")
-            if last_inc < REL_STOP * abs(total):
-                streak += 1
-                if streak >= CONSECUTIVE_ORDERS:
-                    # cancelled digits cannot come back at higher orders
-                    converged = bool(2.0**-52 * abs_sum <= REL_STOP * abs(total))
-                    break
-            else:
-                streak = 0
-    return _hyp1f1_result(total, order_reached, last_inc, converged, 0, log_etr)
+            streak = streak + 1 if last_inc < REL_STOP * abs(total) else 0
+            if streak == CONSECUTIVE_ORDERS:
+                break
+    return _hyp1f1_result(total, order_reached, last_inc, streak, abs_sum, 0, log_etr)

@@ -152,7 +152,7 @@ class TestMomentSums:
             ]
         )
         assert est == pytest.approx(vals.mean(), rel=1e-12)
-        assert se == pytest.approx(vals.std(ddof=1) / np.sqrt(len(vals)), rel=1e-9)
+        assert se == pytest.approx(vals.std(ddof=1) / np.sqrt(len(vals)), rel=1e-9, abs=0)
 
 
 class TestSecondMomentGate:

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,7 +33,6 @@ from mvda.special import (
     schur_eval,
     syt_count,
     zonal_c,
-    zonal_from_eigs,
 )
 
 WIDE_SERIES = TruncationPolicy(max_order=60)
@@ -189,6 +192,8 @@ class TestPartitionsOf:
     def test_weight_four(self):
         got = [p.parts for p in partitions_of(4, 4)]
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        # no partition of 4 has more than 4 parts, so no deeper table is built
+        assert [p.parts for p in partitions_of(4, 5000)] == got
 
     @pytest.mark.parametrize("m,max_len", [(3, 2), (4, 4), (5, 3), (6, 6), (7, 2)])
     def test_matches_brute_force(self, m, max_len):
@@ -205,6 +210,20 @@ class TestPartitionsOf:
         for p in ps:
             assert p.weight == m
             assert len(p) <= max_len
+
+    def test_cold_call_recurses_shallowly(self):
+        # a fresh interpreter holds no table yet; partitions_of builds the
+        # lighter ones first, so a deep weight needs no deep recursion
+        program = ("import sys; from mvda.special import partitions_of; "
+                   "sys.setrecursionlimit(100); print(len(partitions_of(1200, 2)))")
+        out = subprocess.run(
+            [sys.executable, "-c", program],
+            env=dict(os.environ, PYTHONPATH=str(Path(special.__file__).parents[1])),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.split() == ["601"]
 
 
 class TestPowerMean:
@@ -416,10 +435,10 @@ class TestSchur:
     @pytest.mark.parametrize("kappa,lam", [((2,), [[0.5]]), ((1,), [[1.0, 2.0]])],
                              ids=["1x1", "1x2"])
     def test_array_not_1d_is_refused(self, kappa, lam):
-        with pytest.raises(ValueError, match="zonal_c"):
+        with pytest.raises(ValueError, match="HermitianMatrix"):
             schur_eval(kappa, lam)
-        with pytest.raises(ValueError, match="zonal_c"):
-            zonal_from_eigs(kappa, lam)
+        with pytest.raises(ValueError, match="HermitianMatrix"):
+            zonal_c(kappa, lam)
 
 
 class TestSytCount:
@@ -589,7 +608,7 @@ class TestHyp1F1:
     @pytest.mark.parametrize("x", [-5.0, -2.0, -0.5, 0.5, 2.0, 5.0])
     def test_equal_parameters_give_exp(self, x):
         res = hyp1f1_matrix(2.0, 2.0, HermitianMatrix([[x]]), WIDE_SERIES)
-        assert res.value == pytest.approx(math.exp(x), rel=1e-10)
+        assert res.value == pytest.approx(math.exp(x), rel=1e-10, abs=0)
 
     def test_scalar_against_mpmath(self):
         res = hyp1f1_matrix(1.5, 3.2, HermitianMatrix([[1.7]]), WIDE_SERIES)
@@ -681,7 +700,7 @@ class TestHyp1F1:
             assert res.converged, x
             with mpmath.workdps(40):
                 want = float(mpmath.hyp1f1(a, c, x))
-            assert res.value == pytest.approx(want, rel=1e-10), x
+            assert res.value == pytest.approx(want, rel=1e-10, abs=0), x
 
     @pytest.mark.parametrize("eigs,off", [
         pytest.param([-30.0, 0.5], 1e-6, id="eigs0"),
@@ -822,8 +841,8 @@ class TestHyp1F1:
         assert res.converged
         with mpmath.workdps(40):
             want = float(mpmath.hyp1f1(1.5, 3.2, -800))
-        assert want == pytest.approx(1.177414962643664e-4, rel=1e-15)
-        assert res.value == pytest.approx(want, rel=1e-10)
+        assert want == pytest.approx(1.177414962643664e-4, rel=1e-15, abs=0)
+        assert res.value == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_p2_kummer_where_etr_alone_underflows(self):
         # etr(X) = e^-748 is below the smallest double, while the Kummer sum
@@ -859,11 +878,25 @@ class TestHyp1F1:
         with pytest.raises(ValueError):
             TruncationPolicy(max_order=-1)
 
+    @pytest.mark.parametrize("lam,stop", [([0.7], 14), ([-3.3], 24), ([1.0, 2.0], 22),
+                                          ([2.0, -1.0, 0.5], 21)],
+                             ids=["p1", "p1_kummer", "p2", "p3_mixed"])
+    def test_stopping_rule_boundary(self, lam, stop):
+        # the stopping rule is met at order stop: a budget of exactly stop
+        # orders converges to the same value, one order less does not
+        free = hyp1f1_matrix(1.5, 3.2, lam, TruncationPolicy(max_order=150))
+        assert free.order_reached == stop and free.converged
+        exact = hyp1f1_matrix(1.5, 3.2, lam, TruncationPolicy(max_order=stop))
+        assert exact == free
+        short = hyp1f1_matrix(1.5, 3.2, lam, TruncationPolicy(max_order=stop - 1))
+        assert short.order_reached == stop - 1 and not short.converged
 
-def test_zonal_from_eigs_matches_matrix_route():
+
+def test_zonal_c_on_eigenvalues_matches_matrix_route():
     rng = np.random.default_rng(53)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     x = HermitianMatrix((g + g.conj().T) / 2)
     lam = np.linalg.eigvalsh(x.array)[::-1]
     for kappa in partitions_of(4, 3):
-        assert zonal_from_eigs(kappa, lam) == pytest.approx(zonal_c(kappa, x), rel=1e-10)
+        assert zonal_c(kappa, lam) == zonal_c(kappa, x)
+        assert schur_eval(kappa, lam) == schur_eval(kappa, x)
