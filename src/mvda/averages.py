@@ -6,6 +6,15 @@ stay representable. Existence conditions are checked eagerly and reported
 by name through DomainError; a nonexistent moment is a first-class
 outcome, never a NaN.
 
+Every power average (det_power, complement_power, hermitian_form_moment)
+is one moment E prod_j det(Y_j)^m_j of a type-1 Dirichlet measure, with
+the complement Y_{k+1} = I - sum Y_j as the last component, so one gamma
+ratio (_dirichlet_moment) evaluates them all. A type-2 draw is
+X_j = (I - sum Y)^(-1/2) Y_j (I - sum Y)^(-1/2) for Y type-1 at the same
+alphas (Olkin & Rubin, Ann. Math. Statist. 35, 1964), so a type-2 power
+average is the moment with the complement's exponent lowered by the sum
+of the others.
+
 Each functional is one entry of FUNCTIONALS: its parameter names, its
 closed form, and its integrand for the Monte Carlo harness.
 """
@@ -18,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveDefinite
+from .errors import DomainError, NotPositiveDefinite, _json_typed
 from .linalg import HermitianMatrix, logdet_abs
 from .measures import Draws, MeasureSpec
 from .special import (
@@ -131,37 +140,56 @@ def _labels(measure: MeasureSpec) -> tuple[list[str], str, str]:
     return [f"alpha_{j}" for j in range(1, k + 1)], "p - 1", context
 
 
+def _gamma_ratio_ln(p: int, x: float, y: float) -> float:
+    """log Gamma_p(x) / Gamma_p(y)."""
+    return gamma_p_ln(p, x) - gamma_p_ln(p, y)
+
+
+def _dirichlet_moment(p: int, alphas, ms, big_m, labels, finite, context: str) -> AverageResult:
+    """E prod_{j <= k+1} det(Y_j)^m_j under the type-1 Dirichlet measure
+    at alphas, with Y_{k+1} = I - sum Y_j:
+
+        prod_j Gamma_p(alpha_j + m_j) / Gamma_p(alpha_j)
+            * Gamma_p(A) / Gamma_p(A + M),  A = sum alpha, M = sum m.
+
+    It exists iff every alpha_j + m_j > p - 1. None marks an exponent that
+    is 0 by construction: ms[j] where the functional takes no power of
+    det Y_j, big_m where the exponents cancel. Its ratio is 1 and no
+    log-gamma is evaluated. A given exponent of 0 is evaluated like any
+    other, so an overflowing log-gamma still refuses the moment. labels[j]
+    names the condition on a given ms[j]; finite holds the (name, ok)
+    finiteness conditions, checked after them. At type-2,
+    det X_j = det Y_j / det(I - sum Y) and I + sum X = (I - sum Y)^(-1)
+    (module docstring), so the type-2 power averages are this moment too.
+    """
+    given = [(a, m, label) for a, m, label in zip(alphas, ms, labels) if m is not None]
+    _require([(label, a + m > p - 1) for a, m, label in given] + finite, context)
+    total = sum(_gamma_ratio_ln(p, a + m, a) for a, m, _ in given)
+    if big_m is not None:
+        big_a = sum(alphas)
+        total += _gamma_ratio_ln(p, big_a, big_a + big_m)
+    return _ok(total)
+
+
 def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
     """E of the product of |det X_j| powers under the measure.
 
-    Type-1 shifts every alpha_j up by gamma_j in the normalizer; type-2
-    additionally pulls sum(gamma) out of the last parameter, which is why
-    only a few of those moments exist. The rectangular kinds are the p = 1
-    case at the scalar parameters alpha_j + n_j.
+    The Dirichlet moment at exponents (gamma, 0) with M = sum(gamma) at
+    type-1 and (gamma, -sum(gamma)) with M = 0 at type-2, which is why only
+    a few type-2 moments exist. The rectangular kinds are the p = 1 case at
+    the scalar parameters alpha_j + n_j.
     """
     measure.validate()
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) != measure.k:
         raise ValueError(f"need k = {measure.k} exponents, got {len(gammas)}")
-    p, k, alphas = measure.p, measure.k, measure.scalar_alphas
     names, bound, context = _labels(measure)
-    gsum = sum(gammas)
-    conditions = [
-        (f"{names[j]} + gamma_{j + 1} > {bound}", alphas[j] + gammas[j] > p - 1)
-        for j in range(k)
-    ]
-    if not measure.type1:
-        conditions.append((f"alpha_{{k+1}} - sum(gamma) > {bound}", alphas[-1] - gsum > p - 1))
-    conditions += [(f"gamma_{j + 1} finite", math.isfinite(g)) for j, g in enumerate(gammas)]
-    _require(conditions, context)
-    total = sum(
-        gamma_p_ln(p, alphas[j] + gammas[j]) - gamma_p_ln(p, alphas[j]) for j in range(k)
-    )
-    if measure.type1:
-        total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + gsum)
-    else:
-        total += gamma_p_ln(p, alphas[-1] - gsum) - gamma_p_ln(p, alphas[-1])
-    return _ok(total)
+    labels = [f"{name} + gamma_{j} > {bound}" for j, name in enumerate(names, start=1)]
+    labels.append(f"alpha_{{k+1}} - sum(gamma) > {bound}")
+    ms = gammas + (None if measure.type1 else -sum(gammas),)
+    big_m = sum(gammas) if measure.type1 else None
+    finite = [(f"gamma_{j} finite", math.isfinite(g)) for j, g in enumerate(gammas, start=1)]
+    return _dirichlet_moment(measure.p, measure.scalar_alphas, ms, big_m, labels, finite, context)
 
 
 def _det_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
@@ -185,18 +213,16 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
     """E of the complement determinant power.
 
     Type-1 averages |det(I - sum X_j)|^delta, type-2 averages
-    |det(I + sum X_j)|^(-delta); both shift only the last parameter and
-    end up with the same gamma ratio structure.
+    |det(I + sum X_j)|^(-delta); both are the Dirichlet moment at exponents
+    (0, ..., 0, delta) with M = delta.
     """
     measure.validate()
     delta = float(delta)
-    p, alphas = measure.p, measure.scalar_alphas
     _, bound, context = _labels(measure)
-    conditions = [(f"alpha_{{k+1}} + delta > {bound}", alphas[-1] + delta > p - 1)]
-    _require(conditions + [("delta finite", math.isfinite(delta))], context)
-    total = gamma_p_ln(p, alphas[-1] + delta) - gamma_p_ln(p, alphas[-1])
-    total += gamma_p_ln(p, sum(alphas)) - gamma_p_ln(p, sum(alphas) + delta)
-    return _ok(total)
+    labels = [None] * measure.k + [f"alpha_{{k+1}} + delta > {bound}"]
+    ms = (None,) * measure.k + (delta,)
+    finite = [("delta finite", math.isfinite(delta))]
+    return _dirichlet_moment(measure.p, measure.scalar_alphas, ms, delta, labels, finite, context)
 
 
 def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
@@ -280,7 +306,7 @@ def phi6_average(measure: MeasureSpec, A: HermitianMatrix) -> AverageResult:
     if A.dim != p:
         raise ValueError(f"parameter matrix must be {p}x{p}")
     logdet_a = _logdet_pd(A, "A", "weighted exponential average undefined")
-    total = gamma_p_ln(p, alphas[0] + alphas[2]) - gamma_p_ln(p, alphas[2])
+    total = _gamma_ratio_ln(p, alphas[0] + alphas[2], alphas[2])
     return _ok(total - alphas[0] * logdet_a)
 
 
@@ -304,8 +330,9 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
     """h-th moment of the sum of Hermitian form values at p = 1.
 
     Under the rectangular type-1 measure the sum is beta distributed with
-    parameters (sum(alpha_j + n_j), alpha_{k+1}); under type-2 the moment
-    exists only for h < alpha_{k+1}.
+    parameters (sum(alpha_j + n_j), alpha_{k+1}), so this is the Dirichlet
+    moment of that pair at exponents (h, 0) with M = h at type-1 and
+    (h, -h) with M = 0 at type-2, where it exists only for h < alpha_{k+1}.
     """
     measure.validate()
     if not measure.rectangular:
@@ -313,17 +340,11 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
     h = float(h)
     alphas = measure.alphas
     a = sum(alphas[:-1]) + sum(measure.ns)
-    conditions = [("sum(alpha_j + n_j) + h > 0", a + h > 0)]
-    if not measure.type1:
-        conditions.append(("alpha_{k+1} - h > 0", alphas[-1] - h > 0))
-    conditions.append(("h finite", math.isfinite(h)))
-    _require(conditions, context=f"type-{1 if measure.type1 else 2} moment does not exist")
-    total = gamma_p_ln(1, a + h) - gamma_p_ln(1, a)
-    if measure.type1:
-        total += gamma_p_ln(1, a + alphas[-1]) - gamma_p_ln(1, a + alphas[-1] + h)
-    else:
-        total += gamma_p_ln(1, alphas[-1] - h) - gamma_p_ln(1, alphas[-1])
-    return _ok(total)
+    ms, big_m = ((h, None), h) if measure.type1 else ((h, -h), None)
+    labels = ["sum(alpha_j + n_j) + h > 0", "alpha_{k+1} - h > 0"]
+    finite = [("h finite", math.isfinite(h))]
+    context = f"type-{1 if measure.type1 else 2} moment does not exist"
+    return _dirichlet_moment(1, (a, alphas[-1]), ms, big_m, labels, finite, context)
 
 
 def _form_moment_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
@@ -400,14 +421,14 @@ def _policy_from_json(doc: dict) -> TruncationPolicy:
     extra = sorted(set(doc) - {"max_order"})
     if extra:
         raise ValueError(f"policy takes only max_order, got {extra}")
-    return TruncationPolicy(**{key: int(value) for key, value in doc.items()})
+    return TruncationPolicy(**{key: _json_typed(doc[key], key, "integer") for key in doc})
 
 
 # FunctionalSpec's parameter fields in JSON key order: (to JSON, from JSON)
 _PARAMS = {
-    "gammas": (list, tuple),
-    "delta": (_same, _same),
-    "h": (_same, _same),
+    "gammas": (list, lambda value: tuple(_json_typed(value, "gammas", "array", "number"))),
+    "delta": (_same, lambda value: _json_typed(value, "delta", "number")),
+    "h": (_same, lambda value: _json_typed(value, "h", "number")),
     "A": (HermitianMatrix.to_json, HermitianMatrix.from_json),
     "policy": (asdict, _policy_from_json),
 }

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the type check of
+decoded JSON fields."""
 
 from __future__ import annotations
 
@@ -49,3 +50,21 @@ class NonFiniteIntegrand(MvdaError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+# the Python types json.loads gives each JSON type a field can require; a
+# number may also be numeric text, which a hand-written config can hold
+_JSON_TYPES = {"integer": int, "number": (int, float, str), "array": list}
+
+
+def _json_typed(value, name: str, kind: str, items: str | None = None):
+    """value, the decoded JSON field name, if it has the JSON type kind
+    ("integer", "number" or "array", whose entries then have type items);
+    otherwise TypeError naming the field. A bool is neither an integer nor a
+    number, and a string is not an array."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise TypeError(f"{name} must be a JSON {kind}, got {value!r}")
+    if items is not None:
+        for i, item in enumerate(value):
+            _json_typed(item, f"{name}[{i}]", items)
+    return value

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import NotPositiveDefinite, _json_typed
 
 # Construction-time gate on conjugate symmetry of raw input.
 HERMITIAN_ATOL = 1e-12
@@ -80,7 +80,7 @@ class HermitianMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "HermitianMatrix":
-        p = int(doc["p"])
+        p = _json_typed(doc["p"], "p", "integer")
         re = np.asarray(doc["re"], dtype=np.float64)
         im = np.asarray(doc["im"], dtype=np.float64)
         if re.shape != (p, p) or im.shape != (p, p):

@@ -108,7 +108,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SamplerError
+from .errors import DomainError, SamplerError, _json_typed
 from .linalg import (
     EIG_FLOOR_RTOL,
     HermitianMatrix,
@@ -285,14 +285,15 @@ class MeasureSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MeasureSpec":
-        bs = doc.get("Bs")
+        ns, bs = doc.get("ns"), doc.get("Bs")
         return cls(
             kind=doc["kind"],
-            p=int(doc["p"]),
-            k=int(doc["k"]),
-            alphas=tuple(doc["alphas"]),
-            ns=tuple(doc["ns"]) if doc.get("ns") is not None else None,
-            Bs=tuple(HermitianMatrix.from_json(b) for b in bs) if bs else None,
+            p=_json_typed(doc["p"], "p", "integer"),
+            k=_json_typed(doc["k"], "k", "integer"),
+            alphas=tuple(_json_typed(doc["alphas"], "alphas", "array", "number")),
+            ns=tuple(_json_typed(ns, "ns", "array", "integer")) if ns is not None else None,
+            Bs=(tuple(HermitianMatrix.from_json(b) for b in _json_typed(bs, "Bs", "array"))
+                if bs else None),
         )
 
 
@@ -331,6 +332,8 @@ class Draws:
     Four accessors answer at every p: logdet, the (k, n) log det X_j;
     log_complement, the type-1 log det(I - sum X_j) (None at type-2);
     trace(a, j), tr(A X_j); and logdet_eye_plus(js), log det(I + sum X_j).
+    A layered Draws (sample_layers) answers only the determinants it was
+    drawn for and raises ValueError for the rest.
 
     At p = 1, values holds the (k, n) values x_j and, at the type-1 kinds,
     complement holds 1 - sum x_j as the closing ratio w_{k+1} / sum w, which

@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .averages import FUNCTIONALS, FunctionalSpec, Integrand, evaluate_average
-from .errors import DomainError, MvdaError, NonFiniteIntegrand
+from .errors import DomainError, MvdaError, NonFiniteIntegrand, _json_typed
 from .measures import MeasureSpec, sample_batch, sample_layers
 from .rng import SeedSpec
 
@@ -74,9 +74,9 @@ class McConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "McConfig":
         return cls(
-            samples=int(doc["samples"]),
+            samples=_json_typed(doc["samples"], "samples", "integer"),
             seed=SeedSpec.from_json(doc["seed"]),
-            chunk=int(doc.get("chunk", cls.chunk)),
+            chunk=_json_typed(doc.get("chunk", cls.chunk), "chunk", "integer"),
         )
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _json_typed
+
 _U64_MAX = 2**64 - 1
 
 
@@ -43,7 +45,10 @@ class SeedSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SeedSpec":
-        return cls(seed=int(doc["seed"]), stream=int(doc.get("stream", 0)))
+        return cls(
+            seed=_json_typed(doc["seed"], "seed", "integer"),
+            stream=_json_typed(doc.get("stream", 0), "stream", "integer"),
+        )
 
 
 class CounterRng:

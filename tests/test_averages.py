@@ -1,4 +1,6 @@
 import math
+import re
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -199,16 +201,95 @@ class TestComplementPower:
         assert err.value.violated == ("delta finite",)
 
 
-def dirichlet_moment(b, gammas, delta):
-    """E[prod u_j^gamma_j (1 - sum u_j)^delta] under the scalar Dirichlet law
-    with parameters b = (b_1, ..., b_k; b_{k+1}), by mpmath."""
+def gamma_p_ln_mp(p, a):
+    """log Gamma_p(a) = (p(p-1)/2) log pi + sum_{i<p} log Gamma(a - i), by mpmath."""
+    return p * (p - 1) / 2 * mpmath.log(mpmath.pi) + sum(mpmath.loggamma(a - i) for i in range(p))
+
+
+def dirichlet_moment(b, gammas, delta, p=1):
+    """E[prod det U_j^gamma_j det(I - sum U_j)^delta] under the type-1
+    Dirichlet law with parameters b = (b_1, ..., b_k; b_{k+1}) at dimension
+    p (the scalar law at p = 1), by mpmath."""
     k = len(b) - 1
-    b = [mpmath.mpf(x) for x in b]
-    lg = mpmath.loggamma
-    val = lg(sum(b)) - lg(sum(b) + sum(gammas) + delta)
-    val += sum(lg(b[j] + gammas[j]) - lg(b[j]) for j in range(k))
-    val += lg(b[-1] + delta) - lg(b[-1])
-    return float(mpmath.exp(val))
+    with mpmath.workdps(40):
+        b = [mpmath.mpf(x) for x in b]
+        lg = partial(gamma_p_ln_mp, p)
+        val = lg(sum(b)) - lg(sum(b) + sum(gammas) + delta)
+        val += sum(lg(b[j] + gammas[j]) - lg(b[j]) for j in range(k))
+        val += lg(b[-1] + delta) - lg(b[-1])
+        return float(mpmath.exp(val))
+
+
+def type2_moment(b, gammas, delta, p):
+    """E[prod det X_j^gamma_j det(I + sum X_j)^(-delta)] under the type-2
+    Dirichlet law at b and dimension p, by mpmath, from the type-2 density
+    c(b) prod det X_j^(b_j - p) det(I + sum X_j)^(-sum b), c(b) =
+    Gamma_p(sum b) / prod Gamma_p(b_j): the weight turns it into the density
+    at b'_j = b_j + gamma_j, b'_{k+1} = b_{k+1} + delta - sum(gamma), so the
+    moment is c(b) / c(b')."""
+    with mpmath.workdps(40):
+        b = [mpmath.mpf(x) for x in b]
+        shifted = [x + g for x, g in zip(b, gammas)] + [b[-1] + delta - sum(gammas)]
+        val = gamma_p_ln_mp(p, sum(b)) - gamma_p_ln_mp(p, sum(shifted))
+        val += sum(gamma_p_ln_mp(p, y) - gamma_p_ln_mp(p, x) for x, y in zip(b, shifted))
+        return float(mpmath.exp(val))
+
+
+class TestPowerMoments:
+    """det_power and complement_power at both Dirichlet kinds against mpmath,
+    type-2 from its own density rather than through type-1."""
+
+    @staticmethod
+    def case(p, k):
+        alphas = tuple(p - 0.4 + 0.7 * j for j in range(k)) + (p + 2.5,)
+        gammas = (0.5, -0.3)[:k]
+        return alphas, gammas
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_det_power_matches_mpmath(self, kind, p, k):
+        alphas, gammas = self.case(p, k)
+        measure = MeasureSpec(kind=kind, p=p, k=k, alphas=alphas)
+        moment = dirichlet_moment if kind == "type1" else type2_moment
+        want = moment(alphas, gammas, 0.0, p)
+        assert det_power_average(measure, gammas).value == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("delta", [1.5, -0.3])
+    def test_complement_power_matches_mpmath(self, kind, p, k, delta):
+        alphas, _ = self.case(p, k)
+        measure = MeasureSpec(kind=kind, p=p, k=k, alphas=alphas)
+        moment = dirichlet_moment if kind == "type1" else type2_moment
+        want = moment(alphas, (0.0,) * k, delta, p)
+        res = complement_power_average(measure, delta)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "p,alphas,gammas,alpha",
+        [
+            (1, (1e306, 2.0, 5.0), (0.0, 1.0), "1e+306"),
+            (2, (3e305, 2.5, 6.0), (0.0, 1.0), "3e+305"),
+            (3, (4.2, 2e305, 1e300), (2.3, 0.0), "2e+305"),
+        ],
+        ids=["p1", "p2", "p3_lost_shift"],
+    )
+    def test_given_zero_exponent_keeps_the_overflow_refusal(self, p, alphas, gammas, alpha):
+        # a gamma_j = 0 that the caller gives is evaluated like any exponent,
+        # so log Gamma_p(alpha_j) past double range refuses the moment. Not
+        # evaluating it would return 8460.8 at p3_lost_shift, whose value is
+        # e^-4757.3: 1e300 - 2.3 rounds to 1e300, so its ratio comes out as 1
+        with pytest.raises(DomainError) as err:
+            det_power_average(t2(p, 2, alphas), gammas)
+        assert err.value.violated == (f"log Gamma_p(alpha) finite (alpha = {alpha}, p = {p})",)
+
+    def test_type2_evaluates_no_closing_ratio(self):
+        # the type-2 exponents cancel, so log Gamma_p(sum alpha), which
+        # overflows at 4e305 + 1, is never evaluated
+        res = det_power_average(t2(1, 2, (2e305, 2e305, 1.0)), (0.0, 0.0))
+        assert (res.log_value, res.value) == (0.0, 1.0)
 
 
 # rect_type1_p1 det-power and complement cases: (alphas, ns, functional)
@@ -413,6 +494,23 @@ class TestFunctionalSpec:
         assert FunctionalSpec.from_json(
             {"functional": "exp_trace", "policy": {}}
         ).policy == TruncationPolicy()
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"functional": "det_power", "gammas": "1"}, "gammas"),
+            ({"functional": "det_power", "gammas": [1.0, True]}, "gammas[1]"),
+            ({"functional": "complement_power", "delta": True}, "delta"),
+            ({"functional": "hermitian_form_moment", "h": [1]}, "h"),
+            ({"functional": "exp_trace", "policy": {"max_order": 30.5}}, "max_order"),
+            ({"functional": "exp_trace", "policy": {"max_order": "30"}}, "max_order"),
+        ],
+        ids=["gammas-string", "gammas-bool-entry", "delta-bool", "h-array", "max_order-float",
+             "max_order-string"],
+    )
+    def test_from_json_refuses_mistyped_fields(self, doc, field):
+        with pytest.raises(TypeError, match=f"^{re.escape(field)} must be a JSON"):
+            FunctionalSpec.from_json(doc)
 
 
 class TestEvaluateAverage:

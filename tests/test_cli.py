@@ -154,6 +154,36 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err or "policy takes only max_order" in err
 
+    @pytest.mark.parametrize(
+        "argv,doc,field",
+        [
+            (["average", "--spec"], {"measure": {"kind": "type1", "p": 1, "k": 1, "alphas": "23"},
+                                     "functional": "det_power", "gammas": "1"}, "alphas"),
+            (["average", "--spec"], {"measure": {"kind": "type1", "p": 1, "k": 1, "alphas": [2, 3]},
+                                     "functional": "det_power", "gammas": "1"}, "gammas"),
+            (["average", "--spec"], {"measure": {"kind": "type1", "p": 2.9, "k": 1, "alphas": [2, 3]},
+                                     "functional": "det_power", "gammas": [1]}, "p"),
+            (["sample", "--n", "2", "--spec"],
+             {"kind": "rect_type1_p1", "p": 1, "k": 2, "alphas": [1, 1, 1], "ns": "12"}, "ns"),
+            (["verify", "--config"],
+             [{"case_id": "x", "measure": {"kind": "type1", "p": 1, "k": 1, "alphas": [2, 3]},
+               "functional": "det_power", "gammas": [1],
+               "mc": {"samples": 1000, "seed": {"seed": "42", "stream": 1}, "chunk": 500}}], "seed"),
+            (["verify", "--config"],
+             [{"case_id": "x", "measure": {"kind": "type1", "p": 1, "k": 1, "alphas": [2, 3]},
+               "functional": "det_power", "gammas": [1],
+               "mc": {"samples": 1000.9, "seed": {"seed": 42, "stream": 1.5}, "chunk": "500"}}],
+             "samples"),
+        ],
+        ids=["alphas-string", "gammas-string", "p-float", "ns-string", "seed-string", "samples-float"],
+    )
+    def test_mistyped_field_exit_1_naming_it(self, tmp_path, capsys, argv, doc, field):
+        # a string is not split into characters, and a float is not truncated
+        assert main(argv + [write_json(tmp_path / "doc.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: malformed document: {field} must be a JSON")
+
     @pytest.mark.parametrize("spec", ["[1, 2]", '{"measure": [1], "functional": "det_power"}'])
     def test_inline_document_of_wrong_shape_exit_1(self, capsys, spec):
         # only "{" marks an inline document; anything else names a file

@@ -74,6 +74,11 @@ class TestHermitianMatrix:
         h2 = HermitianMatrix.from_json(doc)
         assert np.allclose(h.array, h2.array)
 
+    @pytest.mark.parametrize("p", [2.0, "2", True])
+    def test_from_json_refuses_a_non_integer_dimension(self, p):
+        with pytest.raises(TypeError, match="^p must be a JSON integer"):
+            HermitianMatrix.from_json({"p": p, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+
     def test_equality_and_hash_by_value(self):
         a = HermitianMatrix([[2.0, 0.5j], [-0.5j, 1.0]])
         b = HermitianMatrix.from_json(a.to_json())

@@ -505,6 +505,19 @@ class TestMeasureSpec:
         assert back.kind == spec.kind and back.alphas == spec.alphas and back.ns == spec.ns
         assert all(np.array_equal(a.array, b.array) for a, b in zip(back.Bs, spec.Bs))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("p", 2.9), ("p", True), ("k", "1"), ("alphas", "23"), ("alphas", [2.0, True]),
+         ("ns", "12"), ("ns", [1.5, 2]), ("Bs", {"p": 1})],
+        ids=["p-float", "p-bool", "k-string", "alphas-string", "alphas-bool-entry", "ns-string",
+             "ns-float-entry", "Bs-object"],
+    )
+    def test_from_json_refuses_mistyped_fields(self, field, value):
+        # a string is not an array, and a float or bool is not an integer
+        doc = {"kind": "rect_type1_p1", "p": 1, "k": 2, "alphas": [0.5, 1.0, 2.0], "ns": [1, 2]}
+        with pytest.raises(TypeError, match=rf"^{field}(\[\d\])? must be a JSON"):
+            MeasureSpec.from_json({**doc, field: value})
+
     def test_sample_json_round_trip(self):
         spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(2.0, 2.0))
         (x,) = sample_one(spec, SeedSpec(1, 1))

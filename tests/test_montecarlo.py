@@ -620,6 +620,14 @@ class TestMcConfig:
         cfg = McConfig(samples=1000, seed=SeedSpec(42, 3), chunk=100)
         assert McConfig.from_json(cfg.to_json()) == cfg
 
+    @pytest.mark.parametrize(
+        "field,value", [("samples", 1000.9), ("samples", "1000"), ("chunk", "500"), ("chunk", 2.5)]
+    )
+    def test_from_json_refuses_non_integers(self, field, value):
+        doc = {**McConfig(samples=1000, seed=SeedSpec(42, 3), chunk=100).to_json(), field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be a JSON integer"):
+            McConfig.from_json(doc)
+
     def test_json_without_chunk_takes_the_default(self):
         cfg = McConfig(samples=1000, seed=SeedSpec(42, 3))
         doc = cfg.to_json()

@@ -28,6 +28,16 @@ class TestSeedSpec:
         s = SeedSpec(seed=42, stream=7)
         assert SeedSpec.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [({"seed": "42"}, "seed"), ({"seed": 42.0}, "seed"), ({"seed": 42, "stream": 1.5}, "stream"),
+         ({"seed": 42, "stream": False}, "stream")],
+        ids=["seed-string", "seed-float", "stream-float", "stream-bool"],
+    )
+    def test_from_json_refuses_non_integers(self, doc, field):
+        with pytest.raises(TypeError, match=f"^{field} must be a JSON integer"):
+            SeedSpec.from_json(doc)
+
 
 class TestDeterminism:
     def test_same_triple_same_stream(self):
