@@ -91,14 +91,15 @@ class AverageResult:
         )
 
 
-def _ok(log_value: float, diagnostics: dict | None = None) -> AverageResult:
-    return AverageResult(
-        log_value=log_value,
-        value=math.exp(log_value),
-        conditions_ok=True,
-        violated_conditions=(),
-        diagnostics=diagnostics,
-    )
+def _ok(log_value: float) -> AverageResult:
+    """The result of a finite log value; DomainError naming "value finite"
+    when its value is past double range."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        raise DomainError([f"value finite (log value {log_value!r})"],
+                          context="average overflows") from None
+    return AverageResult(log_value=log_value, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +228,11 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
 
 def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     delta = functional.delta
-    every = range(measure.k)
 
-    def type1_complement(draws: Draws) -> np.ndarray:
+    def complement_power(draws: Draws) -> np.ndarray:
         return np.exp(delta * draws.log_complement)
 
-    def type2_complement(draws: Draws) -> np.ndarray:
-        return np.exp(-delta * draws.logdet_eye_plus(every))
-
-    return type1_complement if measure.type1 else type2_complement
+    return complement_power
 
 
 # ---------------------------------------------------------------------------

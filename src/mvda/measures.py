@@ -33,7 +33,11 @@ likewise, or at p >= 2 a gamma pivot that underflowed to 0) raises
 SamplerError.
 
 sample_batch returns the draws in the form it built them (Draws), not as
-matrices, and integrands ask a Draws the same four questions at every p.
+matrices, and integrands ask a Draws the same questions at every p. Its
+complement determinant has one meaning at both kinds: det Y_{k+1} of the
+type-1 complement Y_{k+1} = I - sum Y_j, which is det(I - sum X_j) at
+type-1 and det(I + sum X_j)^-1 at type-2, where I + sum X_j =
+(I - sum Y_j)^-1 for a type-1 Y at the same alphas (Olkin & Rubin, 1964).
 At p >= 2 the logs come from the pivots: log det X_j =
 2 sum_i (log T_j,ii - log L_ii), and at type-1 log det(I - sum X_j) is the
 same with T_{k+1}. The Hermitian grids of the X_j, and log det(I + sum X_j),
@@ -59,13 +63,13 @@ Gamma(a - i) (Goodman, 1963), and det W = prod_i |T_ii|^2 is a product of
 p independent gammas at shapes a - i. So sample_layers draws p independent
 p = 1 "layers" of the sums measure, layer i = 0..p-1 a scalar Dirichlet
 draw of the same kind at the alphas MeasureSpec.layers gives, and sums
-their logs: log det X_j = sum_i log x_ij, at type-1 log det(I - sum X_j) =
-sum_i log(1 - sum_j x_ij), at type-2 log det(I + sum X_j) = sum_i
-log(1 + sum_j x_ij). For reads "each" layer i is at (alpha_1 - i, ...,
-alpha_k - i, alpha_{k+1} + (k - 1) i) at type-1 and at (alpha_1 - i, ...,
-alpha_{k+1} - i) at type-2; for reads "sum", whose sums measure has
-k = 1 and alphas (a, b), it is at (a, b - i) at either kind. The law is
-exact:
+their logs: log det X_j = sum_i log x_ij, and the log complement is
+sum_i log(1 - sum_j x_ij) = log det(I - sum X_j) at type-1 and
+-sum_i log(1 + sum_j x_ij) = -log det(I + sum X_j) at type-2. For reads
+"each" layer i is at (alpha_1 - i, ..., alpha_k - i, alpha_{k+1} +
+(k - 1) i) at type-1 and at (alpha_1 - i, ..., alpha_{k+1} - i) at
+type-2; for reads "sum", whose sums measure has k = 1 and alphas (a, b),
+it is at (a, b - i) at either kind. The law is exact:
 
 - Type-2, reads "each": det X_j = det W_j / det W_{k+1}, since |det C|^2
   = 1 / det W_{k+1}. Each determinant is a product over the Bartlett
@@ -90,10 +94,12 @@ exact:
   at type-2 for layer i at (a, b - i).
 
 Layers drawn for one reads give only those determinants: the complement
-of "each" layers and the det X of "sum" layers have other laws, so a
-layered Draws refuses them. Every layer of a chunk comes from the one
-substream seed.child(chunk), in layer order; at p = 1 the one layer is
-the sums measure, drawn exactly as sample_batch draws it.
+of "each" layers and the det X of "sum" layers have other laws. So the
+Draws of p >= 2 layers holds only the summed array it was drawn for,
+logdet or log_complement, and refuses every other answer. Every layer of
+a chunk comes from the one substream seed.child(chunk), in layer order; at
+p = 1 the one layer is the sums measure, drawn exactly as sample_batch
+draws it, and its own Draws is returned.
 
 Sampler correctness is not assumed: the Monte Carlo harness cross-checks
 every construction against the closed-form averages.
@@ -329,11 +335,12 @@ def _triangular_factor(rng: CounterRng, p: int, alpha: float, n: int) -> list:
 class Draws:
     """n draws of a Dirichlet measure, in the form the sampler built them.
 
-    Four accessors answer at every p: logdet, the (k, n) log det X_j;
-    log_complement, the type-1 log det(I - sum X_j) (None at type-2);
-    trace(a, j), tr(A X_j); and logdet_eye_plus(js), log det(I + sum X_j).
-    A layered Draws (sample_layers) answers only the determinants it was
-    drawn for and raises ValueError for the rest.
+    Three determinant answers mean the same at both kinds: logdet, the
+    (k, n) log det X_j; log_complement, log det Y_{k+1} of the type-1
+    complement Y_{k+1} = I - sum Y_j, which is log det(I - sum X_j) at
+    type-1 and -log det(I + sum X_j) at type-2 (module docstring); and
+    logdet_eye_plus(js), log det(I + the sum of X_j over js). trace(a, j)
+    is tr(A X_j).
 
     At p = 1, values holds the (k, n) values x_j and, at the type-1 kinds,
     complement holds 1 - sum x_j as the closing ratio w_{k+1} / sum w, which
@@ -343,9 +350,12 @@ class Draws:
     At p >= 2, X_j = C W_j C* with C = L^{-1} and W_j = T_j T_j*: t holds
     the k factor grids T_j and l the grid L, and the logs come from their
     pivots. U_j = L^{-1} T_j and the Hermitian grid of X_j = U_j U_j* are
-    formed only when asked for. Without l, U_j = T_j (the matrix gamma).
-    Nothing in a Draws refers back to it, so its arrays go as soon as the
-    last reference to it does.
+    formed only when asked for.
+
+    A layered Draws (sample_layers) holds only the summed determinant it
+    was drawn for, logdet or log_complement, and raises ValueError for
+    every other answer. Nothing in a Draws refers back to it, so its arrays
+    go as soon as the last reference to it does.
     """
 
     def __init__(self, values=None, complement=None, t=None, l=None, logdet=None,
@@ -360,20 +370,33 @@ class Draws:
     @property
     def logdet(self) -> np.ndarray:
         """The (k, n) log det X_j."""
-        return self._logdet if self.values is None else np.log(self.values)
+        if self.values is not None:
+            return np.log(self.values)
+        if self._logdet is None:
+            raise ValueError("layers drawn for reads 'sum' do not give this answer")
+        return self._logdet
 
     @property
-    def log_complement(self) -> Optional[np.ndarray]:
-        """log det(I - sum X_j) at type-1, None at type-2."""
-        return self._log_complement if self.complement is None else np.log(self.complement)
+    def log_complement(self) -> np.ndarray:
+        """log det(I - sum X_j) at type-1, -log det(I + sum X_j) at type-2."""
+        if self.complement is not None:
+            return np.log(self.complement)
+        if self._log_complement is not None:
+            return self._log_complement
+        # type-2: det Y_{k+1} = det(I + sum X_j)^-1
+        every = range(len(self._logdet if self.values is None else self.values))
+        return -self.logdet_eye_plus(every)
 
     @property
     def n(self) -> int:
-        return len(self.values[0] if self.values is not None else self.t[0][0][0])
+        held = (self.values, self._logdet, self._log_complement)
+        return next(a for a in held if a is not None).shape[-1]
 
     def gram(self, j: int) -> list:
         """The Hermitian grid of X_j."""
-        return _gram(self.t[j] if self.l is None else _forward(self.l, self.t[j]))
+        if self.t is None:
+            raise ValueError("layered draws hold determinants only")
+        return _gram(_forward(self.l, self.t[j]))
 
     def trace(self, a: np.ndarray, j: int) -> np.ndarray:
         """tr(A X_j) for a Hermitian array A: the diagonal products plus
@@ -396,6 +419,9 @@ class Draws:
         """
         if self.values is not None:
             return np.log1p(sum(self.values[j] for j in js))
+        if self.l is None:
+            reads = "each" if self._logdet is not None else "sum"
+            raise ValueError(f"layers drawn for reads {reads!r} do not give this answer")
         grids = [_gram(self.l)] + [_gram(self.t[j]) for j in js]
         s = [[sum(e) for e in zip(*rows)] for rows in zip(*grids)]
         return 2 * (_log_diagonal(_cholesky(s, _pivot)) - _log_diagonal(self.l))
@@ -405,56 +431,16 @@ class Draws:
         packed complex Hermitian matrices."""
         if self.values is not None:
             return self.values.reshape(self.values.shape + (1, 1))
+        if self.t is None:
+            raise ValueError("layered draws hold determinants only")
         return _pack([self.gram(j) for j in range(len(self.t))])
-
-
-class _LayeredDraws(Draws):
-    """n draws of a measure's determinants as the sums of their p = 1
-    layers' (MeasureSpec.layers; proof in the module docstring).
-
-    Layers drawn for reads "each" give log det X_j; layers drawn for
-    "sum" give the complement determinant of the k = 1 sums measure,
-    log det(I - X) at type-1 and log det(I + X) at type-2. The layers have
-    no matrices, and no other answer has the measure's law, so asking for
-    one raises ValueError.
-    """
-
-    def __init__(self, layers: list[Draws], reads: str):
-        super().__init__()
-        self.layers = layers
-        self.reads = reads
-
-    def _sum(self, reads: str, answer) -> np.ndarray:
-        if reads != self.reads:
-            raise ValueError(f"layers drawn for reads {self.reads!r} do not give this answer")
-        return sum(answer(layer) for layer in self.layers)
-
-    @property
-    def logdet(self) -> np.ndarray:
-        return self._sum("each", lambda layer: layer.logdet)
-
-    @property
-    def log_complement(self) -> Optional[np.ndarray]:
-        if self.layers[0].complement is None:
-            return None
-        return self._sum("sum", lambda layer: layer.log_complement)
-
-    @property
-    def n(self) -> int:
-        return self.layers[0].n
-
-    def logdet_eye_plus(self, js) -> np.ndarray:
-        return self._sum("sum", lambda layer: layer.logdet_eye_plus(js))
-
-    def gram(self, *args):
-        raise ValueError("layered draws hold determinants only")
-
-    stack = gram
 
 
 def sample_layers(spec: MeasureSpec, reads: str, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
     """n draws of the determinants an integrand reads, from the p = 1
-    layers spec.layers(reads) (see _LayeredDraws).
+    layers spec.layers(reads): a Draws holding the sum of the layers'
+    logdet for reads "each", of their log_complement for reads "sum", and
+    at p = 1 the one layer's own Draws.
 
     Every layer of a chunk is drawn in order from the one substream
     seed.child(chunk), so the layers are independent of each other and the
@@ -470,7 +456,11 @@ def sample_layers(spec: MeasureSpec, reads: str, seed: SeedSpec, n: int, chunk: 
         _scalar_draws(rng, layer, n, f"p = {spec.p} layer {i} at shapes {layer.alphas}:")
         for i, layer in enumerate(layers)
     ]
-    return _LayeredDraws(draws, reads)
+    if len(draws) == 1:
+        return draws[0]
+    if reads == "each":
+        return Draws(logdet=sum(layer.logdet for layer in draws))
+    return Draws(log_complement=sum(layer.log_complement for layer in draws))
 
 
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
@@ -481,7 +471,7 @@ def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.nda
     """
     t = _triangular_factor(rng, p, alpha, n)
     _check_support(_log_diagonal(t)[None])
-    return Draws(t=[t]).stack()[0]
+    return _pack([_gram(t)])[0]
 
 
 def _scalar_draws(rng: CounterRng, spec: MeasureSpec, n: int, where: str = "p = 1") -> Draws:
@@ -540,9 +530,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     return Draws(t=t[:k], l=l, logdet=logs[:k], log_complement=logs[k] if spec.type1 else None)
 
 
-def _check_p1_support(
-    x: np.ndarray, complement: Optional[np.ndarray] = None, where: str = "p = 1"
-) -> None:
+def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray], where: str) -> None:
     """Raise unless every p = 1 value x_j is positive and finite and, at
     type-1, the complement is positive; where names the draw in the message.
 
@@ -586,9 +574,3 @@ def sample_matrix_gamma(p: int, alpha: float, seed: SeedSpec) -> HermitianMatrix
         )
     return HermitianMatrix(_matrix_gamma_batch(seed.child(0), p, float(alpha), 1)[0])
 
-
-def sample_one(spec: MeasureSpec, seed: SeedSpec) -> tuple[HermitianMatrix, ...]:
-    """One draw of the measure: the k matrices X_j, or at the rectangular
-    kinds the induced Hermitian form values u_j as 1 x 1 matrices."""
-    batch = sample_batch(spec, seed, 1).stack()
-    return tuple(HermitianMatrix(batch[j, 0]) for j in range(spec.k))

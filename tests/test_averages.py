@@ -164,6 +164,12 @@ class TestComplementPower:
         res = complement_power_average(t2(1, 1, (2.0, 3.0)), 1.0)
         assert res.value == pytest.approx(3 / 5, rel=1e-12)
 
+    def test_value_past_double_range_is_refused(self):
+        # the moment exists and its log value, 5.0e294, is finite
+        with pytest.raises(DomainError, match="^average overflows: value finite") as err:
+            complement_power_average(t1(1, 1, (1e300, 2e305)), -1e300)
+        assert err.value.violated == ("value finite (log value 5.009559176932147e+294)",)
+
     @pytest.mark.parametrize(
         "p,alphas,delta",
         [(1, (1.5, 2.0), 1.0), (2, (2.5, 3.0), 1.5), (2, (2.0, 2.5, 3.0), 2.0)],
@@ -388,6 +394,22 @@ class TestPhi6:
         with pytest.raises(DomainError) as err:
             phi6_average(t2(1, 2, (2.0, 2.0, 2.0)), HermitianMatrix([[-1.0]]))
         assert "A positive definite" in err.value.violated
+
+    def test_value_past_double_range_is_refused(self):
+        # -alpha_1 log det A = 800 * 690.8: a finite log value, but e^557179
+        # is past double range
+        measure, a = t2(1, 2, (800.0, 1.0, 2.0)), HermitianMatrix([[1e-300]])
+        with pytest.raises(DomainError, match="^average overflows: value finite") as err:
+            phi6_average(measure, a)
+        (named,) = err.value.violated
+        assert re.fullmatch(r"value finite \(log value 557179\.\d+\)", named)
+        # verify reports the named condition as the case's failure
+        case = VerifyCase("phi6_overflow", measure, FunctionalSpec(kind="phi6", A=a),
+                          McConfig(1_000, SeedSpec(1)))
+        (r,) = verify_suite([case])
+        assert r.verdict == "fail" and r.n == 0
+        assert r.diagnostics["error"] == "DomainError"
+        assert r.diagnostics["violated_conditions"] == [named]
 
 
 class TestHermitianFormMoment:

@@ -281,6 +281,16 @@ class TestAverage:
         ]
 
 
+    def test_value_past_double_range_exit_2(self, capsys):
+        spec = {"measure": {"kind": "type1", "p": 1, "k": 1, "alphas": [1e300, 2e305]},
+                "functional": "complement_power", "delta": -1e300}
+        code, out = run(capsys, ["average", "--spec", json.dumps(spec)])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["conditions_ok"] is False and "value" not in doc
+        assert doc["violated_conditions"] == ["value finite (log value 5.009559176932147e+294)"]
+
+
 class TestVerify:
     def small_config(self, tmp_path, broken=False):
         cases = [c for c in default_suite() if c.case_id in ("phi1_type1_p1_k1", "phi5_type2_p1_k1")]

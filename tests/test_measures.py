@@ -19,7 +19,6 @@ from mvda.measures import (
     sample_batch,
     sample_layers,
     sample_matrix_gamma,
-    sample_one,
 )
 from mvda.montecarlo import McConfig, VerifyCase, make_integrand, verify_suite
 from mvda.rng import SeedSpec
@@ -125,11 +124,11 @@ class TestType1:
 
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="type1", p=2, k=2, alphas=(2.0, 2.5, 3.0))
-        s = sample_one(spec, SeedSpec(7, 3))
-        assert isinstance(s, tuple) and len(s) == 2
-        assert all(isinstance(m, HermitianMatrix) and is_pd(m) for m in s)
-        assert is_pd(HermitianMatrix(np.eye(2) - s[0].array - s[1].array))
-        assert sample_one(spec, SeedSpec(7, 3)) == s
+        s = sample_batch(spec, SeedSpec(7, 3), 1).stack()[:, 0]
+        assert s.shape == (2, 2, 2)
+        assert all(is_pd(HermitianMatrix(m)) for m in s)
+        assert is_pd(HermitianMatrix(np.eye(2) - s[0] - s[1]))
+        assert np.array_equal(sample_batch(spec, SeedSpec(7, 3), 1).stack()[:, 0], s)
 
 
 class TestType2:
@@ -156,8 +155,8 @@ class TestType2:
 
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="type2", p=2, k=1, alphas=(3.0, 4.0))
-        s = sample_one(spec, SeedSpec(3, 1))
-        assert all(is_pd(m) for m in s)
+        s = sample_batch(spec, SeedSpec(3, 1), 1).stack()[:, 0]
+        assert all(is_pd(HermitianMatrix(m)) for m in s)
 
 
 class TestRectangular:
@@ -190,7 +189,7 @@ class TestRectangular:
 
     def test_single_sample_api(self):
         spec = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, 1.0, 2.0), ns=(2, 3))
-        u = [m.array[0, 0].real for m in sample_one(spec, SeedSpec(5, 2))]
+        u = list(sample_batch(spec, SeedSpec(5, 2), 1).stack()[:, 0, 0, 0])
         assert len(u) == 2 and all(x > 0 for x in u) and sum(u) < 1
 
     def test_type1_is_gamma_ratio_at_shifted_alphas(self):
@@ -215,8 +214,8 @@ class TestP1Batch:
         batch = sample_batch(spec, SeedSpec(42, 13), 1_000).stack()
         assert batch.dtype == np.float64 and batch.shape == (2, 1_000, 1, 1)
         assert np.array_equal(batch[:, :, 0, 0], x)
-        # single draws still come out as complex Hermitian matrices
-        m = sample_one(spec, SeedSpec(42, 13))[0]
+        # a single draw wraps as a complex Hermitian matrix
+        m = HermitianMatrix(sample_batch(spec, SeedSpec(42, 13), 1).stack()[0, 0])
         assert m.array.dtype == np.complex128
         assert m.array[0, 0] == sample_batch(spec, SeedSpec(42, 13), 1).stack()[0, 0, 0, 0]
 
@@ -520,7 +519,7 @@ class TestMeasureSpec:
 
     def test_sample_json_round_trip(self):
         spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(2.0, 2.0))
-        (x,) = sample_one(spec, SeedSpec(1, 1))
+        x = HermitianMatrix(sample_batch(spec, SeedSpec(1, 1), 1).stack()[0, 0])
         assert HermitianMatrix.from_json(x.to_json()) == x
 
 
@@ -719,10 +718,31 @@ class TestLayers:
                 ask()
         for measure in (_t1(2, 4.5, 3.5), _t2(2, 4.5, 3.5)):
             summed = sample_layers(measure, "sum", SeedSpec(1), 10)
-            comp = summed.log_complement if measure.type1 else summed.logdet_eye_plus((0,))
-            assert comp.shape == (10,) and np.isfinite(comp).all()
-            with pytest.raises(ValueError, match="reads 'sum' do not give"):
-                summed.logdet
+            comp = summed.log_complement
+            assert comp.shape == (10,) and np.isfinite(comp).all() and summed.n == 10
+            for ask in (lambda: summed.logdet, lambda: summed.logdet_eye_plus((0,))):
+                with pytest.raises(ValueError, match="reads 'sum' do not give"):
+                    ask()
+            for ask in (summed.stack, lambda: summed.trace(np.eye(2), 0)):
+                with pytest.raises(ValueError, match="determinants only"):
+                    ask()
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_sum_layers_give_the_summed_log_complement(self, kind):
+        # layer i's complement, 1 - x_i at type-1 and 1 / (1 + x_i) at
+        # type-2, from the one substream in layer order
+        measure = MeasureSpec(kind=kind, p=3, k=2, alphas=(3.5, 4.0, 4.5))
+        n = 1_000
+        rng = SeedSpec(42, 21).child(2)
+        want = 0
+        for layer in measure.layers("sum"):
+            w = np.stack([rng.gammas(a, n) for a in layer.alphas])
+            if kind == "type1":
+                want = want + np.log(w[1] / w.sum(axis=0))
+            else:
+                want = want - np.log1p(w[0] / w[1])
+        got = sample_layers(measure, "sum", SeedSpec(42, 21), n, chunk=2).log_complement
+        assert np.array_equal(got, want)
 
     def test_draw_outside_support_names_the_layer(self):
         # layer 1 of alpha_1 = 1 + 1e-7 at p = 2 draws Gamma(1e-7), which

@@ -156,8 +156,9 @@ class TestMomentSums:
 
 
 class TestSecondMomentGate:
-    """Cases whose first moment exists and whose second does not: the 4 SE
-    band is meaningless there, so each fails by name before any draw."""
+    """Cases whose first moment exists and whose second does not, or is past
+    double range: the 4 SE band is meaningless there, so each fails by name
+    before any draw."""
 
     @pytest.mark.parametrize(
         "measure, functional, violated",
@@ -181,6 +182,11 @@ class TestSecondMomentGate:
                 MeasureSpec(kind="type1", p=1, k=1, alphas=(0.6, 2.0)),
                 FunctionalSpec(kind="det_power", gammas=(-0.4,)),
                 "alpha_1 + gamma_1 > p - 1",
+            ),
+            (
+                MeasureSpec(kind="type1", p=1, k=1, alphas=(300.0, 1e4)),
+                FunctionalSpec(kind="det_power", gammas=(-100.0,)),
+                "value finite (log value 795.9477293694117)",
             ),
         ],
     )
@@ -273,14 +279,21 @@ def _hermitian(rng, p):
 class TestDet:
     """Determinants as Draws carries them, each against the packed stack: at
     p >= 2 log det X_j and the type-1 log complement from the sampler's
-    pivots and log det(I + sum X_j) from the Cholesky factor of the
-    lower-triangle grid plus I; at p = 1 all three from the stored ratios."""
+    pivots and the type-2 log complement, -log det(I + sum X_j), from the
+    Cholesky factor of the lower-triangle grid plus I; at p = 1 all three
+    from the stored ratios."""
 
     @staticmethod
-    def logs(draws, type1):
-        """log det X_j for each j, then the log complement."""
-        comp = draws.log_complement if type1 else draws.logdet_eye_plus(range(2))
-        return np.vstack([draws.logdet, comp])
+    def logs(draws):
+        """log det X_j for each j, then the log complement at either kind."""
+        return np.vstack([draws.logdet, draws.log_complement])
+
+    @staticmethod
+    def complement_sign(want, type1):
+        """The stack's log-determinants with the last row as the log
+        complement: log det(I - sum X_j), or -log det(I + sum X_j)."""
+        want[-1] *= 1 if type1 else -1
+        return want
 
     @staticmethod
     def stack(draws, type1):
@@ -302,7 +315,8 @@ class TestDet:
             well = (eig[..., 0] > 1e-3 * eig[..., -1]).all(axis=0)
             assert well.mean() > 0.9
             # a difference of logs is the determinants' relative difference
-            got = self.logs(draws, measure.type1)
+            want = self.complement_sign(want, measure.type1)
+            got = self.logs(draws)
             assert np.abs(got - want)[:, well].max() <= 1e-12
 
     @pytest.mark.parametrize("p", [4, 5])
@@ -315,7 +329,8 @@ class TestDet:
                     float(mpmath.log(mpmath.re(mpmath.det(mpmath.matrix(m.tolist())))))
                     for m in self.stack(draws, measure.type1).reshape(-1, p, p)
                 ]).reshape(3, -1)
-            got = self.logs(draws, measure.type1)
+            want = self.complement_sign(want, measure.type1)
+            got = self.logs(draws)
             assert got.dtype == np.float64
             assert np.allclose(got, want, rtol=1e-11, atol=1e-13)
 
