@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefinite, _json_typed
-from .linalg import HermitianMatrix, logdet_abs
+from .linalg import HermitianMatrix, _sum, logdet_abs
 from .measures import Draws, MeasureSpec
 from .special import (
     DEFAULT_TRUNCATION,
@@ -197,11 +198,10 @@ def _det_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> In
     gammas = functional.gammas
 
     def det_power(draws: Draws) -> np.ndarray:
-        log = np.zeros(draws.n)
-        for logdet_j, g in zip(draws.logdet, gammas):
-            if g != 0.0:
-                log = log + g * logdet_j
-        return np.exp(log)
+        if all(g == 0.0 for g in gammas):
+            return np.ones(draws.n)
+        log = _sum(g * logdet_j for logdet_j, g in zip(draws.logdet, gammas) if g != 0.0)
+        return np.exp(log, out=log)
 
     return det_power
 
@@ -230,7 +230,8 @@ def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec
     delta = functional.delta
 
     def complement_power(draws: Draws) -> np.ndarray:
-        return np.exp(delta * draws.log_complement)
+        log = delta * draws.log_complement
+        return np.exp(log, out=log)
 
     return complement_power
 
@@ -280,7 +281,8 @@ def _exp_trace_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> In
          else np.eye(measure.p, dtype=np.complex128))
 
     def exp_trace(draws: Draws) -> np.ndarray:
-        return np.exp(draws.trace(a, 0))
+        trace = draws.trace(a, 0)
+        return np.exp(trace, out=trace)
 
     return exp_trace
 
@@ -314,7 +316,9 @@ def _phi6_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integra
     expo = measure.alphas[0] + measure.alphas[-1]
 
     def phi6(draws: Draws) -> np.ndarray:
-        return np.exp(expo * draws.logdet_eye_plus((0,)) - draws.trace(a, 0))
+        log = expo * draws.logdet_eye_plus((0,))
+        log -= draws.trace(a, 0)
+        return np.exp(log, out=log)
 
     return phi6
 
@@ -346,10 +350,10 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
 
 def _form_moment_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     h = functional.h
-    eye = np.eye(measure.p)
 
     def form_moment(draws: Draws) -> np.ndarray:
-        return sum(draws.trace(eye, j) for j in range(measure.k)) ** h
+        # the rectangular measures have p = 1, where tr(I X_j) is x_j
+        return reduce(np.add, draws.values) ** h
 
     return form_moment
 

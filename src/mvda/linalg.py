@@ -8,6 +8,7 @@ construction and safe to share between concurrent workers.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,6 +108,26 @@ class HermitianMatrix:
 # of rows, row i holding the entries (i, 0) .. (i, i) as length-n arrays: real
 # on the diagonal, complex below it. A Hermitian grid keeps its lower triangle.
 # A full grid (rows of length p) holds the general products C T_j.
+#
+# A real diagonal entry is never conjugated, and a complex entry meets it as
+# numpy's mixed complex-real loop does: the real array is not cast ahead of
+# time. Division by a real pivot is the product with the pivot's reciprocal,
+# which is what numpy's complex division computes for a real divisor, bit
+# for bit on every nonzero component (a zero component may change sign);
+# the reciprocal costs a real pass, where complex division by the cast pivot
+# costs several. A sum of arrays starts from its first term and adds in
+# place (_sum), which builtin sum, starting from 0, would not.
+
+
+def _sum(terms):
+    """The sum of terms, in order, added in place into the first, which the
+    caller must own (a fresh array, or a numpy scalar)."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+        del term  # free it before a generator makes the next
+    return total
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -120,9 +141,11 @@ def _gram(rows: list) -> list:
     out = []
     for i, ri in enumerate(rows):
         out_i = []
-        for rj in rows[:i]:  # row j is zero past its own length
-            out_i.append(sum(a * np.conj(b) for a, b in zip(ri, rj)))
-        out_i.append(sum(_abs2(a) for a in ri))
+        for j, rj in enumerate(rows[:i]):  # row j is zero past its own length
+            # rj[j] is the real diagonal, which is not conjugated
+            terms = (a * (b if m == j else np.conj(b)) for m, (a, b) in enumerate(zip(ri, rj)))
+            out_i.append(_sum(terms))
+        out_i.append(_sum(_abs2(a) for a in ri))
         out.append(out_i)
     return out
 
@@ -134,16 +157,21 @@ def _cholesky(s: list, pivot: Callable[[np.ndarray, np.ndarray], np.ndarray]) ->
     pivot d2 and the largest diagonal entry of S, and decides what a small
     d2 means: _refuse raises, the sampler floors.
     """
-    scale = np.max([row[-1] for row in s], axis=0)
-    l = []
+    scale = reduce(np.maximum, [row[-1] for row in s])  # no stacked copy
+    l, inv = [], []  # inv[j] = 1 / L_jj, for the columns with entries below
     for i, si in enumerate(s):
         row = []
         for j in range(i):
-            # np.multiply, not *: on numpy scalars * rounds apart from the
-            # fused multiply-adds of numpy's array loop
-            acc = sum(np.multiply(row[m], np.conj(l[j][m])) for m in range(j))
-            row.append((si[j] - acc) / l[j][j])
-        row.append(pivot(si[i] - sum(_abs2(z) for z in row), scale))
+            z = si[j]
+            if j:
+                # np.multiply, not *: on numpy scalars * rounds apart from
+                # the fused multiply-adds of numpy's array loop
+                z = z - _sum(np.multiply(row[m], np.conj(l[j][m])) for m in range(j))
+            row.append(z * inv[j])
+        d2 = si[i] - _sum(_abs2(z) for z in row) if i else si[i]
+        row.append(pivot(d2, scale))
+        if i < len(s) - 1:
+            inv.append(1.0 / row[i])
         l.append(row)
     return l
 
@@ -152,10 +180,13 @@ def _forward(l: list, t: list) -> list:
     """L^{-1} T for lower-triangular grids L and T, by forward substitution."""
     u = []
     for i, ti in enumerate(t):
-        u.append([
-            (ti[j] - sum(l[i][m] * u[m][j] for m in range(j, i))) / l[i][i]
-            for j in range(i + 1)
-        ])
+        row = []
+        if i:
+            inv = 1.0 / l[i][i]
+            for j in range(i):
+                row.append((ti[j] - _sum(l[i][m] * u[m][j] for m in range(j, i))) * inv)
+        row.append(ti[i] / l[i][i])  # real over real: a true division
+        u.append(row)
     return u
 
 
@@ -176,7 +207,7 @@ def _log_diagonal(rows: list) -> np.ndarray:
     """The summed logs of a triangular grid's diagonal entries; an entry
     that is 0 (a gamma that underflowed) gives -inf."""
     with np.errstate(divide="ignore"):
-        return sum(np.log(row[-1]) for row in rows)
+        return _sum(np.log(row[-1]) for row in rows)
 
 
 def _refuse(d2: np.ndarray, scale: np.ndarray) -> np.ndarray:

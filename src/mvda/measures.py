@@ -38,11 +38,13 @@ complement determinant has one meaning at both kinds: det Y_{k+1} of the
 type-1 complement Y_{k+1} = I - sum Y_j, which is det(I - sum X_j) at
 type-1 and det(I + sum X_j)^-1 at type-2, where I + sum X_j =
 (I - sum Y_j)^-1 for a type-1 Y at the same alphas (Olkin & Rubin, 1964).
-At p >= 2 the logs come from the pivots: log det X_j =
+At p >= 2 the logs are read from the pivots, when asked for: log det X_j =
 2 sum_i (log T_j,ii - log L_ii), and at type-1 log det(I - sum X_j) is the
-same with T_{k+1}. The Hermitian grids of the X_j, and log det(I + sum X_j),
-are formed only when an integrand asks for them, as is every answer at
-p = 1. Draws.stack() packs the (k, n, p, p) matrices for output.
+same with T_{k+1}. The support check reads the pivots themselves: every
+T_j,ii and L_ii must be in (0, inf), which is exactly when all those logs
+are finite. The Hermitian grids of the X_j, and log det(I + sum X_j), are
+formed only when an integrand asks for them, as is every answer at p = 1.
+Draws.stack() packs the (k, n, p, p) matrices for output.
 
 A sum of independent complex matrix gammas with one scale is itself a
 matrix gamma at the summed shape (Goodman, Ann. Math. Statist. 34, 1963).
@@ -110,6 +112,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -123,6 +126,7 @@ from .linalg import (
     _gram,
     _log_diagonal,
     _pack,
+    _sum,
 )
 from .rng import CounterRng, SeedSpec
 
@@ -340,17 +344,20 @@ class Draws:
     complement Y_{k+1} = I - sum Y_j, which is log det(I - sum X_j) at
     type-1 and -log det(I + sum X_j) at type-2 (module docstring); and
     logdet_eye_plus(js), log det(I + the sum of X_j over js). trace(a, j)
-    is tr(A X_j).
+    is tr(A X_j). Each is computed when it is asked for.
 
     At p = 1, values holds the (k, n) values x_j and, at the type-1 kinds,
     complement holds 1 - sum x_j as the closing ratio w_{k+1} / sum w, which
     stays positive where the rounded sum of the x_j reaches 1. The logs are
-    taken from them only when asked for.
+    taken from them.
 
     At p >= 2, X_j = C W_j C* with C = L^{-1} and W_j = T_j T_j*: t holds
-    the k factor grids T_j and l the grid L, and the logs come from their
-    pivots. U_j = L^{-1} T_j and the Hermitian grid of X_j = U_j U_j* are
-    formed only when asked for.
+    the k factor grids T_j, l the grid L and, at type-1, complement the
+    pivots of the closing factor T_{k+1} (its rows cut to their diagonal
+    entries). The logs are taken from the pivots: log det X_j =
+    2 (sum_i log T_j,ii - sum_i log L_ii), and at type-1 log det(I - sum X_j)
+    is the same with T_{k+1}. U_j = L^{-1} T_j and the Hermitian grid of
+    X_j = U_j U_j* are formed for gram, trace and stack.
 
     A layered Draws (sample_layers) holds only the summed determinant it
     was drawn for, logdet or log_complement, and raises ValueError for
@@ -372,6 +379,8 @@ class Draws:
         """The (k, n) log det X_j."""
         if self.values is not None:
             return np.log(self.values)
+        if self.t is not None:
+            return self._pivot_logs(self.t)
         if self._logdet is None:
             raise ValueError("layers drawn for reads 'sum' do not give this answer")
         return self._logdet
@@ -379,16 +388,27 @@ class Draws:
     @property
     def log_complement(self) -> np.ndarray:
         """log det(I - sum X_j) at type-1, -log det(I + sum X_j) at type-2."""
-        if self.complement is not None:
-            return np.log(self.complement)
         if self._log_complement is not None:
             return self._log_complement
+        if self.complement is not None:
+            if self.values is not None:
+                return np.log(self.complement)
+            return self._pivot_logs([self.complement])[0]
         # type-2: det Y_{k+1} = det(I + sum X_j)^-1
-        every = range(len(self._logdet if self.values is None else self.values))
-        return -self.logdet_eye_plus(every)
+        k = len(next(a for a in (self.values, self.t, self._logdet) if a is not None))
+        log = self.logdet_eye_plus(range(k))
+        return np.negative(log, out=log)
+
+    def _pivot_logs(self, factors: list) -> np.ndarray:
+        """The (len(factors), n) log det C W C* = 2 (sum_i log T_ii -
+        sum_i log L_ii) of W = T T* for each factor grid T."""
+        log_l = _log_diagonal(self.l)
+        return np.stack([2 * (_log_diagonal(t) - log_l) for t in factors])
 
     @property
     def n(self) -> int:
+        if self.l is not None:
+            return self.l[0][0].shape[-1]
         held = (self.values, self._logdet, self._log_complement)
         return next(a for a in held if a is not None).shape[-1]
 
@@ -404,9 +424,10 @@ class Draws:
         if self.values is not None:
             return a[0, 0].real * self.values[j]
         x = self.gram(j)
-        diag = sum(a[i, i].real * row[i] for i, row in enumerate(x))
-        off = sum(np.conj(a[i, m]) * z for i, row in enumerate(x) for m, z in enumerate(row[:i]))
-        return diag + 2 * off.real
+        diag = _sum(a[i, i].real * row[i] for i, row in enumerate(x))
+        off = _sum(np.conj(a[i, m]) * z for i, row in enumerate(x) for m, z in enumerate(row[:i]))
+        diag += 2 * off.real
+        return diag
 
     def logdet_eye_plus(self, js) -> np.ndarray:
         """log det(I + the sum of X_j over js).
@@ -418,13 +439,16 @@ class Draws:
         it is log1p of the summed values.
         """
         if self.values is not None:
-            return np.log1p(sum(self.values[j] for j in js))
+            return np.log1p(reduce(np.add, [self.values[j] for j in js]))
         if self.l is None:
             reads = "each" if self._logdet is not None else "sum"
             raise ValueError(f"layers drawn for reads {reads!r} do not give this answer")
         grids = [_gram(self.l)] + [_gram(self.t[j]) for j in js]
-        s = [[sum(e) for e in zip(*rows)] for rows in zip(*grids)]
-        return 2 * (_log_diagonal(_cholesky(s, _pivot)) - _log_diagonal(self.l))
+        s = [[_sum(e) for e in zip(*rows)] for rows in zip(*grids)]
+        log = _log_diagonal(_cholesky(s, _pivot))
+        log -= _log_diagonal(self.l)
+        log *= 2
+        return log
 
     def stack(self) -> np.ndarray:
         """The draws as a (k, n, p, p) stack: real float64 at p = 1, else the
@@ -459,8 +483,8 @@ def sample_layers(spec: MeasureSpec, reads: str, seed: SeedSpec, n: int, chunk: 
     if len(draws) == 1:
         return draws[0]
     if reads == "each":
-        return Draws(logdet=sum(layer.logdet for layer in draws))
-    return Draws(log_complement=sum(layer.log_complement for layer in draws))
+        return Draws(logdet=_sum(layer.logdet for layer in draws))
+    return Draws(log_complement=_sum(layer.log_complement for layer in draws))
 
 
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
@@ -470,19 +494,22 @@ def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.nda
     outside the support, and raises SamplerError as in sample_batch.
     """
     t = _triangular_factor(rng, p, alpha, n)
-    _check_support(_log_diagonal(t)[None])
+    _check_support([t])
     return _pack([_gram(t)])[0]
 
 
 def _scalar_draws(rng: CounterRng, spec: MeasureSpec, n: int, where: str = "p = 1") -> Draws:
     """n draws of a p = 1 measure from rng: the scalar Dirichlet law.
 
-    k gammas, then the closing one, divided in place: by their sum at
-    type-1, which leaves the complement in the last row, and by the
-    closing gamma at type-2. where names the draw in a SamplerError.
+    k gammas, then the closing one, each drawn into its row of one
+    buffer and divided in place: by their sum at type-1, which leaves the
+    complement in the last row, and by the closing gamma at type-2. where
+    names the draw in a SamplerError.
     """
     k = spec.k
-    w = np.stack([rng.gammas(a, n) for a in spec.scalar_alphas])
+    w = np.empty((k + 1, n))
+    for a, row in zip(spec.scalar_alphas, w):
+        rng.gammas(a, n, out=row)
     with np.errstate(all="ignore"):  # _check_p1_support reports 0, inf and nan
         if spec.type1:
             np.divide(w, w.sum(axis=0), out=w)
@@ -511,7 +538,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     t = [_triangular_factor(rng, p, a, n) for a in spec.alphas]
     if spec.type1:
         # S = L L*
-        s = [[sum(e) for e in zip(*rows)] for rows in zip(*map(_gram, t))]
+        s = [[_sum(e) for e in zip(*rows)] for rows in zip(*map(_gram, t))]
         l = _cholesky(s, _pivot)
     else:
         # L = J T_{k+1}* J: its diagonal is T_{k+1}'s own, reversed, which
@@ -521,13 +548,11 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
             [np.conj(last[p - 1 - j][p - 1 - i]) for j in range(i)] + [last[p - 1 - i][p - 1 - i]]
             for i in range(p)
         ]
-    # log det C W_j C* = 2 (sum log T_j,ii - sum log L_ii), W_{k+1} giving
-    # the type-1 complement
-    log_l = _log_diagonal(l)
-    with np.errstate(invalid="ignore"):  # _check_support reports inf - inf
-        logs = np.stack([2 * (_log_diagonal(tj) - log_l) for tj in (t if spec.type1 else t[:k])])
-    _check_support(logs)
-    return Draws(t=t[:k], l=l, logdet=logs[:k], log_complement=logs[k] if spec.type1 else None)
+    # the pivots every log-determinant is read from (Draws._pivot_logs):
+    # at type-2, L's are T_{k+1}'s own
+    _check_support((t if spec.type1 else t[:k]) + [l])
+    closing = [row[-1:] for row in t[k]] if spec.type1 else None
+    return Draws(t=t[:k], l=l, complement=closing)
 
 
 def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray], where: str) -> None:
@@ -539,26 +564,34 @@ def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray], where: st
     closing / sum(gammas), which is 0 only when the closing gamma (next to
     the others) underflows; the rounded sum of x can reach 1 well before.
     """
-    # initial=1.0 passes an empty batch (n = 0); a nan fails both
-    if not (x.min(initial=1.0) > 0 and x.max(initial=1.0) < np.inf):
+    # initial=1.0 passes an empty batch (n = 0); a nan fails both. A type-1
+    # x_j is a gamma over a sum that holds it, in [0, 1] or nan, so its
+    # minimum decides alone.
+    if not (x.min(initial=1.0) > 0 and (complement is not None or x.max(initial=1.0) < np.inf)):
         bad = ~((x > 0) & (x < np.inf)).all(axis=0)
         raise SamplerError(f"{where} value not positive and finite at sample {int(np.argmax(bad))}")
-    if complement is not None and np.any(complement <= 0):
-        first = int(np.argmax(complement <= 0))
+    if complement is not None and not complement.min(initial=1.0) > 0:
+        first = int(np.argmax(~(complement > 0)))
         raise SamplerError(f"{where} type-1 complement 1 - sum x_j is 0 at sample {first}")
 
 
-def _check_support(logs: np.ndarray) -> None:
-    """Raise unless every log-determinant in the (rows, n) stack is finite.
+def _check_support(factors: list) -> None:
+    """Raise unless every pivot of the triangular factor grids is in
+    (0, inf), which is exactly when every log-determinant read from them
+    (Draws._pivot_logs) is finite; the message names the first sample
+    where one is not.
 
     A diagonal entry of some T_j or of the closing T_{k+1} (at type-2 also
     L's, and in sample_matrix_gamma the factor's own) is the square root
     of a gamma draw; one that is exactly 0 underflowed, which puts the
-    draw outside the support and its log at -inf, +inf or nan.
+    draw outside the support and its log at -inf.
     """
-    finite = np.isfinite(logs).all(axis=0)
-    if not finite.all():
-        raise SamplerError(f"gamma pivot underflowed to 0 at sample {int(np.argmin(finite))}")
+    pivots = [row[-1] for f in factors for row in f]
+    # initial=1.0 passes an empty batch (n = 0); a nan fails both
+    if all(d.min(initial=1.0) > 0 and d.max(initial=1.0) < np.inf for d in pivots):
+        return
+    ok = np.logical_and.reduce([(d > 0) & (d < np.inf) for d in pivots])
+    raise SamplerError(f"gamma pivot underflowed to 0 at sample {int(np.argmin(ok))}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import threading
 import time
@@ -197,13 +198,17 @@ def _chunk_sums(measure, integrand, config, c, layer_reads=None):
         draws = sample_batch(measure, config.seed, n, chunk=c)
     else:
         draws = sample_layers(measure, layer_reads, config.seed, n, chunk=c)
-    # inf and nan surface as NonFiniteIntegrand below
+    # a non-finite value makes a sum non-finite, and only then are the
+    # values scanned; sums past double range over finite values are left to
+    # mc_estimate_full
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         vals = integrand(draws)
-    finite = np.isfinite(vals)
-    if not np.all(finite):
-        raise NonFiniteIntegrand(start + int(np.argmin(finite)))
-    return float(np.sum(vals)), float(np.sum(vals * vals))
+        s1, s2 = float(np.sum(vals)), float(np.sum(vals * vals))
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise NonFiniteIntegrand(start + int(np.argmin(finite)))
+    return s1, s2
 
 
 def mc_estimate_full(
@@ -216,7 +221,9 @@ def mc_estimate_full(
     as its p scalar layers at p >= 2 for a functional of determinants (see
     the module docstring). diagnostics holds the sums measure's alphas as
     sampled_alphas when they differ from the measure's own scalar_alphas,
-    else it is {}.
+    else it is {}. A non-finite integrand value raises NonFiniteIntegrand;
+    finite values whose sum of squares passes double range raise
+    DomainError naming "sum of f**2 finite".
     """
     _pin_heap()
     entry = FUNCTIONALS[functional.kind]
@@ -236,6 +243,11 @@ def mc_estimate_full(
     for a, b in parts:  # fixed reduction order: chunk index
         s1 += a
         s2 += b
+    # every value was finite, so an infinite sum of squares (which a sum
+    # past double range implies) leaves the standard error inf, and a 4 SE
+    # band would pass any estimate
+    if not math.isfinite(s2):
+        raise DomainError(["sum of f**2 finite (got inf)"], context="standard error overflows")
     mean = s1 / n
     var = max(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
     sampled = drawn.scalar_alphas

@@ -76,9 +76,10 @@ class CounterRng:
         """n standard normals from numpy's ziggurat on this instance's stream."""
         return self._gen.standard_normal(n)
 
-    def gammas(self, shape: float, n: int) -> np.ndarray:
+    def gammas(self, shape: float, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """n draws from Gamma(shape, 1) for any finite shape > 0 on this
-        instance's stream.
+        instance's stream, written into out (a float64 array of length n)
+        when it is given.
 
         At shape >= 1 this is numpy's standard_gamma(shape). Below 1 it is
         Gamma(shape) = Gamma(shape + 1) * U**(1/shape) (Marsaglia & Tsang,
@@ -88,8 +89,8 @@ class CounterRng:
         if not 0 < shape < math.inf:
             raise ValueError(f"shape must be finite and > 0, got {shape!r}")
         if shape >= 1.0:
-            return self._gen.standard_gamma(shape, n)
-        g = self._gen.standard_gamma(shape + 1.0, n)
+            return self._gen.standard_gamma(shape, n, out=out)
+        g = self._gen.standard_gamma(shape + 1.0, n, out=out)
         e = self._gen.standard_exponential(n)
         # divide, not multiply by 1/shape: that is inf at a subnormal shape,
         # and 0 * inf is nan; E / -shape overflows only to -inf, which makes

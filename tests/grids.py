@@ -34,3 +34,8 @@ def max_rel(x, ref):
 
 def herm(a):
     return a.conj().transpose(0, 2, 1)
+
+
+def bits(a):
+    """The raw bytes of an array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).tobytes()

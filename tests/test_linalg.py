@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from mvda.errors import NotPositiveDefinite
 from mvda.linalg import (
     PIVOT_RTOL,
     HermitianMatrix,
+    _abs2,
     _cholesky,
     _forward,
     _gram,
@@ -17,7 +20,7 @@ from mvda.linalg import (
     is_pd,
     logdet_abs,
 )
-from grids import dense, grid, herm, max_rel, random_lower
+from grids import bits, dense, grid, herm, max_rel, random_lower
 
 
 def random_hermitian(p, rng, scale=1.0):
@@ -282,3 +285,131 @@ class TestEntrywiseKernels:
         assert np.array_equal(packed, packed.conj().swapaxes(-1, -2))
         assert np.array_equal(np.tril(packed, -1), np.tril(np.stack(s), -1))
         assert max_rel(packed.reshape(-1, p, p), np.concatenate(s)) <= 1e-12
+
+
+def componentwise(z, r):
+    """z * r for a real r, one product per component, with no cast."""
+    out = np.empty_like(z)
+    np.multiply(z.real, r, out=out.real)
+    np.multiply(z.imag, r, out=out.imag)
+    return out
+
+
+class TestMixedComplexReal:
+    """The grid kernels divide a complex entry by a real pivot as the
+    product with the pivot's reciprocal, and multiply it by a real diagonal
+    entry without a cast. Both keep the bits of numpy's complex loops on
+    nonzero components, so canonical reports do not move; a numpy that
+    rounds otherwise fails here."""
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        # components and positive reals at magnitudes e^-30 .. e^30, both signs
+        rng = np.random.default_rng(71)
+        mag = np.exp(rng.uniform(-30.0, 30.0, (3, self.N)))
+        sign = rng.choice([-1.0, 1.0], (2, self.N))
+        return sign[0] * mag[0] + 1j * sign[1] * mag[1], mag[2]
+
+    def test_division_by_real_is_product_with_reciprocal(self, operands):
+        z, d = operands
+        r = 1.0 / d
+        assert bits(z / d) == bits(z * r) == bits(componentwise(z, r))
+
+    def test_product_with_real_is_componentwise(self, operands):
+        z, d = operands
+        assert bits(z * d) == bits(z * np.conj(d)) == bits(componentwise(z, d))
+
+    def test_numpy_scalars_round_as_the_array_loop(self, operands):
+        # cholesky() and logdet_abs() run the same kernel on numpy scalars
+        z, d = (a[:2_000] for a in operands)
+        quotients = np.array([zi / di for zi, di in zip(z, d)])
+        products = np.array([zi * (1.0 / di) for zi, di in zip(z, d)])
+        assert bits(quotients) == bits(products) == bits(z / d)
+
+    @pytest.mark.parametrize("d", [1.0, 3.5, math.exp(30.0), math.exp(-30.0)])
+    def test_signed_zero_components_keep_their_value(self, d):
+        # complex division adds re * 0 to im (and im * 0 to re), so a zero
+        # component may come out with the other sign; only its sign moves
+        parts = [0.0, -0.0, 1.5, -1.5]
+        z = np.array([complex(a, b) for a in parts for b in parts])
+        dd = np.full(z.shape, d)
+        for want, got in ((z / dd, componentwise(z, 1.0 / dd)), (z * dd, componentwise(z, dd))):
+            assert np.array_equal(want, got)
+            for part in ("real", "imag"):
+                nonzero = getattr(z, part) != 0
+                assert bits(getattr(want, part)[nonzero]) == bits(getattr(got, part)[nonzero])
+
+
+def _gram_sum_from_zero(rows):
+    # the kernels as first written: builtin sums from 0, every entry conjugated
+    out = []
+    for i, ri in enumerate(rows):
+        out_i = [sum(a * np.conj(b) for a, b in zip(ri, rj)) for rj in rows[:i]]
+        out_i.append(sum(_abs2(a) for a in ri))
+        out.append(out_i)
+    return out
+
+
+def _cholesky_divided(s, pivot):
+    scale = np.max([row[-1] for row in s], axis=0)
+    l = []
+    for i, si in enumerate(s):
+        row = []
+        for j in range(i):
+            acc = sum(np.multiply(row[m], np.conj(l[j][m])) for m in range(j))
+            row.append((si[j] - acc) / l[j][j])
+        row.append(pivot(si[i] - sum(_abs2(z) for z in row), scale))
+        l.append(row)
+    return l
+
+
+def _forward_divided(l, t):
+    u = []
+    for i, ti in enumerate(t):
+        u.append([(ti[j] - sum(l[i][m] * u[m][j] for m in range(j, i))) / l[i][i]
+                  for j in range(i + 1)])
+    return u
+
+
+class TestKernelsKeepTheirRounding:
+    """The grid kernels, which sum from the first term, leave real pivots
+    unconjugated and multiply by their reciprocals, against the same
+    kernels summed from 0 with complex division: equal bit for bit."""
+
+    N = 2_000
+
+    @staticmethod
+    def same(got, want):
+        assert [len(row) for row in got] == [len(row) for row in want]
+        for row_got, row_want in zip(got, want):
+            for a, b in zip(row_got, row_want):
+                assert a.dtype == b.dtype and bits(a) == bits(b)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_gram(self, p):
+        t = grid(random_lower(np.random.default_rng(80 + p), self.N, p))
+        self.same(_gram(t), _gram_sum_from_zero(t))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_cholesky(self, p):
+        t = random_lower(np.random.default_rng(90 + p), self.N, p)
+        s = grid(t @ herm(t))
+        self.same(_cholesky(s, _refuse), _cholesky_divided(s, _refuse))
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_forward(self, p):
+        rng = np.random.default_rng(100 + p)
+        l, t = grid(random_lower(rng, self.N, p)), grid(random_lower(rng, self.N, p))
+        self.same(_forward(l, t), _forward_divided(l, t))
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_scalar_cholesky(self, p):
+        # cholesky() factors one matrix on numpy scalars through the same kernel
+        h = random_pd(p, np.random.default_rng(110 + p))
+        a = h.array
+        s = [[a[i, j] for j in range(i)] + [a[i, i].real] for i in range(p)]
+        got, want = _cholesky(s, _refuse), _cholesky_divided(s, _refuse)
+        assert bits(np.array([z for row in got for z in row], dtype=complex)) == bits(
+            np.array([z for row in want for z in row], dtype=complex))

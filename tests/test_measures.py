@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from mvda import measures
 from mvda.averages import FUNCTIONALS, FunctionalSpec
 from mvda.errors import DomainError, SamplerError
-from mvda.linalg import EIG_FLOOR_RTOL, HermitianMatrix, _cholesky, is_pd
+from mvda.linalg import EIG_FLOOR_RTOL, HermitianMatrix, _cholesky, _gram, _log_diagonal, is_pd
 from mvda.measures import (
     READS,
     MeasureSpec,
@@ -23,7 +24,7 @@ from mvda.measures import (
 from mvda.montecarlo import McConfig, VerifyCase, make_integrand, verify_suite
 from mvda.rng import SeedSpec
 
-from grids import dense, grid, herm, max_rel, random_lower
+from grids import bits, dense, grid, herm, max_rel, random_lower
 
 N = 100_000
 
@@ -390,6 +391,62 @@ class TestSupportByConstruction:
         spec = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p, p - 1 + 0.03))
         x = sample_batch(spec, SeedSpec(42, 15), 50_000).stack()
         assert np.linalg.eigvalsh(np.eye(p) - x.sum(axis=0)).min() >= -1e-12
+
+
+def _pivot_log_sum(t):
+    """sum_i log T_ii of a triangular grid, summed in row order."""
+    return sum(np.log(row[-1]) for row in t)
+
+
+class TestGridLogs:
+    """At p >= 2 the determinants come from the factors' pivots, taken
+    only when asked for: log det X_j = 2 (sum log T_j,ii - sum log L_ii),
+    the type-1 complement the same with T_{k+1}, and the type-2 complement
+    -2 (sum log M_ii - sum log L_ii) for the Cholesky factor M of
+    L L* + sum W_j. Each equals slogdet of the packed matrices."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_logs_are_the_pivot_formula_and_slogdet(self, kind, p):
+        spec = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0))
+        draws = sample_batch(spec, SeedSpec(42, 24), 2_000)
+        log_l = _pivot_log_sum(draws.l)
+        want = np.stack([2 * (_pivot_log_sum(t) - log_l) for t in draws.t])
+        if kind == "type1":
+            complement = 2 * (_pivot_log_sum(draws.complement) - log_l)
+        else:
+            grids = [_gram(draws.l)] + [_gram(t) for t in draws.t]
+            m = _cholesky([[sum(e) for e in zip(*rows)] for rows in zip(*grids)], _pivot)
+            complement = -2 * (_pivot_log_sum(m) - log_l)
+        assert bits(draws.logdet) == bits(want)
+        assert bits(draws.log_complement) == bits(complement)
+
+        # to 1e-12, plus the error of slogdet's own LU on an ill-conditioned
+        # matrix, p eps cond
+        x = draws.stack()
+        # the type-2 complement determinant is det(I + sum X_j)^-1
+        closing, sense = ((np.eye(p) - x.sum(axis=0), 1) if kind == "type1"
+                          else (np.eye(p) + x.sum(axis=0), -1))
+        for got, m, power in ((draws.logdet, x, 1), (draws.log_complement, closing, sense)):
+            sign, slog = np.linalg.slogdet(m)
+            tol = 1e-12 + p * np.finfo(float).eps * np.linalg.cond(m)
+            assert np.abs(sign - 1).max() <= 1e-12
+            assert (np.abs(got - power * slog) <= tol).all()
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_no_log_is_taken_until_asked(self, kind, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return _log_diagonal(rows)
+
+        monkeypatch.setattr(measures, "_log_diagonal", counted)
+        spec = MeasureSpec(kind=kind, p=3, k=2, alphas=(3.5, 4.0, 4.5))
+        draws = sample_batch(spec, SeedSpec(42, 25), 1_000)
+        assert calls == []
+        draws.logdet
+        assert calls
 
 
 def _banded(diagonal, coupling):

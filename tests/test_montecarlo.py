@@ -467,6 +467,35 @@ class TestNonFiniteIntegrand:
                 montecarlo._chunk_sums(scalar_type1(), integrand, McConfig(1_000, SeedSpec(42)), 0)
         assert err.value.sample_index == 0
 
+    def test_finite_values_keep_their_sums(self):
+        # squares past double range leave the sums to mc_estimate_full, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s1, s2 = montecarlo._chunk_sums(
+                scalar_type1(), lambda draws: np.full(draws.n, 1e200), McConfig(1_000, SeedSpec(42)), 0
+            )
+        assert s1 == np.sum(np.full(1_000, 1e200)) and s2 == np.inf
+
+
+class TestSquareOverflow:
+    """Every value finite, but the sum of squares past double range: the
+    standard error is inf, and a 4 SE band would pass any estimate. The
+    case fails by name instead."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fails_by_name(self, workers):
+        # det X^-58.5 at alpha = (300, 1e5): the closed form is 2.29e150 and
+        # its second moment is finite, but one draw's square overflows
+        measure = MeasureSpec(kind="type1", p=1, k=1, alphas=(300.0, 1e5))
+        functional = FunctionalSpec(kind="det_power", gammas=(-58.5,))
+        overflow = VerifyCase("overflow", measure, functional, McConfig(100_000, SeedSpec(1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (r,) = verify_suite([overflow], workers=workers)
+        assert r.verdict == "fail" and r.std_error is None and r.n == 0
+        assert r.diagnostics["error"] == "DomainError"
+        assert r.diagnostics["violated_conditions"] == ["sum of f**2 finite (got inf)"]
+
 
 class TestComparator:
     def test_pass_and_fail(self):

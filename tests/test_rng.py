@@ -134,6 +134,17 @@ class TestGammas:
         gen.standard_normal(5)
         assert np.array_equal(g, gen.standard_gamma(2.5, 1_001))
 
+    @pytest.mark.parametrize("shape", [0.7, 2.5])
+    def test_gammas_into_a_buffer_row_are_the_same_draws(self, shape):
+        rows = np.zeros((2, 1_001))
+        rng = SeedSpec(15).child(2)
+        got = rng.gammas(shape, 1_001, out=rows[1])
+        after = rng.normals(11)
+        fresh = SeedSpec(15).child(2)
+        assert np.shares_memory(got, rows) and not rows[0].any()
+        assert np.array_equal(rows[1], fresh.gammas(shape, 1_001))
+        assert np.array_equal(after, fresh.normals(11))
+
     def test_positive(self):
         g = SeedSpec(6).child(0).gammas(0.3, 50000)
         assert np.all(g > 0)
