@@ -84,12 +84,7 @@ class AverageResult:
 
     @classmethod
     def from_domain_error(cls, exc: DomainError) -> "AverageResult":
-        return cls(
-            log_value=None,
-            value=None,
-            conditions_ok=False,
-            violated_conditions=exc.violated,
-        )
+        return cls(conditions_ok=False, violated_conditions=exc.violated)
 
 
 def _ok(log_value: float) -> AverageResult:
@@ -260,20 +255,10 @@ def exp_trace_average(
         A = HermitianMatrix.identity(p)
     if A.dim != p:
         raise ValueError(f"parameter matrix must be {p}x{p}")
-    res = hyp1f1_matrix(alphas[0], sum(alphas), A, policy)
-    diagnostics = {
-        "order_reached": res.order_reached,
-        "last_increment": res.last_increment,
-        "converged": res.converged,
-    }
-    value = float(res.value)
-    return AverageResult(
-        log_value=math.log(value) if value > 0 else None,
-        value=value,
-        conditions_ok=True,
-        violated_conditions=(),
-        diagnostics=diagnostics,
-    )
+    diagnostics = dict(vars(hyp1f1_matrix(alphas[0], sum(alphas), A, policy)))
+    value = float(diagnostics.pop("value"))
+    return AverageResult(log_value=math.log(value) if value > 0 else None, value=value,
+                         diagnostics=diagnostics)
 
 
 def _exp_trace_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:

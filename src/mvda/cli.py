@@ -28,7 +28,6 @@ from .errors import (
 from .linalg import HermitianMatrix
 from .measures import MeasureSpec, sample_batch
 from .montecarlo import (
-    McConfig,
     all_passed,
     default_suite,
     load_suite,
@@ -151,18 +150,12 @@ def _cmd_average(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        cases = _load_doc(args.config, lambda docs: load_suite(json.dumps(docs)))
-    else:
-        cases = default_suite()
-    if args.samples is not None or args.seed is not None:
-        patched = []
-        for case in cases:
-            mc = case.mc
-            seed = mc.seed if args.seed is None else SeedSpec(args.seed, mc.seed.stream)
-            n = mc.samples if args.samples is None else args.samples
-            patched.append(replace(case, mc=McConfig(samples=n, seed=seed, chunk=mc.chunk)))
-        cases = patched
+    cases = _load_doc(args.config, load_suite) if args.config else default_suite()
+    if args.seed is not None:
+        cases = [replace(c, mc=replace(c.mc, seed=replace(c.mc.seed, seed=args.seed)))
+                 for c in cases]
+    if args.samples is not None:
+        cases = [replace(c, mc=replace(c.mc, samples=args.samples)) for c in cases]
     reports = verify_suite(cases, workers=args.workers)
     _write(args, report_emit(reports, format=args.format, canonical=args.canonical).decode())
     return 0 if all_passed(reports) else 3

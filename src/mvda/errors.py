@@ -44,12 +44,9 @@ class SamplerError(MvdaError):
 class NonFiniteIntegrand(MvdaError):
     """An integrand evaluated to NaN/Inf during Monte Carlo estimation."""
 
-    def __init__(self, sample_index: int, detail: str = ""):
+    def __init__(self, sample_index: int):
         self.sample_index = sample_index
-        msg = f"non-finite integrand value at sample index {sample_index}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"non-finite integrand value at sample index {sample_index}")
 
 
 # the Python types json.loads gives each JSON type a field can require; a

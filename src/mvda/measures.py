@@ -477,7 +477,7 @@ def sample_layers(spec: MeasureSpec, reads: str, seed: SeedSpec, n: int, chunk: 
     layers = spec.layers(reads)
     rng = seed.child(chunk)
     draws = [
-        _scalar_draws(rng, layer, n, f"p = {spec.p} layer {i} at shapes {layer.alphas}:")
+        _scalar_draws(rng, layer, n, f"p = {spec.p} layer {i} at shapes {layer.scalar_alphas}:")
         for i, layer in enumerate(layers)
     ]
     if len(draws) == 1:

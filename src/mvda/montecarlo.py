@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from typing import Optional, Sequence
@@ -53,8 +53,6 @@ from .rng import SeedSpec
 
 # Comparator floor: a case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR).
 ABS_FLOOR = 1e-4
-
-CSV_HEADER = "case_id,estimate,std_error,closed_form,abs_diff,tolerance,verdict,n,runtime_ms"
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class McConfig:
             raise ValueError("chunk must be >= 1")
 
     def to_json(self) -> dict:
-        return {"samples": self.samples, "seed": self.seed.to_json(), "chunk": self.chunk}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "McConfig":
@@ -95,18 +93,17 @@ class McReport:
     diagnostics: Optional[dict] = None
 
     def to_json(self, canonical: bool = False) -> dict:
-        return {
-            "case_id": self.case_id,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "closed_form": self.closed_form,
-            "abs_diff": self.abs_diff,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "n": self.n,
-            "runtime_ms": 0 if canonical else self.runtime_ms,
-            "diagnostics": self.diagnostics,
-        }
+        """The fields in order, shallow: a copy of the instance dict, whose
+        diagnostics is this report's own dict. canonical zeroes the
+        wall-clock runtime_ms."""
+        doc = dict(vars(self))
+        if canonical:
+            doc["runtime_ms"] = 0
+        return doc
+
+
+_CSV_FIELDS = tuple(f.name for f in fields(McReport) if f.name != "diagnostics")
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -366,8 +363,8 @@ def all_passed(reports: Sequence[McReport]) -> bool:
 # suite configuration and report serialization
 
 
-def load_suite(text: str) -> list[VerifyCase]:
-    docs = json.loads(text)
+def load_suite(docs: list) -> list[VerifyCase]:
+    """The cases of a decoded suite config, a JSON array of case documents."""
     if not isinstance(docs, list):
         raise ValueError("suite config must be a JSON array of cases")
     return [VerifyCase.from_json(d) for d in docs]
@@ -376,7 +373,7 @@ def load_suite(text: str) -> list[VerifyCase]:
 def default_suite() -> list[VerifyCase]:
     """The pinned verification suite shipped with the package."""
     text = resources.files("mvda").joinpath("data/default_suite.json").read_text()
-    return load_suite(text)
+    return load_suite(json.loads(text))
 
 
 def dump_suite(cases: Sequence[VerifyCase]) -> str:
@@ -400,7 +397,7 @@ def report_emit(
         for r in reports:
             doc = r.to_json(canonical=canonical)
             cells = []
-            for key in CSV_HEADER.split(","):
+            for key in _CSV_FIELDS:
                 v = doc[key]
                 cells.append("nan" if v is None else (repr(v) if isinstance(v, float) else str(v)))
             lines.append(",".join(cells))

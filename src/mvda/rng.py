@@ -14,7 +14,7 @@ same Generator output across versions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class SeedSpec:
         return CounterRng(self, chunk=index)
 
     def to_json(self) -> dict:
-        return {"seed": self.seed, "stream": self.stream}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SeedSpec":

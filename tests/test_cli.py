@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from mvda.cli import main
 from mvda.linalg import HermitianMatrix
-from mvda.montecarlo import dump_suite, default_suite
+from mvda.montecarlo import McConfig, default_suite, dump_suite, report_emit, verify_suite
+from mvda.rng import SeedSpec
 
 
 def run(capsys, argv):
@@ -368,6 +370,25 @@ class TestVerify:
             "case_id,estimate,std_error,closed_form,abs_diff,tolerance,verdict,n,runtime_ms"
         )
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("seed, samples", [(7, None), (None, 3000), (7, 3000)])
+    def test_seed_and_samples_replace_only_themselves(self, tmp_path, capsys, seed, samples):
+        # each case keeps its own stream and its chunk, below the sample count
+        ids = ("phi1_type1_p1_k1", "phi5_type2_p1_k1")
+        cases = [replace(c, mc=McConfig(4000, SeedSpec(11, stream), chunk=1500))
+                 for stream, c in zip((3, 5), [c for c in default_suite() if c.case_id in ids])]
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(dump_suite(cases))
+        argv = ["verify", "--config", str(cfg), "--canonical"]
+        argv += [] if seed is None else ["--seed", str(seed)]
+        argv += [] if samples is None else ["--samples", str(samples)]
+        expected = verify_suite([
+            replace(c, mc=McConfig(samples or 4000, SeedSpec(seed or 11, stream), chunk=1500))
+            for stream, c in zip((3, 5), cases)
+        ])
+        code, out = run(capsys, argv)
+        assert out == report_emit(expected, canonical=True).decode()
+        assert code == (0 if all(r.verdict == "pass" for r in expected) else 3)
 
     def test_canonical_reports_reproducible(self, tmp_path, capsys):
         cfg = self.small_config(tmp_path)

@@ -819,6 +819,15 @@ class TestLayers:
         assert r.diagnostics["error"] == "SamplerError"
         assert r.diagnostics["message"].startswith("p = 2 layer 1 at shapes")
 
+    def test_rectangular_draw_outside_support_names_the_drawn_shapes(self):
+        # the p = 1 layer of a rectangular measure draws its gammas at
+        # alpha_j + n_j: (1.5, 0.01) here; the closing Gamma(0.01) underflows
+        measure = MeasureSpec(kind="rect_type2_p1", p=1, k=1, alphas=(0.5, 0.01), ns=(1,))
+        named = (r"^p = 1 layer 0 at shapes \(1\.5, 0\.01\): "
+                 r"value not positive and finite at sample \d+$")
+        with pytest.raises(SamplerError, match=named):
+            sample_layers(measure, "each", SeedSpec(42), 20_000)
+
 
 def _layer_law_cases():
     for p in (2, 3, 4):

@@ -374,7 +374,7 @@ class TestNearBoundary:
     I - sum X_j or det X_j from the packed matrices rounded to 0 and raised
     NonFiniteIntegrand; the logs from the sampler's pivots stay finite."""
 
-    CASES = load_suite(NEAR_BOUNDARY.read_text())
+    CASES = load_suite(json.loads(NEAR_BOUNDARY.read_text()))
 
     @pytest.mark.parametrize("case", CASES, ids=[c.case_id for c in CASES])
     def test_finite_within_4se(self, case):
@@ -603,7 +603,7 @@ class TestVerifySuite:
 
     def test_suite_config_round_trip(self):
         cases = default_suite()
-        back = load_suite(dump_suite(cases))
+        back = load_suite(json.loads(dump_suite(cases)))
         assert [c.to_json() for c in back] == [c.to_json() for c in cases]
         # key order and number formatting survive too: the shipped file re-emits as is
         shipped = resources.files("mvda").joinpath("data/default_suite.json").read_bytes()
