@@ -23,14 +23,7 @@ from .errors import (
     PochhammerPole,
     SamplerError,
 )
-from .linalg import (
-    HermitianMatrix,
-    cholesky,
-    eigvals_hermitian,
-    inv_sqrt,
-    is_pd,
-    logdet_abs,
-)
+from .linalg import HermitianMatrix
 from .measures import (
     MeasureSpec,
     sample_batch,
@@ -40,12 +33,11 @@ from .montecarlo import (
     McConfig,
     McReport,
     VerifyCase,
-    build_report,
     default_suite,
     report_emit,
     verify_suite,
 )
-from .rng import CounterRng, SeedSpec
+from .rng import SeedSpec
 from .special import (
     Hyp1F1Result,
     Partition,
@@ -67,7 +59,6 @@ __all__ = [
     "AverageSpec",
     "BadSupport",
     "BadWeights",
-    "CounterRng",
     "DomainError",
     "FunctionalSpec",
     "HermitianMatrix",
@@ -84,20 +75,14 @@ __all__ = [
     "SeedSpec",
     "TruncationPolicy",
     "VerifyCase",
-    "build_report",
-    "cholesky",
     "complement_power_average",
     "default_suite",
     "det_power_average",
-    "eigvals_hermitian",
     "evaluate_average",
     "exp_trace_average",
     "gamma_p_ln",
     "hermitian_form_moment",
     "hyp1f1_matrix",
-    "inv_sqrt",
-    "is_pd",
-    "logdet_abs",
     "normalizer_ln",
     "partitions_of",
     "phi6_average",

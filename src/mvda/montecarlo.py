@@ -376,10 +376,6 @@ def default_suite() -> list[VerifyCase]:
     return load_suite(json.loads(text))
 
 
-def dump_suite(cases: Sequence[VerifyCase]) -> str:
-    return json.dumps([c.to_json() for c in cases], indent=2) + "\n"
-
-
 def report_emit(
     reports: Sequence[McReport], format: str = "json", canonical: bool = False
 ) -> bytes:

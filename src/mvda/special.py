@@ -57,12 +57,12 @@ class Partition:
         parts = tuple(self.parts)
         if not all(x % 1 == 0 for x in parts):  # refuses 2.5, inf and nan
             raise ValueError(f"parts must be integers, got {parts}")
-        parts = tuple(int(x) for x in parts if x != 0)
+        parts = tuple(int(x) for x in parts)
         if any(x < 0 for x in parts):
             raise ValueError("parts must be non-negative")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):  # zeros only trail
             raise ValueError(f"parts must be non-increasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", tuple(x for x in parts if x != 0))
 
     @property
     def weight(self) -> int:

@@ -377,6 +377,10 @@ class TestExpTrace:
         with pytest.raises(DomainError):
             exp_trace_average(t1(2, 2, (2.0, 0.5, 2.0)))
 
+    def test_parameter_matrix_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match="^parameter matrix must be 2x2$"):
+            exp_trace_average(t1(2, 2, (2.0, 2.0, 2.0)), HermitianMatrix.identity(3))
+
 
 class TestPhi6:
     def test_scalar_gamma_recurrence(self):
@@ -394,6 +398,10 @@ class TestPhi6:
         with pytest.raises(DomainError) as err:
             phi6_average(t2(1, 2, (2.0, 2.0, 2.0)), HermitianMatrix([[-1.0]]))
         assert "A positive definite" in err.value.violated
+
+    def test_parameter_matrix_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match="^parameter matrix must be 2x2$"):
+            phi6_average(t2(2, 2, (2.0, 2.0, 2.0)), HermitianMatrix.identity(1))
 
     def test_value_past_double_range_is_refused(self):
         # -alpha_1 log det A = 800 * 690.8: a finite log value, but e^557179

@@ -6,7 +6,7 @@ import pytest
 
 from mvda.cli import main
 from mvda.linalg import HermitianMatrix
-from mvda.montecarlo import McConfig, default_suite, dump_suite, report_emit, verify_suite
+from mvda.montecarlo import McConfig, default_suite, report_emit, verify_suite
 from mvda.rng import SeedSpec
 
 
@@ -39,6 +39,14 @@ class TestScalarCommands:
         code, out = run(capsys, ["pochhammer", "--a", "3", "--partition", "2,1"])
         assert code == 0
         assert json.loads(out)["value"] == 24.0
+
+    @pytest.mark.parametrize("partition", ["0,2", "2,0,1", "1,2"])
+    def test_partition_out_of_order_exit_1(self, capsys, partition):
+        # a zero may only trail: "0,2" is not the partition (2)
+        assert main(["pochhammer", "--a", "3", "--partition", partition]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: parts must be non-increasing")
 
     def test_non_finite_value_exit_4(self, capsys):
         # (3)_200 is about 1e377: JSON has no infinity, so nothing is printed
@@ -244,6 +252,17 @@ class TestAverage:
         assert doc["conditions_ok"] is True
         assert doc["value"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_exp_trace_prints_series_diagnostics(self, capsys):
+        code, out = run(capsys, ["average", "--spec", json.dumps(EXP_TRACE)])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["conditions_ok", "log_value", "value", "violated_conditions",
+                             "diagnostics"]
+        # E exp(x_1) under Dirichlet(1, 1, 1) is 1F1(1; 3; 1) = 2 (e - 2)
+        assert doc["value"] == pytest.approx(2 * (math.e - 2), rel=1e-14, abs=0)
+        assert list(doc["diagnostics"]) == ["order_reached", "last_increment", "converged"]
+        assert doc["diagnostics"]["converged"] is True
+
     def test_nonexistent_moment_exit_2(self, tmp_path, capsys):
         spec = write_json(
             tmp_path / "bad.json",
@@ -309,7 +328,7 @@ class TestVerify:
                 bad.mc,
             )
         path = tmp_path / "suite.json"
-        path.write_text(dump_suite(cases))
+        path.write_text(json.dumps([c.to_json() for c in cases], indent=2))
         return str(path)
 
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -354,7 +373,7 @@ class TestVerify:
     def test_string_delta_case_passes(self, tmp_path, capsys):
         # a string parameter is read as its float, as from a hand-written config
         case = next(c for c in default_suite() if c.case_id == "phi2_type1_p1_k1")
-        doc = json.loads(dump_suite([case]))
+        doc = json.loads(json.dumps([case.to_json()]))
         doc[0]["delta"] = "0.5"
         cfg = write_json(tmp_path / "suite.json", doc)
         code, out = run(capsys, ["verify", "--config", cfg, "--samples", "20000"])
@@ -378,7 +397,7 @@ class TestVerify:
         cases = [replace(c, mc=McConfig(4000, SeedSpec(11, stream), chunk=1500))
                  for stream, c in zip((3, 5), [c for c in default_suite() if c.case_id in ids])]
         cfg = tmp_path / "suite.json"
-        cfg.write_text(dump_suite(cases))
+        cfg.write_text(json.dumps([c.to_json() for c in cases], indent=2))
         argv = ["verify", "--config", str(cfg), "--canonical"]
         argv += [] if seed is None else ["--seed", str(seed)]
         argv += [] if samples is None else ["--samples", str(samples)]

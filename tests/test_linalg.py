@@ -82,6 +82,20 @@ class TestHermitianMatrix:
         with pytest.raises(TypeError, match="^p must be a JSON integer"):
             HermitianMatrix.from_json({"p": p, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"p": 2, "re": [[1, 0]], "im": [[0, 0]]},
+            {"p": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0]]},
+            {"p": 1, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+        ],
+        ids=["1x2", "im-1x2", "p-too-small"],
+    )
+    def test_from_json_refuses_arrays_not_p_by_p(self, doc):
+        p = doc["p"]
+        with pytest.raises(ValueError, match=f"^matrix arrays must be {p}x{p} row-major$"):
+            HermitianMatrix.from_json(doc)
+
     def test_equality_and_hash_by_value(self):
         a = HermitianMatrix([[2.0, 0.5j], [-0.5j, 1.0]])
         b = HermitianMatrix.from_json(a.to_json())

@@ -540,6 +540,40 @@ class TestMeasureSpec:
         assert MeasureSpec(kind="type1", p=1, k=1, alphas=(1.0, 1.0)).type1
         assert not MeasureSpec(kind="rect_type2_p1", p=1, k=1, alphas=(1.0, 1.0), ns=(1,)).type1
 
+    @pytest.mark.parametrize("p,k", [(0, 1), (1, 0)])
+    def test_p_and_k_at_least_one(self, p, k):
+        with pytest.raises(ValueError, match="^p and k must be >= 1$"):
+            MeasureSpec(kind="type1", p=p, k=k, alphas=(1.0,) * (k + 1)).validate()
+
+    @pytest.mark.parametrize("forms", [{"ns": (2,)}, {"Bs": (HermitianMatrix.identity(2),)}],
+                             ids=["ns", "Bs"])
+    def test_forms_only_on_rectangular_kinds(self, forms):
+        with pytest.raises(ValueError, match="^ns/Bs only apply to rectangular measures$"):
+            MeasureSpec(kind="type2", p=1, k=1, alphas=(1.0, 1.0), **forms).validate()
+
+    @pytest.mark.parametrize(
+        "ns,Bs,message",
+        [
+            ((0,), None, "form sizes must be >= 1"),
+            ((2,), (HermitianMatrix.identity(2),) * 2, "need one form matrix per component"),
+            ((2, 1), (HermitianMatrix.identity(2), HermitianMatrix.identity(2)), "B_2 must be 1x1"),
+        ],
+        ids=["size-0", "two-Bs-for-one-form", "B2-size"],
+    )
+    def test_rect_forms_checked(self, ns, Bs, message):
+        alphas = (0.5,) * len(ns) + (2.0,)
+        spec = MeasureSpec(kind="rect_type1_p1", p=1, k=len(ns), alphas=alphas, ns=ns, Bs=Bs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec.validate()
+
+    @pytest.mark.parametrize("kind", ["rect_type1_p1", "rect_type2_p1"])
+    @pytest.mark.parametrize("last", [0.0, -1.5])
+    def test_rect_last_alpha_positive_named(self, kind, last):
+        spec = MeasureSpec(kind=kind, p=1, k=1, alphas=(0.5, last), ns=(2,))
+        with pytest.raises(DomainError) as err:
+            spec.validate()
+        assert err.value.violated == (f"alpha_{{k+1}} > 0 (got {last!r})",)
+
     def test_alpha_count(self):
         with pytest.raises(ValueError):
             MeasureSpec(kind="type1", p=1, k=2, alphas=(1.0, 1.0)).validate()

@@ -24,7 +24,6 @@ from mvda.montecarlo import (
     all_passed,
     build_report,
     default_suite,
-    dump_suite,
     load_suite,
     make_integrand,
     mc_estimate_full,
@@ -601,13 +600,19 @@ class TestVerifySuite:
             assert c.mc.samples == 100_000
             assert c.mc.seed.seed == 42
 
+    @pytest.mark.parametrize("doc", [{}, {"case_id": "x"}, "[]"], ids=["empty", "object", "string"])
+    def test_suite_config_must_be_an_array(self, doc):
+        with pytest.raises(ValueError, match="^suite config must be a JSON array of cases$"):
+            load_suite(doc)
+
     def test_suite_config_round_trip(self):
         cases = default_suite()
-        back = load_suite(json.loads(dump_suite(cases)))
+        text = json.dumps([c.to_json() for c in cases], indent=2) + "\n"
+        back = load_suite(json.loads(text))
         assert [c.to_json() for c in back] == [c.to_json() for c in cases]
         # key order and number formatting survive too: the shipped file re-emits as is
         shipped = resources.files("mvda").joinpath("data/default_suite.json").read_bytes()
-        assert dump_suite(cases).encode("utf-8") == shipped
+        assert text.encode("utf-8") == shipped
 
 
 class TestReportEmit:

@@ -165,6 +165,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1, 2))
 
+    @pytest.mark.parametrize("parts", [(0, 2), (2, 0, 1)], ids=["leading", "inner"])
+    def test_rejects_zero_ahead_of_a_part(self, parts):
+        with pytest.raises(ValueError, match=r"^parts must be non-increasing, got \("):
+            Partition(parts)
+
+    @pytest.mark.parametrize("parts", [(-1,), (2, -1), (0, -1)])
+    def test_rejects_negative_parts(self, parts):
+        with pytest.raises(ValueError, match="^parts must be non-negative$"):
+            Partition(parts)
+
     def test_weight(self):
         assert Partition((3, 2, 2)).weight == 7
         assert Partition(()).weight == 0
@@ -431,6 +441,12 @@ class TestSchur:
     def test_value_beyond_double_range_is_a_domain_error(self):
         with pytest.raises(DomainError, match="Schur value finite"):
             schur_eval((1,), [1e308, 1e308])
+
+    def test_row_past_the_strip_table_limit_is_refused(self):
+        # a first part of 2048 needs a 2049 x 2049 strip table, past 2**22 entries
+        with pytest.raises(ValueError,
+                           match=r"^partition \(2048,\) too large for the branching rule$"):
+            schur_eval((2048,), [1.0])
 
     @pytest.mark.parametrize("kappa,lam", [((2,), [[0.5]]), ((1,), [[1.0, 2.0]])],
                              ids=["1x1", "1x2"])
@@ -843,6 +859,32 @@ class TestHyp1F1:
             want = float(mpmath.hyp1f1(1.5, 3.2, -800))
         assert want == pytest.approx(1.177414962643664e-4, rel=1e-15, abs=0)
         assert res.value == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "v,shift,log_etr",
+        [(1.5e300, 400, -707.0), (1.5e300 - 2.5e299j, 400, -707.0),
+         (-3.7e299 + 1.1e300j, 450, -705.5)],
+        ids=["real", "complex", "complex-wide"],
+    )
+    def test_etr_scaling_where_the_shifted_sum_alone_overflows(self, v, shift, log_etr):
+        # e^log_etr is a normal double, but v 2**shift is past double range:
+        # the product is taken as v exp(r) 2**(shift + k)
+        assert math.exp(log_etr) >= sys.float_info.min
+        with pytest.raises(OverflowError):
+            special._ldexp(v, shift)
+        got = special._etr_times(v, shift, log_etr)
+        with mpmath.workdps(40):
+            want = mpmath.mpc(v) * mpmath.mpf(2) ** shift * mpmath.exp(log_etr)
+            assert abs(mpmath.mpc(got) - want) <= 2.0 ** -52 * abs(want)
+
+    def test_p1_kummer_sum_scaled_past_double_range(self):
+        # 1F1(-1; 3.2; x) = 1 - x / 3.2; the Kummer route sums 1F1(4.2; 3.2; 707),
+        # whose shifted sum overflows before e^-707 brings it back
+        res = hyp1f1_matrix(-1.0, 3.2, [-707.0], TruncationPolicy(max_order=3000))
+        assert res.converged
+        # the scaling is exact to an ulp; the p = 1 term recurrence drifts by
+        # about 2.8e-15 |x| (1.8e-12 here, ROADMAP item 14)
+        assert abs(res.value - 221.9375) <= 1e-11 * 221.9375
 
     def test_p2_kummer_where_etr_alone_underflows(self):
         # etr(X) = e^-748 is below the smallest double, while the Kummer sum
