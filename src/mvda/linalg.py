@@ -136,18 +136,31 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z * z if z.dtype.kind != "c" else z.real * z.real + z.imag * z.imag
 
 
+def _gram_entry(rows: list, i: int, j: int) -> np.ndarray:
+    """Entry (i, j), j <= i, of R R* for a lower-triangular grid R: a fresh
+    array, real on the diagonal."""
+    ri = rows[i]
+    if j == i:
+        return _sum(_abs2(a) for a in ri)
+    # row j is zero past its own length; rows[j][j] is the real diagonal,
+    # which is not conjugated
+    return _sum(a * (b if m == j else np.conj(b)) for m, (a, b) in enumerate(zip(ri, rows[j])))
+
+
+def _gram_sum(factors: list) -> list:
+    """The Hermitian grid of the sum of R R* over the lower-triangular grids
+    R in factors, formed one entry at a time: each entry is the sum, in
+    factor order, of the factors' own entries, and no factor's R R* is
+    held whole."""
+    return [
+        [_sum(_gram_entry(r, i, j) for r in factors) for j in range(i + 1)]
+        for i in range(len(factors[0]))
+    ]
+
+
 def _gram(rows: list) -> list:
     """The Hermitian grid R R* of a lower-triangular grid R."""
-    out = []
-    for i, ri in enumerate(rows):
-        out_i = []
-        for j, rj in enumerate(rows[:i]):  # row j is zero past its own length
-            # rj[j] is the real diagonal, which is not conjugated
-            terms = (a * (b if m == j else np.conj(b)) for m, (a, b) in enumerate(zip(ri, rj)))
-            out_i.append(_sum(terms))
-        out_i.append(_sum(_abs2(a) for a in ri))
-        out.append(out_i)
-    return out
+    return _gram_sum([rows])
 
 
 def _cholesky(s: list, pivot: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list:
@@ -156,10 +169,19 @@ def _cholesky(s: list, pivot: Callable[[np.ndarray, np.ndarray], np.ndarray]) ->
     pivot(d2, scale) returns each diagonal entry of L from its squared
     pivot d2 and the largest diagonal entry of S, and decides what a small
     d2 means: _refuse raises, the sampler floors.
+
+    Row i of S is let go as soon as row i of L exists. The caller's list
+    is never changed; a list that only this call holds (a fresh _gram_sum
+    passed straight in) is freed row by row, where the call owns its
+    arguments (CPython 3.11 on).
     """
     scale = reduce(np.maximum, [row[-1] for row in s])  # no stacked copy
+    rows = s[::-1]  # popped in row order
+    del s
+    p = len(rows)
     l, inv = [], []  # inv[j] = 1 / L_jj, for the columns with entries below
-    for i, si in enumerate(s):
+    for i in range(p):
+        si = rows.pop()
         row = []
         for j in range(i):
             z = si[j]
@@ -170,7 +192,7 @@ def _cholesky(s: list, pivot: Callable[[np.ndarray, np.ndarray], np.ndarray]) ->
             row.append(z * inv[j])
         d2 = si[i] - _sum(_abs2(z) for z in row) if i else si[i]
         row.append(pivot(d2, scale))
-        if i < len(s) - 1:
+        if i < p - 1:
             inv.append(1.0 / row[i])
         l.append(row)
     return l

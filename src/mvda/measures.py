@@ -17,12 +17,16 @@ W_{k+1}), so X_j = U_j U_j* with U_j = L^{-1} T_j by forward substitution.
 At type-1 the complement I - sum X_j = L^{-1} W_{k+1} L^{-*} is positive
 semidefinite by construction. Every p >= 2 runs one entrywise path on p x p
 grids of arrays over the draws (the batched Cholesky, forward substitution
-and Gram products of linalg) and calls no LAPACK. Wherever the sampler
-factors a sum of gamma draws (S at type-1, and L L* + sum W_j in
-Draws.logdet_eye_plus at either kind), a squared pivot below EIG_FLOOR_RTOL
-times the largest diagonal entry of the sum is raised to that value and
-counted by floor_event_count(). The type-2 L is never factored, so
-nothing floors its diagonal, which is T_{k+1}'s own.
+and Gram products of linalg) and calls no LAPACK. A grid is held only
+while it is read: a sum of gamma draws is summed entry by entry from the
+factors, so no W_j's grid is formed; the Cholesky lets each row of the
+sum go once it has factored it; and the type-1 T_{k+1} is cut to its
+pivots once S holds it. Wherever the sampler factors a sum of gamma
+draws (S at type-1, and L L* + sum W_j in Draws.logdet_eye_plus at
+either kind), a squared pivot below EIG_FLOOR_RTOL times the largest
+diagonal entry of the sum is raised to that value and counted by
+floor_event_count(). The type-2 L is never factored, so nothing floors
+its diagonal, which is T_{k+1}'s own.
 
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
@@ -42,9 +46,11 @@ At p >= 2 the logs are read from the pivots, when asked for: log det X_j =
 2 sum_i (log T_j,ii - log L_ii), and at type-1 log det(I - sum X_j) is the
 same with T_{k+1}. The support check reads the pivots themselves: every
 T_j,ii and L_ii must be in (0, inf), which is exactly when all those logs
-are finite. The Hermitian grids of the X_j, and log det(I + sum X_j), are
-formed only when an integrand asks for them, as is every answer at p = 1.
-Draws.stack() packs the (k, n, p, p) matrices for output.
+are finite. tr(A X_j) and log det(I + sum X_j) are formed only when an
+integrand asks for them, as is every answer at p = 1; the trace reads
+the entries of X_j from U_j = L^{-1} T_j one at a time, so only
+Draws.stack(), which packs the (k, n, p, p) matrices for output, forms
+the Hermitian grids of the X_j.
 
 A sum of independent complex matrix gammas with one scale is itself a
 matrix gamma at the summed shape (Goodman, Ann. Math. Statist. 34, 1963).
@@ -124,6 +130,8 @@ from .linalg import (
     _cholesky,
     _forward,
     _gram,
+    _gram_entry,
+    _gram_sum,
     _log_diagonal,
     _pack,
     _sum,
@@ -356,8 +364,9 @@ class Draws:
     pivots of the closing factor T_{k+1} (its rows cut to their diagonal
     entries). The logs are taken from the pivots: log det X_j =
     2 (sum_i log T_j,ii - sum_i log L_ii), and at type-1 log det(I - sum X_j)
-    is the same with T_{k+1}. U_j = L^{-1} T_j and the Hermitian grid of
-    X_j = U_j U_j* are formed for gram, trace and stack.
+    is the same with T_{k+1}. U_j = L^{-1} T_j is formed for trace and
+    stack: trace forms each entry of X_j = U_j U_j* as it adds it, and
+    stack the whole Hermitian grid of X_j.
 
     A layered Draws (sample_layers) holds only the summed determinant it
     was drawn for, logdet or log_complement, and raises ValueError for
@@ -412,20 +421,23 @@ class Draws:
         held = (self.values, self._logdet, self._log_complement)
         return next(a for a in held if a is not None).shape[-1]
 
-    def gram(self, j: int) -> list:
-        """The Hermitian grid of X_j."""
+    def _u(self, j: int) -> list:
+        """The grid of U_j = L^{-1} T_j, with X_j = U_j U_j*."""
         if self.t is None:
             raise ValueError("layered draws hold determinants only")
-        return _gram(_forward(self.l, self.t[j]))
+        return _forward(self.l, self.t[j])
 
     def trace(self, a: np.ndarray, j: int) -> np.ndarray:
         """tr(A X_j) for a Hermitian array A: the diagonal products plus
-        twice the real part of conj(A_im) X_im over the strict lower triangle."""
+        twice the real part of conj(A_im) X_im over the strict lower
+        triangle, each entry of X_j formed from U_j when it is added and
+        let go, so X_j's grid is never held."""
         if self.values is not None:
             return a[0, 0].real * self.values[j]
-        x = self.gram(j)
-        diag = _sum(a[i, i].real * row[i] for i, row in enumerate(x))
-        off = _sum(np.conj(a[i, m]) * z for i, row in enumerate(x) for m, z in enumerate(row[:i]))
+        u = self._u(j)
+        p = len(u)
+        diag = _sum(a[i, i].real * _gram_entry(u, i, i) for i in range(p))
+        off = _sum(np.conj(a[i, m]) * _gram_entry(u, i, m) for i in range(p) for m in range(i))
         diag += 2 * off.real
         return diag
 
@@ -443,9 +455,7 @@ class Draws:
         if self.l is None:
             reads = "each" if self._logdet is not None else "sum"
             raise ValueError(f"layers drawn for reads {reads!r} do not give this answer")
-        grids = [_gram(self.l)] + [_gram(self.t[j]) for j in js]
-        s = [[_sum(e) for e in zip(*rows)] for rows in zip(*grids)]
-        log = _log_diagonal(_cholesky(s, _pivot))
+        log = _log_diagonal(_cholesky(_gram_sum([self.l] + [self.t[j] for j in js]), _pivot))
         log -= _log_diagonal(self.l)
         log *= 2
         return log
@@ -457,14 +467,15 @@ class Draws:
             return self.values.reshape(self.values.shape + (1, 1))
         if self.t is None:
             raise ValueError("layered draws hold determinants only")
-        return _pack([self.gram(j) for j in range(len(self.t))])
+        return _pack([_gram(self._u(j)) for j in range(len(self.t))])
 
 
-def sample_layers(spec: MeasureSpec, reads: str, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
+def sample_layers(layers: tuple, reads: str, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
     """n draws of the determinants an integrand reads, from the p = 1
-    layers spec.layers(reads): a Draws holding the sum of the layers'
-    logdet for reads "each", of their log_complement for reads "sum", and
-    at p = 1 the one layer's own Draws.
+    layers = spec.layers(reads) of a p x p measure spec: a Draws holding
+    the sum of the layers' logdet for reads "each", of their
+    log_complement for reads "sum", and at p = 1 the one layer's own Draws.
+    A caller that draws many chunks builds the layers once.
 
     Every layer of a chunk is drawn in order from the one substream
     seed.child(chunk), so the layers are independent of each other and the
@@ -474,10 +485,10 @@ def sample_layers(spec: MeasureSpec, reads: str, seed: SeedSpec, n: int, chunk: 
     """
     if n < 0:
         raise ValueError(f"n must be >= 0 (got {n})")
-    layers = spec.layers(reads)
     rng = seed.child(chunk)
+    p = len(layers)
     draws = [
-        _scalar_draws(rng, layer, n, f"p = {spec.p} layer {i} at shapes {layer.scalar_alphas}:")
+        _scalar_draws(rng, layer, n, f"p = {p} layer {i} at shapes {layer.scalar_alphas}:")
         for i, layer in enumerate(layers)
     ]
     if len(draws) == 1:
@@ -537,9 +548,12 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
 
     t = [_triangular_factor(rng, p, a, n) for a in spec.alphas]
     if spec.type1:
-        # S = L L*
-        s = [[_sum(e) for e in zip(*rows)] for rows in zip(*map(_gram, t))]
-        l = _cholesky(s, _pivot)
+        # S = L L*, boxed so that _cholesky gets its only reference and lets
+        # its rows go as it factors them; T_{k+1} is cut to its pivots once
+        # S holds it
+        s = [_gram_sum(t)]
+        t[k] = [row[-1:] for row in t[k]]
+        l = _cholesky(s.pop(), _pivot)
     else:
         # L = J T_{k+1}* J: its diagonal is T_{k+1}'s own, reversed, which
         # nothing factors, so no pivot is floored
@@ -551,8 +565,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     # the pivots every log-determinant is read from (Draws._pivot_logs):
     # at type-2, L's are T_{k+1}'s own
     _check_support((t if spec.type1 else t[:k]) + [l])
-    closing = [row[-1:] for row in t[k]] if spec.type1 else None
-    return Draws(t=t[:k], l=l, complement=closing)
+    return Draws(t=t[:k], l=l, complement=t[k] if spec.type1 else None)
 
 
 def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray], where: str) -> None:

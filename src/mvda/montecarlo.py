@@ -144,7 +144,8 @@ def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integran
 # chunked estimation
 
 # glibc mallopt(3) parameters, and the values pinned for them: a chunk's
-# temporaries (about 10 MB at 25k draws) stay on the heap instead of being
+# temporaries (at 25k draws, a peak of 1.5-2.5 MiB for scalar and layered
+# draws, 7.2-7.8 MiB for a p = 3 grid chunk) stay on the heap instead of being
 # mapped, trimmed back to the kernel and faulted in again by the next chunk,
 # and worker threads share the one arena, whose trim threshold would
 # otherwise keep each extra arena's chunks resident.
@@ -186,15 +187,16 @@ def _pin_heap() -> bool:
     return all(mallopt(param, value) == 1 for param, value in _HEAP_PIN)
 
 
-def _chunk_sums(measure, integrand, config, c, layer_reads=None):
+def _chunk_sums(measure, integrand, config, c, draw_layers=None):
     """(sum, sum of squares) of the integrand over chunk c: on the draws of
-    sample_batch, or on the scalar layers of layer_reads when it is set."""
+    sample_batch, or on those of draw_layers(seed, n, chunk=c) when it is
+    set (sample_layers on the case's layers)."""
     start = c * config.chunk
     n = min(config.chunk, config.samples - start)
-    if layer_reads is None:
+    if draw_layers is None:
         draws = sample_batch(measure, config.seed, n, chunk=c)
     else:
-        draws = sample_layers(measure, layer_reads, config.seed, n, chunk=c)
+        draws = draw_layers(config.seed, n, chunk=c)
     # a non-finite value makes a sum non-finite, and only then are the
     # values scanned; sums past double range over finite values are left to
     # mc_estimate_full
@@ -225,9 +227,12 @@ def mc_estimate_full(
     _pin_heap()
     entry = FUNCTIONALS[functional.kind]
     drawn = measure.sums_measure(entry.reads)
-    layered = entry.reads if entry.determinants and drawn.p > 1 else None
+    draw_layers = None
+    if entry.determinants and drawn.p > 1:
+        # built once for every chunk of the case
+        draw_layers = partial(sample_layers, drawn.layers(entry.reads), entry.reads)
     run = partial(_chunk_sums, drawn, make_integrand(drawn, functional), config,
-                  layer_reads=layered)
+                  draw_layers=draw_layers)
     chunks = range(-(-config.samples // config.chunk))
     if workers <= 1:
         parts = [run(c) for c in chunks]

@@ -1,4 +1,7 @@
 import math
+import sys
+import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from mvda.linalg import (
     _cholesky,
     _forward,
     _gram,
+    _gram_sum,
     _pack,
     _refuse,
     cholesky,
@@ -406,6 +410,16 @@ class TestKernelsKeepTheirRounding:
         t = grid(random_lower(np.random.default_rng(80 + p), self.N, p))
         self.same(_gram(t), _gram_sum_from_zero(t))
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_gram_sum(self, p, count):
+        # entry by entry, the factors' own Gram entries added in factor order
+        rng = np.random.default_rng(120 + 10 * count + p)
+        factors = [grid(random_lower(rng, self.N, p)) for _ in range(count)]
+        grams = [_gram_sum_from_zero(f) for f in factors]
+        want = [[reduce(np.add, entries) for entries in zip(*rows)] for rows in zip(*grams)]
+        self.same(_gram_sum(factors), want)
+
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_cholesky(self, p):
         t = random_lower(np.random.default_rng(90 + p), self.N, p)
@@ -427,3 +441,23 @@ class TestKernelsKeepTheirRounding:
         got, want = _cholesky(s, _refuse), _cholesky_divided(s, _refuse)
         assert bits(np.array([z for row in got for z in row], dtype=complex)) == bits(
             np.array([z for row in want for z in row], dtype=complex))
+
+
+class TestCholeskyLetsRowsGo:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="a call owns its arguments from CPython 3.11 on")
+    def test_a_handed_over_grid_goes_row_by_row(self):
+        p = 4
+        box = [_gram(grid(random_lower(np.random.default_rng(130), 100, p)))]
+        refs = [[weakref.ref(z) for z in row] for row in box[0]]
+        alive = []
+
+        def pivot(d2, scale):
+            alive.append([[r() is not None for r in row] for row in refs])
+            return np.sqrt(d2)
+
+        _cholesky(box.pop(), pivot)
+        # at row i's pivot, the rows of S above it are gone and those below held
+        for i, rows in enumerate(alive):
+            assert not any(any(row) for row in rows[:i])
+            assert all(all(row) for row in rows[i + 1:])

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -398,6 +399,27 @@ def _pivot_log_sum(t):
     return sum(np.log(row[-1]) for row in t)
 
 
+class TestTraceFromU:
+    """tr(A X_j), each entry of X_j formed from U_j = L^{-1} T_j as it is
+    added, is the formula on X_j's whole grid (as stack() packs it) bit
+    for bit."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_trace_is_the_grid_formula(self, kind, p):
+        spec = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0))
+        draws = sample_batch(spec, SeedSpec(42, 26), 2_000)
+        g = np.random.default_rng(140 + p).normal(size=(2, p, p))
+        a = HermitianMatrix((g[0] + g[0].T) / 2 + 1j * (g[1] - g[1].T) / 2).array
+        for j in range(2):
+            x = grid(draws.stack()[j])
+            want = reduce(np.add, [a[i, i].real * row[i] for i, row in enumerate(x)])
+            off = reduce(np.add, [np.conj(a[i, m]) * z
+                                  for i, row in enumerate(x) for m, z in enumerate(row[:i])])
+            want += 2 * off.real
+            assert bits(draws.trace(a, j)) == bits(want)
+
+
 class TestGridLogs:
     """At p >= 2 the determinants come from the factors' pivots, taken
     only when asked for: log det X_j = 2 (sum log T_j,ii - sum log L_ii),
@@ -778,7 +800,7 @@ class TestLayers:
     @pytest.mark.parametrize("reads", ["each", "sum"])
     def test_p1_draws_are_sample_batch_draws(self, reads):
         measure = _t1(1, 0.4, 0.6, 0.5).sums_measure(reads)
-        layered = sample_layers(measure, reads, SeedSpec(42, 19), 1_000, chunk=3)
+        layered = sample_layers(measure.layers(reads), reads, SeedSpec(42, 19), 1_000, chunk=3)
         direct = sample_batch(measure, SeedSpec(42, 19), 1_000, chunk=3)
         if reads == "each":
             assert np.array_equal(layered.logdet, direct.logdet)
@@ -795,11 +817,11 @@ class TestLayers:
         for layer in measure.layers("each"):
             w = np.stack([rng.gammas(a, n) for a in layer.alphas])
             logdet = logdet + np.log(w[:2] / (w.sum(axis=0) if layer.type1 else w[2]))
-        got = sample_layers(measure, "each", SeedSpec(42, 20), n, chunk=4).logdet
+        got = sample_layers(measure.layers("each"), "each", SeedSpec(42, 20), n, chunk=4).logdet
         assert np.allclose(got, logdet, rtol=1e-14, atol=0)
 
     def test_only_the_read_determinants_answer(self):
-        each = sample_layers(_t1(2, 2.5, 3.0, 3.5), "each", SeedSpec(1), 10)
+        each = sample_layers(_t1(2, 2.5, 3.0, 3.5).layers("each"), "each", SeedSpec(1), 10)
         assert each.logdet.shape == (2, 10) and each.n == 10
         for ask in (lambda: each.log_complement, lambda: each.logdet_eye_plus((0,))):
             with pytest.raises(ValueError, match="reads 'each' do not give"):
@@ -808,7 +830,7 @@ class TestLayers:
             with pytest.raises(ValueError, match="determinants only"):
                 ask()
         for measure in (_t1(2, 4.5, 3.5), _t2(2, 4.5, 3.5)):
-            summed = sample_layers(measure, "sum", SeedSpec(1), 10)
+            summed = sample_layers(measure.layers("sum"), "sum", SeedSpec(1), 10)
             comp = summed.log_complement
             assert comp.shape == (10,) and np.isfinite(comp).all() and summed.n == 10
             for ask in (lambda: summed.logdet, lambda: summed.logdet_eye_plus((0,))):
@@ -832,7 +854,8 @@ class TestLayers:
                 want = want + np.log(w[1] / w.sum(axis=0))
             else:
                 want = want - np.log1p(w[0] / w[1])
-        got = sample_layers(measure, "sum", SeedSpec(42, 21), n, chunk=2).log_complement
+        layers = measure.layers("sum")
+        got = sample_layers(layers, "sum", SeedSpec(42, 21), n, chunk=2).log_complement
         assert np.array_equal(got, want)
 
     def test_draw_outside_support_names_the_layer(self):
@@ -842,7 +865,7 @@ class TestLayers:
         named = (r"^p = 2 layer 1 at shapes \(1\.0000000005838672e-07, 2\.0\): "
                  r"value not positive and finite at sample \d+$")
         with pytest.raises(SamplerError, match=named):
-            sample_layers(measure, "each", SeedSpec(42), 1_000)
+            sample_layers(measure.layers("each"), "each", SeedSpec(42), 1_000)
         # the grid path refuses the same measure
         with pytest.raises(SamplerError, match="underflowed to 0"):
             sample_batch(measure, SeedSpec(42), 1_000)
@@ -860,7 +883,7 @@ class TestLayers:
         named = (r"^p = 1 layer 0 at shapes \(1\.5, 0\.01\): "
                  r"value not positive and finite at sample \d+$")
         with pytest.raises(SamplerError, match=named):
-            sample_layers(measure, "each", SeedSpec(42), 20_000)
+            sample_layers(measure.layers("each"), "each", SeedSpec(42), 20_000)
 
 
 def _layer_law_cases():
@@ -896,8 +919,9 @@ class TestLayersLaw:
         drawn = measure.sums_measure(reads)
         integrand = make_integrand(drawn, functional)
         n, chunk = 200_000, 50_000
+        layers = drawn.layers(reads)
         layered = np.concatenate([
-            integrand(sample_layers(drawn, reads, SeedSpec(14, stream), chunk, chunk=c))
+            integrand(sample_layers(layers, reads, SeedSpec(14, stream), chunk, chunk=c))
             for c in range(n // chunk)
         ])
         grid = _values(drawn, functional, SeedSpec(13, stream), n, chunk)
