@@ -362,9 +362,9 @@ class Functional:
     "each" X_j, only "sum" X_1 + ... + X_k, or only the "first" X_1; the
     Monte Carlo harness draws MeasureSpec.sums_measure(reads) for it.
     determinants is True when the integrand reads only determinants: log
-    det X_j for reads "each", the complement determinant for "sum". At
-    p >= 2 the harness then draws the p scalar layers
-    MeasureSpec.layers(reads) in place of matrices.
+    det X_j for reads "each", the complement determinant for "sum". The
+    harness then draws the p scalar layers MeasureSpec.layers(reads) at
+    every p, in place of the sums measure itself.
     """
 
     required: tuple[str, ...]

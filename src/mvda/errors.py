@@ -51,14 +51,14 @@ class NonFiniteIntegrand(MvdaError):
 
 # the Python types json.loads gives each JSON type a field can require; a
 # number may also be numeric text, which a hand-written config can hold
-_JSON_TYPES = {"integer": int, "number": (int, float, str), "array": list}
+_JSON_TYPES = {"integer": int, "number": (int, float, str), "array": list, "string": str}
 
 
 def _json_typed(value, name: str, kind: str, items: str | None = None):
     """value, the decoded JSON field name, if it has the JSON type kind
-    ("integer", "number" or "array", whose entries then have type items);
-    otherwise TypeError naming the field. A bool is neither an integer nor a
-    number, and a string is not an array."""
+    ("integer", "number", "string" or "array", whose entries then have type
+    items); otherwise TypeError naming the field. A bool is neither an
+    integer nor a number, and a string is not an array."""
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise TypeError(f"{name} must be a JSON {kind}, got {value!r}")
     if items is not None:

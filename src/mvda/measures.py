@@ -103,11 +103,12 @@ it is at (a, b - i) at either kind. The law is exact:
 
 Layers drawn for one reads give only those determinants: the complement
 of "each" layers and the det X of "sum" layers have other laws. So the
-Draws of p >= 2 layers holds only the summed array it was drawn for,
-logdet or log_complement, and refuses every other answer. Every layer of
-a chunk comes from the one substream seed.child(chunk), in layer order; at
-p = 1 the one layer is the sums measure, drawn exactly as sample_batch
-draws it, and its own Draws is returned.
+Draws of layers holds only the summed array it was drawn for, logdet or
+log_complement, and refuses every other answer. Every layer of a chunk
+comes from the one substream seed.child(chunk), in layer order. At p = 1
+the one layer is the sums measure at its scalar_alphas, drawn from the
+same gammas in the same order as sample_batch draws it, so its logs are
+sample_batch's, bit for bit.
 
 Sampler correctness is not assumed: the Monte Carlo harness cross-checks
 every construction against the closed-form averages.
@@ -227,22 +228,23 @@ class MeasureSpec:
         alpha_k - i, alpha_{k+1} + (k - 1) i) at type-1, and at every alpha
         less i at type-2. reads "sum" gives the layers of the complement
         determinant of the k = 1 sums measure (a, b), layer i at
-        (a, b - i) at either kind. At p = 1 the one layer is the sums
-        measure itself.
+        (a, b - i) at either kind. The alphas are the sums measure's
+        scalar_alphas and the layers of kind type1 or type2, so at p = 1
+        the one layer is the sums measure itself, a rectangular one as the
+        Hermitian kind at alpha_j + n_j.
         """
         drawn = self.sums_measure(reads)
-        if drawn.p == 1:
-            return (drawn,)
         if reads not in ("each", "sum"):
             raise ValueError(f"layers take reads 'each' or 'sum', got {reads!r}")
-        a, k, p = drawn.alphas, drawn.k, drawn.p
+        a, k, p = drawn.scalar_alphas, drawn.k, drawn.p
         if reads == "sum":
             rows = [(a[0], a[1] - i) for i in range(p)]
         else:
             # the closing alpha gains (k - 1) i at type-1 and loses i at type-2
             fold = k - 1 if drawn.type1 else -1
             rows = [tuple(x - i for x in a[:-1]) + (a[-1] + fold * i,) for i in range(p)]
-        return tuple(MeasureSpec(kind=drawn.kind, p=1, k=k, alphas=row) for row in rows)
+        kind = "type1" if drawn.type1 else "type2"
+        return tuple(MeasureSpec(kind=kind, p=1, k=k, alphas=row) for row in rows)
 
     def validate(self) -> None:
         """Raise DomainError naming every violated existence condition."""
@@ -473,9 +475,9 @@ class Draws:
 def sample_layers(layers: tuple, reads: str, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
     """n draws of the determinants an integrand reads, from the p = 1
     layers = spec.layers(reads) of a p x p measure spec: a Draws holding
-    the sum of the layers' logdet for reads "each", of their
-    log_complement for reads "sum", and at p = 1 the one layer's own Draws.
-    A caller that draws many chunks builds the layers once.
+    the sum of the layers' logdet for reads "each" and of their
+    log_complement for reads "sum", at every p. A caller that draws many
+    chunks builds the layers once.
 
     Every layer of a chunk is drawn in order from the one substream
     seed.child(chunk), so the layers are independent of each other and the
@@ -491,8 +493,6 @@ def sample_layers(layers: tuple, reads: str, seed: SeedSpec, n: int, chunk: int 
         _scalar_draws(rng, layer, n, f"p = {p} layer {i} at shapes {layer.scalar_alphas}:")
         for i, layer in enumerate(layers)
     ]
-    if len(draws) == 1:
-        return draws[0]
     if reads == "each":
         return Draws(logdet=_sum(layer.logdet for layer in draws))
     return Draws(log_complement=_sum(layer.log_complement for layer in draws))

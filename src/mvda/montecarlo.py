@@ -18,11 +18,12 @@ error in expectation. sampled_alphas in the diagnostics names the drawn
 measure wherever its alphas differ from the case's own.
 
 A functional that reads only determinants (averages.Functional.determinants:
-det_power and complement_power) draws no matrices at p >= 2. Each chunk
-draws the p scalar layers of the sums measure, MeasureSpec.layers, from
-its one substream, and the integrand's log-determinants are sums over the
-layers (measures.sample_layers, where the law is proved). At p = 1, and for
-every other functional, the chunk draws the sums measure with sample_batch.
+det_power and complement_power) draws no matrices. Each chunk draws the p
+scalar layers of the sums measure, MeasureSpec.layers, from its one
+substream, and the integrand's log-determinants are sums over the layers
+(measures.sample_layers, where the law is proved); at p = 1 the one layer
+is the sums measure itself. Every other functional's chunk draws the sums
+measure with sample_batch. Each case picks its draw function once.
 
 A case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR). The SE
 is a standard error only when the integrand has a finite second moment. For
@@ -32,7 +33,9 @@ so a case where it does not exist fails by name before any draw.
 
 from __future__ import annotations
 
+import csv
 import ctypes
+import io
 import json
 import math
 import os
@@ -124,7 +127,7 @@ class VerifyCase:
     @classmethod
     def from_json(cls, doc: dict) -> "VerifyCase":
         return cls(
-            case_id=doc["case_id"],
+            case_id=_json_typed(doc["case_id"], "case_id", "string"),
             measure=MeasureSpec.from_json(doc["measure"]),
             functional=FunctionalSpec.from_json(doc),
             mc=McConfig.from_json(doc["mc"]),
@@ -187,16 +190,13 @@ def _pin_heap() -> bool:
     return all(mallopt(param, value) == 1 for param, value in _HEAP_PIN)
 
 
-def _chunk_sums(measure, integrand, config, c, draw_layers=None):
-    """(sum, sum of squares) of the integrand over chunk c: on the draws of
-    sample_batch, or on those of draw_layers(seed, n, chunk=c) when it is
-    set (sample_layers on the case's layers)."""
+def _chunk_sums(draw, integrand, config, c):
+    """(sum, sum of squares) of the integrand over chunk c, on the draws of
+    draw(seed, n, chunk=c): sample_batch on the sums measure, or
+    sample_layers on its layers."""
     start = c * config.chunk
     n = min(config.chunk, config.samples - start)
-    if draw_layers is None:
-        draws = sample_batch(measure, config.seed, n, chunk=c)
-    else:
-        draws = draw_layers(config.seed, n, chunk=c)
+    draws = draw(config.seed, n, chunk=c)
     # a non-finite value makes a sum non-finite, and only then are the
     # values scanned; sums past double range over finite values are left to
     # mc_estimate_full
@@ -217,8 +217,8 @@ def mc_estimate_full(
     the sample mean and the sample standard deviation over sqrt(n).
 
     The draws come from measure.sums_measure of the functional's reads,
-    as its p scalar layers at p >= 2 for a functional of determinants (see
-    the module docstring). diagnostics holds the sums measure's alphas as
+    as its p scalar layers for a functional of determinants (see the
+    module docstring). diagnostics holds the sums measure's alphas as
     sampled_alphas when they differ from the measure's own scalar_alphas,
     else it is {}. A non-finite integrand value raises NonFiniteIntegrand;
     finite values whose sum of squares passes double range raise
@@ -227,12 +227,12 @@ def mc_estimate_full(
     _pin_heap()
     entry = FUNCTIONALS[functional.kind]
     drawn = measure.sums_measure(entry.reads)
-    draw_layers = None
-    if entry.determinants and drawn.p > 1:
-        # built once for every chunk of the case
-        draw_layers = partial(sample_layers, drawn.layers(entry.reads), entry.reads)
-    run = partial(_chunk_sums, drawn, make_integrand(drawn, functional), config,
-                  draw_layers=draw_layers)
+    # built once for every chunk of the case
+    if entry.determinants:
+        draw = partial(sample_layers, drawn.layers(entry.reads), entry.reads)
+    else:
+        draw = partial(sample_batch, drawn)
+    run = partial(_chunk_sums, draw, make_integrand(drawn, functional), config)
     chunks = range(-(-config.samples // config.chunk))
     if workers <= 1:
         parts = [run(c) for c in chunks]
@@ -394,13 +394,14 @@ def report_emit(
         docs = [r.to_json(canonical=canonical) for r in reports]
         return (json.dumps(docs, indent=2) + "\n").encode("utf-8")
     if format == "csv":
-        lines = [CSV_HEADER]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes a cell holding , " or a newline
+        writer.writerow(_CSV_FIELDS)
         for r in reports:
             doc = r.to_json(canonical=canonical)
-            cells = []
-            for key in _CSV_FIELDS:
-                v = doc[key]
-                cells.append("nan" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-            lines.append(",".join(cells))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+            writer.writerow(
+                "nan" if v is None else (repr(v) if isinstance(v, float) else str(v))
+                for v in (doc[key] for key in _CSV_FIELDS)
+            )
+        return out.getvalue().encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

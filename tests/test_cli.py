@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -184,8 +186,14 @@ class TestUsageErrors:
                "functional": "det_power", "gammas": [1],
                "mc": {"samples": 1000.9, "seed": {"seed": 42, "stream": 1.5}, "chunk": "500"}}],
              "samples"),
+            (["verify", "--config"],
+             [{"case_id": ["x"], "measure": {"kind": "type1", "p": 1, "k": 1, "alphas": [2, 3]},
+               "functional": "det_power", "gammas": [1],
+               "mc": {"samples": 1000, "seed": {"seed": 42, "stream": 1}, "chunk": 500}}],
+             "case_id"),
         ],
-        ids=["alphas-string", "gammas-string", "p-float", "ns-string", "seed-string", "samples-float"],
+        ids=["alphas-string", "gammas-string", "p-float", "ns-string", "seed-string", "samples-float",
+             "case_id-array"],
     )
     def test_mistyped_field_exit_1_naming_it(self, tmp_path, capsys, argv, doc, field):
         # a string is not split into characters, and a float is not truncated
@@ -389,6 +397,18 @@ class TestVerify:
             "case_id,estimate,std_error,closed_form,abs_diff,tolerance,verdict,n,runtime_ms"
         )
         assert len(lines) == 3
+
+    def test_csv_quotes_case_ids(self, tmp_path, capsys):
+        # a comma, a quote or a newline in a case_id stays inside its cell
+        ids = ["phi1, type-1 \"k = 1\"", "phi5\ntype-2"]
+        cases = [c for c in default_suite() if c.case_id in ("phi1_type1_p1_k1", "phi5_type2_p1_k1")]
+        doc = [{**c.to_json(), "case_id": i} for c, i in zip(cases, ids)]
+        cfg = write_json(tmp_path / "suite.json", doc)
+        code, out = run(capsys, ["verify", "--config", cfg, "--samples", "5000", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert [row[0] for row in rows[1:]] == ids
 
     @pytest.mark.parametrize("seed, samples", [(7, None), (None, 3000), (7, 3000)])
     def test_seed_and_samples_replace_only_themselves(self, tmp_path, capsys, seed, samples):

@@ -270,6 +270,11 @@ class TestInvSqrt:
         with pytest.raises(NotPositiveDefinite):
             inv_sqrt(HermitianMatrix.diagonal([1.0, -2.0]))
 
+    def test_indefinite_non_diagonal(self):
+        # eigenvalues 3 and -1: past the diagonal shortcut, refused by eigh
+        with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue -1.000e"):
+            inv_sqrt(HermitianMatrix([[1.0, 2.0], [2.0, 1.0]]))
+
 
 class TestEntrywiseKernels:
     """Each grid kernel of linalg against numpy's LAPACK or matmul to 1e-12."""

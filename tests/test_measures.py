@@ -260,6 +260,17 @@ class TestDrawCount:
         with pytest.raises(ValueError, match=r"n must be >= 0 \(got -1\)"):
             sample_batch(spec, SeedSpec(42), -1)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_negative_layer_count_names_n(self, p):
+        spec = MeasureSpec(kind="type1", p=p, k=1, alphas=(p + 0.5, p + 1.0))
+        with pytest.raises(ValueError, match=r"n must be >= 0 \(got -1\)"):
+            sample_layers(spec.layers("each"), "each", SeedSpec(42), -1)
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_grid_draws_count_their_draws(self, kind):
+        spec = MeasureSpec(kind=kind, p=2, k=2, alphas=(2.5, 3.0, 3.5))
+        assert sample_batch(spec, SeedSpec(42), 7).n == 7
+
 
 class TestScalarSupport:
     """Every p = 1 kind raises on a draw outside its support, with a message
@@ -778,19 +789,34 @@ class TestLayers:
                          id="type2-sum"),
             pytest.param(_t1(2, 2.0, 3.0), "each", [_t1(1, 2.0, 3.0), _t1(1, 1.0, 3.0)],
                          id="type1-k1-each"),
+            # a rectangular measure's one layer is the Hermitian kind at alpha_j + n_j
+            pytest.param(RECT1, "each", [_t1(1, 2.5, 4.0, 2.0)], id="rect1-each"),
+            pytest.param(RECT2, "each", [_t2(1, 2.5, 4.0, 2.0)], id="rect2-each"),
+            pytest.param(RECT2, "sum", [_t2(1, 6.5, 2.0)], id="rect2-sum"),
         ],
     )
     def test_table(self, measure, reads, want):
         assert list(measure.layers(reads)) == want
 
-    @pytest.mark.parametrize("reads", ["each", "sum", "first"])
+    @pytest.mark.parametrize("reads", ["each", "sum"])
     def test_p1_layer_is_the_sums_measure(self, reads):
+        # the one layer is the Hermitian kind at the sums measure's scalar_alphas
         for measure in (_t1(1, 0.4, 0.6, 0.5), _t2(1, 0.4, 0.6, 0.5), RECT1, RECT2):
-            assert measure.layers(reads) == (measure.sums_measure(reads),)
+            drawn = measure.sums_measure(reads)
+            kind = "type1" if measure.type1 else "type2"
+            assert measure.layers(reads) == (
+                MeasureSpec(kind=kind, p=1, k=drawn.k, alphas=drawn.scalar_alphas),
+            )
 
-    def test_first_refused_at_p2(self):
+    @pytest.mark.parametrize(
+        "measure",
+        [_t1(1, 0.4, 0.6, 0.5), _t2(1, 0.4, 0.6, 0.5), RECT1, RECT2, _t1(2, 2.0, 2.5, 3.0),
+         _t2(3, 3.5, 4.0, 4.5)],
+        ids=["type1-p1", "type2-p1", "rect1", "rect2", "type1-p2", "type2-p3"],
+    )
+    def test_first_refused_at_every_p(self, measure):
         with pytest.raises(ValueError, match="layers take reads 'each' or 'sum'"):
-            _t1(2, 2.0, 2.5, 3.0).layers("first")
+            measure.layers("first")
 
     def test_determinant_functionals(self):
         assert {name for name, f in FUNCTIONALS.items() if f.determinants} == {

@@ -134,7 +134,8 @@ class TestMomentSums:
     def test_chunk_sums_match_powers(self):
         vals = SeedSpec(31).child(0).gammas(0.6, 25_000) - 0.4  # both signs
         sums = montecarlo._chunk_sums(
-            scalar_type1(), lambda batch: vals, McConfig(len(vals), SeedSpec(31)), 0
+            partial(sample_batch, scalar_type1()), lambda batch: vals,
+            McConfig(len(vals), SeedSpec(31)), 0
         )
         for r, got in enumerate(sums, start=1):
             want = np.sum(vals**r)
@@ -198,6 +199,7 @@ class TestSecondMomentGate:
 
         assert evaluate_average(measure, functional).conditions_ok
         monkeypatch.setattr(montecarlo, "sample_batch", no_draws)
+        monkeypatch.setattr(montecarlo, "sample_layers", no_draws)
         (r,) = verify_suite([case("gated", measure, functional)])
         assert r.verdict == "fail" and r.n == 0 and r.estimate is None
         assert r.diagnostics["reason"] == "second moment does not exist"
@@ -467,7 +469,8 @@ class TestChunkMemory:
         (c,) = [c for c in load_suite(json.loads(P3_SUITE.read_text())) if c.case_id == case_id]
         assert c.mc.chunk == 25_000
         drawn = c.measure.sums_measure(FUNCTIONALS[c.functional.kind].reads)
-        run = partial(montecarlo._chunk_sums, drawn, make_integrand(drawn, c.functional), c.mc)
+        run = partial(montecarlo._chunk_sums, partial(sample_batch, drawn),
+                      make_integrand(drawn, c.functional), c.mc)
         run(0)  # first calls allocate once
         tracemalloc.start()
         try:
@@ -499,6 +502,36 @@ class TestLayersBuiltOnce:
         assert counts[0] == counts[1]
 
 
+class TestDeterminantRoute:
+    """det_power and complement_power draw the layers at every p: at p = 1
+    the one layer, from the gammas sample_batch would draw, so the
+    estimate is the one its draws give, bit for bit."""
+
+    @pytest.mark.parametrize("functional", [
+        FunctionalSpec(kind="det_power", gammas=(0.5, 1.0)),
+        FunctionalSpec(kind="complement_power", delta=1.5),
+    ], ids=["det_power", "complement_power"])
+    @pytest.mark.parametrize("measure", [
+        MeasureSpec(kind="type1", p=1, k=2, alphas=(0.7, 1.5, 2.5)),
+        MeasureSpec(kind="type2", p=1, k=2, alphas=(0.7, 1.5, 6.5)),
+        MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.7, 1.5, 2.5), ns=(1, 2)),
+        MeasureSpec(kind="rect_type2_p1", p=1, k=2, alphas=(0.7, 1.5, 6.5), ns=(2, 1)),
+    ], ids=["type1", "type2", "rect1", "rect2"])
+    def test_p1_never_calls_sample_batch(self, measure, functional, monkeypatch):
+        config = McConfig(5_000, SeedSpec(42, 11), 2_000)
+        drawn = measure.sums_measure(FUNCTIONALS[functional.kind].reads)
+        integrand = make_integrand(drawn, functional)
+        s1 = sum(montecarlo._chunk_sums(partial(sample_batch, drawn), integrand, config, c)[0]
+                 for c in range(3))
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a determinant functional draws layers")
+
+        monkeypatch.setattr(montecarlo, "sample_batch", no_batch)
+        est = mc_estimate_full(measure, functional, config)[0]
+        assert est == s1 / 5_000
+
+
 class TestNonFiniteIntegrand:
     @pytest.mark.parametrize(
         "integrand",
@@ -513,7 +546,8 @@ class TestNonFiniteIntegrand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteIntegrand) as err:
-                montecarlo._chunk_sums(scalar_type1(), integrand, McConfig(1_000, SeedSpec(42)), 0)
+                montecarlo._chunk_sums(partial(sample_batch, scalar_type1()), integrand,
+                                       McConfig(1_000, SeedSpec(42)), 0)
         assert err.value.sample_index == 0
 
     def test_finite_values_keep_their_sums(self):
@@ -521,7 +555,8 @@ class TestNonFiniteIntegrand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s1, s2 = montecarlo._chunk_sums(
-                scalar_type1(), lambda draws: np.full(draws.n, 1e200), McConfig(1_000, SeedSpec(42)), 0
+                partial(sample_batch, scalar_type1()), lambda draws: np.full(draws.n, 1e200),
+                McConfig(1_000, SeedSpec(42)), 0
             )
         assert s1 == np.sum(np.full(1_000, 1e200)) and s2 == np.inf
 

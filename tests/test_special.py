@@ -205,6 +205,12 @@ class TestPartitionsOf:
         # no partition of 4 has more than 4 parts, so no deeper table is built
         assert [p.parts for p in partitions_of(4, 5000)] == got
 
+    @pytest.mark.parametrize("m, max_len, message",
+                             [(-1, 2, "m must be >= 0"), (3, 0, "max_len must be >= 1")])
+    def test_refuses_bad_arguments(self, m, max_len, message):
+        with pytest.raises(ValueError, match=message):
+            partitions_of(m, max_len)
+
     @pytest.mark.parametrize("m,max_len", [(3, 2), (4, 4), (5, 3), (6, 6), (7, 2)])
     def test_matches_brute_force(self, m, max_len):
         got = [p.parts for p in partitions_of(m, max_len)]
@@ -251,6 +257,10 @@ class TestPowerMean:
             power_mean((0.5, 0.6), (1.0, 2.0), 1.0)
         with pytest.raises(BadWeights):
             power_mean((1.5, -0.5), (1.0, 2.0), 1.0)
+
+    def test_lengths_differ(self):
+        with pytest.raises(BadWeights, match="equal length"):
+            power_mean((0.5, 0.5), (1.0, 2.0, 3.0), 1.0)
 
     def test_bad_support(self):
         with pytest.raises(BadSupport):
@@ -303,6 +313,10 @@ class TestGammaP:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             gamma_p_ln(3, 2.0)
+
+    def test_dimension_below_one(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            gamma_p_ln(0, 1.0)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_real_alpha_matches_mpmath(self, p):
@@ -447,6 +461,13 @@ class TestSchur:
         with pytest.raises(ValueError,
                            match=r"^partition \(2048,\) too large for the branching rule$"):
             schur_eval((2048,), [1.0])
+
+    def test_step_past_the_grid_limit_is_refused(self):
+        # each strip table fits (1001 x 1001 entries), but the intervals of
+        # the three parts span more than 2**22 entries after some variable
+        with pytest.raises(ValueError,
+                           match=r"^partition \(1000, 500, 250\) too large for the branching rule$"):
+            schur_eval((1000, 500, 250), [1.0] * 4)
 
     @pytest.mark.parametrize("kappa,lam", [((2,), [[0.5]]), ((1,), [[1.0, 2.0]])],
                              ids=["1x1", "1x2"])
