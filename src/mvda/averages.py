@@ -109,7 +109,6 @@ def normalizer_ln(measure: MeasureSpec) -> float:
     rectangular constant carries the per-form factors |det B_j|^p and
     Gamma_p(n_j) / pi^(n_j p) on top of shifted Dirichlet gammas.
     """
-    measure.validate()
     p, alphas = measure.p, measure.alphas
     if not measure.rectangular:
         return gamma_p_ln(p, sum(alphas)) - sum(gamma_p_ln(p, a) for a in alphas)
@@ -176,7 +175,6 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
     a few type-2 moments exist. The rectangular kinds are the p = 1 case at
     the scalar parameters alpha_j + n_j.
     """
-    measure.validate()
     gammas = tuple(float(g) for g in gammas)
     if len(gammas) != measure.k:
         raise ValueError(f"need k = {measure.k} exponents, got {len(gammas)}")
@@ -212,7 +210,6 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
     |det(I + sum X_j)|^(-delta); both are the Dirichlet moment at exponents
     (0, ..., 0, delta) with M = delta.
     """
-    measure.validate()
     delta = float(delta)
     _, bound, context = _labels(measure)
     labels = [None] * measure.k + [f"alpha_{{k+1}} + delta > {bound}"]
@@ -247,7 +244,6 @@ def exp_trace_average(
     identity parameter matrix, the default, recovers the plain exp-trace
     functional.
     """
-    measure.validate()
     if measure.kind != "type1" or measure.k != 2:
         raise ValueError("exp-trace average requires the k = 2 type-1 measure")
     p, alphas = measure.p, measure.alphas
@@ -283,7 +279,6 @@ def phi6_average(measure: MeasureSpec, A: HermitianMatrix) -> AverageResult:
     The determinant weight is exactly the factor that cancels the
     complement kernel, leaving a pure gamma ratio times |det A|^(-alpha_1).
     """
-    measure.validate()
     if measure.kind != "type2" or measure.k != 2:
         raise ValueError("this average requires the k = 2 type-2 measure")
     p, alphas = measure.p, measure.alphas
@@ -320,7 +315,6 @@ def hermitian_form_moment(measure: MeasureSpec, h: float) -> AverageResult:
     moment of that pair at exponents (h, 0) with M = h at type-1 and
     (h, -h) with M = 0 at type-2, where it exists only for h < alpha_{k+1}.
     """
-    measure.validate()
     if not measure.rectangular:
         raise ValueError("Hermitian form moments require a rectangular measure")
     h = float(h)

@@ -68,8 +68,8 @@ def _emit_json(args, doc) -> None:
 
 def _load_doc(spec: str, decode):
     """decode of the JSON document in file spec, or in spec itself when it
-    starts with "{"; a document of the wrong shape is a usage error."""
-    text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
+    starts with "{" or "["; a document of the wrong shape is a usage error."""
+    text = spec if spec.lstrip().startswith(("{", "[")) else Path(spec).read_text()
     try:
         return decode(json.loads(text))
     except (AttributeError, TypeError, IndexError) as exc:
@@ -139,8 +139,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_average(args) -> int:
-    spec = _load_doc(args.spec, AverageSpec.from_json)
     try:
+        spec = _load_doc(args.spec, AverageSpec.from_json)
         result = evaluate_average(spec.measure, spec.functional)
     except DomainError as exc:
         _emit_json(args, AverageResult.from_domain_error(exc).to_json())
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("verify", help="run the Monte Carlo verification suite")
-    p.add_argument("--config", help="custom suite config (JSON array of cases)")
+    p.add_argument("--config", help="suite config file or inline document (JSON array of cases)")
     p.add_argument("--samples", type=int, default=None, help="override per-case sample count")
     p.add_argument("--seed", type=int, default=None, help="override per-case seed")
     p.add_argument("--workers", type=int, default=1)

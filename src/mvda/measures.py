@@ -110,6 +110,16 @@ the one layer is the sums measure at its scalar_alphas, drawn from the
 same gammas in the same order as sample_batch draws it, so its logs are
 sample_batch's, bit for bit.
 
+A MeasureSpec checks its existence conditions when it is built
+(MeasureSpec.validate): alpha_j > p - 1 at type-1 and type-2, alpha_j +
+n_j > 0 and alpha_{k+1} > 0 at the rectangular kinds, every alpha finite
+and their sum too. So every measure that reaches a sampler or a closed
+form has a density, and none of them checks it again. The sums measures
+and layers derived from a valid measure meet the same conditions: their
+alphas are sums of its scalar_alphas, or those less i < p. (Only a sum
+regrouped within half an ulp of double range can round past it and make
+a derived measure refuse.)
+
 Sampler correctness is not assumed: the Monte Carlo harness cross-checks
 every construction against the closed-form averages.
 """
@@ -162,6 +172,11 @@ class MeasureSpec:
     induced scalar variables u_j, with per-form sizes ns and optional
     positive definite form matrices Bs (identity when omitted; the u_j law
     does not depend on them, only the normalizing constant does).
+
+    A MeasureSpec is valid once built: construction runs validate(), so a
+    measure whose density does not exist cannot be made, and the samplers
+    and closed forms take it as given. validate() stays callable, and on a
+    built spec it passes.
     """
 
     kind: str
@@ -177,6 +192,7 @@ class MeasureSpec:
             object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         if self.Bs is not None:
             object.__setattr__(self, "Bs", tuple(self.Bs))
+        self.validate()
 
     @property
     def rectangular(self) -> bool:
@@ -208,7 +224,6 @@ class MeasureSpec:
         type-1 and are dropped at type-2 (see the module docstring). A
         rectangular measure becomes the p = 1 kind at its scalar_alphas.
         """
-        self.validate()
         if reads not in READS:
             raise ValueError(f"unknown reads {reads!r}; choose from {', '.join(READS)}")
         if reads == "each":
@@ -313,7 +328,7 @@ class MeasureSpec:
             alphas=tuple(_json_typed(doc["alphas"], "alphas", "array", "number")),
             ns=tuple(_json_typed(ns, "ns", "array", "integer")) if ns is not None else None,
             Bs=(tuple(HermitianMatrix.from_json(b) for b in _json_typed(bs, "Bs", "array"))
-                if bs else None),
+                if bs is not None else None),
         )
 
 
@@ -537,7 +552,6 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     The output is a pure function of (seed, stream, chunk, n), which is
     what makes chunked Monte Carlo independent of worker scheduling.
     """
-    spec.validate()
     if n < 0:
         raise ValueError(f"n must be >= 0 (got {n})")
     rng = seed.child(chunk)

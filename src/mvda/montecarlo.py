@@ -372,6 +372,8 @@ def load_suite(docs: list) -> list[VerifyCase]:
     """The cases of a decoded suite config, a JSON array of case documents."""
     if not isinstance(docs, list):
         raise ValueError("suite config must be a JSON array of cases")
+    if not docs:
+        raise ValueError("suite config must hold at least one case")
     return [VerifyCase.from_json(d) for d in docs]
 
 

@@ -204,7 +204,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("spec", ["[1, 2]", '{"measure": [1], "functional": "det_power"}'])
     def test_inline_document_of_wrong_shape_exit_1(self, capsys, spec):
-        # only "{" marks an inline document; anything else names a file
+        # only "{" or "[" marks an inline document; anything else names a file
         assert main(["average", "--spec", spec]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
@@ -236,6 +236,19 @@ class TestSample:
         spec = {"kind": "type1", "p": 1, "k": 1, "alphas": [math.inf, 2.0]}
         assert main(["sample", "--spec", json.dumps(spec), "--n", "0"]) == 2
         assert "alpha_1 finite (got inf)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "rect_type1_p1", "p": 1, "k": 1, "alphas": [0.5, 2.0], "ns": [2], "Bs": []},
+         "need one form matrix per component"),
+        ({"kind": "type1", "p": 1, "k": 1, "alphas": [1.0, 2.0], "Bs": []},
+         "ns/Bs only apply to rectangular measures"),
+    ], ids=["rect", "type1"])
+    def test_empty_forms_exit_1(self, capsys, spec, message):
+        # an empty Bs is a list of no forms, not the identity forms
+        assert main(["sample", "--spec", json.dumps(spec), "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
 
     def test_environment_does_not_seed(self, capsys, monkeypatch):
         # the seed is --seed or 42; no environment variable sets it
@@ -309,6 +322,12 @@ class TestAverage:
             f"log Gamma_p(alpha) finite (alpha = {overflows}, p = 2)"
         ]
 
+    def test_empty_forms_on_a_rectangular_measure_exit_1(self, capsys):
+        spec = {"measure": {"kind": "rect_type1_p1", "p": 1, "k": 1, "alphas": [0.5, 2.0],
+                            "ns": [2], "Bs": []},
+                "functional": "hermitian_form_moment", "h": 1.0}
+        assert main(["average", "--spec", json.dumps(spec)]) == 1
+        assert capsys.readouterr().err == "usage error: need one form matrix per component\n"
 
     def test_value_past_double_range_exit_2(self, capsys):
         spec = {"measure": {"kind": "type1", "p": 1, "k": 1, "alphas": [1e300, 2e305]},
@@ -370,6 +389,33 @@ class TestVerify:
         assert report["verdict"] == "fail" and report["n"] == 0
         assert report["diagnostics"]["reason"] == "second moment does not exist"
         assert report["diagnostics"]["violated_conditions"] == ["alpha_{k+1} - sum(gamma) > p - 1"]
+
+    def test_invalid_measure_refused_at_load_exit_2(self, tmp_path, capsys):
+        # no case runs: the suite is refused as it loads, naming the conditions
+        doc = json.loads(open(self.small_config(tmp_path)).read())
+        doc[1]["measure"]["alphas"][-1] = -1.0
+        cfg = write_json(tmp_path / "suite.json", doc)
+        assert main(["verify", "--config", cfg, "--samples", "5000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid type2 measure: alpha_2 > p - 1 (got -1.0, p = 1)\n"
+        )
+
+    def test_empty_suite_exit_1(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "empty.json", [])
+        assert main(["verify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: suite config must hold at least one case\n"
+
+    def test_inline_config_gives_the_file_bytes(self, tmp_path, capsys):
+        cfg = self.small_config(tmp_path)
+        args = ["verify", "--samples", "5000", "--canonical", "--config"]
+        _, from_file = run(capsys, args + [cfg])
+        code, inline = run(capsys, args + [open(cfg).read()])
+        assert code == 0
+        assert inline == from_file
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):

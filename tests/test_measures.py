@@ -533,27 +533,24 @@ class TestFactorDependentLaws:
 
 class TestMeasureSpec:
     def test_alpha_condition_named(self):
-        spec = MeasureSpec(kind="type1", p=2, k=1, alphas=(1.0, 2.0))
         with pytest.raises(DomainError) as err:
-            spec.validate()
+            MeasureSpec(kind="type1", p=2, k=1, alphas=(1.0, 2.0))
         assert any("alpha_1" in c for c in err.value.violated)
 
     @pytest.mark.parametrize(
         "kind,p,ns", [("type1", 2, None), ("type2", 1, None), ("rect_type1_p1", 1, (2,))]
     )
     def test_infinite_alpha_named(self, kind, p, ns):
-        spec = MeasureSpec(kind=kind, p=p, k=1, alphas=(math.inf, 2.0), ns=ns)
         with pytest.raises(DomainError) as err:
-            spec.validate()
+            MeasureSpec(kind=kind, p=p, k=1, alphas=(math.inf, 2.0), ns=ns)
         assert err.value.violated == ("alpha_1 finite (got inf)",)
 
     @pytest.mark.parametrize(
         "kind,p,ns", [("type1", 2, None), ("type2", 1, None), ("rect_type1_p1", 1, (2,))]
     )
     def test_overflowing_alpha_sum_named(self, kind, p, ns):
-        spec = MeasureSpec(kind=kind, p=p, k=1, alphas=(1e308, 1e308), ns=ns)
         with pytest.raises(DomainError) as err:
-            spec.validate()
+            MeasureSpec(kind=kind, p=p, k=1, alphas=(1e308, 1e308), ns=ns)
         assert err.value.violated == ("sum(alphas) finite (got inf)",)
 
     def test_rect_needs_ns(self):
@@ -561,9 +558,8 @@ class TestMeasureSpec:
             MeasureSpec(kind="rect_type1_p1", p=1, k=1, alphas=(0.5, 2.0)).validate()
 
     def test_rect_p_must_be_one(self):
-        spec = MeasureSpec(kind="rect_type1_p1", p=2, k=1, alphas=(0.5, 2.0), ns=(2,))
         with pytest.raises(DomainError):
-            spec.validate()
+            MeasureSpec(kind="rect_type1_p1", p=2, k=1, alphas=(0.5, 2.0), ns=(2,))
 
     def test_scalar_law(self):
         rect = MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(0.5, -0.5, 2.0), ns=(2, 3))
@@ -595,17 +591,57 @@ class TestMeasureSpec:
     )
     def test_rect_forms_checked(self, ns, Bs, message):
         alphas = (0.5,) * len(ns) + (2.0,)
-        spec = MeasureSpec(kind="rect_type1_p1", p=1, k=len(ns), alphas=alphas, ns=ns, Bs=Bs)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            spec.validate()
+            MeasureSpec(kind="rect_type1_p1", p=1, k=len(ns), alphas=alphas, ns=ns, Bs=Bs)
 
     @pytest.mark.parametrize("kind", ["rect_type1_p1", "rect_type2_p1"])
     @pytest.mark.parametrize("last", [0.0, -1.5])
     def test_rect_last_alpha_positive_named(self, kind, last):
-        spec = MeasureSpec(kind=kind, p=1, k=1, alphas=(0.5, last), ns=(2,))
         with pytest.raises(DomainError) as err:
-            spec.validate()
+            MeasureSpec(kind=kind, p=1, k=1, alphas=(0.5, last), ns=(2,))
         assert err.value.violated == (f"alpha_{{k+1}} > 0 (got {last!r})",)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "type1", "p": 2, "k": 1, "alphas": [1.0, 2.0]},
+        {"kind": "rect_type2_p1", "p": 1, "k": 2, "alphas": [-3.0, 0.5, 0.0], "ns": [2, 1]},
+    ], ids=["type1", "rect_type2_p1"])
+    def test_from_json_refuses_what_the_constructor_refuses(self, doc):
+        with pytest.raises(DomainError) as built:
+            MeasureSpec(**{**doc, "alphas": tuple(doc["alphas"])})
+        with pytest.raises(DomainError) as read:
+            MeasureSpec.from_json(doc)
+        assert read.value.violated == built.value.violated
+        assert len(read.value.violated) == len(doc["alphas"]) - 1
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "rect_type1_p1", "p": 1, "k": 1, "alphas": [0.5, 2.0], "ns": [2]},
+         "need one form matrix per component"),
+        ({"kind": "rect_type2_p1", "p": 1, "k": 1, "alphas": [0.5, 2.0], "ns": [2]},
+         "need one form matrix per component"),
+        ({"kind": "type1", "p": 1, "k": 1, "alphas": [1.0, 2.0]},
+         "ns/Bs only apply to rectangular measures"),
+        ({"kind": "type2", "p": 2, "k": 1, "alphas": [2.0, 2.0]},
+         "ns/Bs only apply to rectangular measures"),
+    ], ids=["rect_type1_p1", "rect_type2_p1", "type1", "type2"])
+    def test_from_json_empty_forms_are_no_forms(self, doc, message):
+        # "Bs": [] holds no form matrix; it is neither omitted nor the identity
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MeasureSpec.from_json({**doc, "Bs": []})
+
+    @pytest.mark.parametrize("measure", [
+        MeasureSpec(kind="type1", p=3, k=3, alphas=(math.nextafter(2.0, 3.0),) * 4),
+        MeasureSpec(kind="type2", p=3, k=2, alphas=(math.nextafter(2.0, 3.0),) * 3),
+        MeasureSpec(kind="rect_type1_p1", p=1, k=2, alphas=(-1.75, -0.5, 5e-324), ns=(2, 1)),
+        MeasureSpec(kind="rect_type2_p1", p=1, k=2, alphas=(-1.75, -0.5, 5e-324), ns=(2, 1)),
+        MeasureSpec(kind="type1", p=2, k=2, alphas=(6e307, 6e307, 5e307)),
+    ], ids=["type1-p3", "type2-p3", "rect1", "rect2", "type1-near-overflow"])
+    def test_derived_measures_build_at_the_bounds(self, measure):
+        # a measure's sums measures and layers are valid whenever it is, away
+        # from the last half ulp of double range
+        for reads in READS:
+            measure.sums_measure(reads)
+        for reads in ("each", "sum"):
+            assert len(measure.layers(reads)) == measure.p
 
     def test_alpha_count(self):
         with pytest.raises(ValueError):

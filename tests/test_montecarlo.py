@@ -482,8 +482,15 @@ class TestChunkMemory:
 
 
 class TestLayersBuiltOnce:
-    def test_validate_calls_do_not_grow_with_chunks(self, monkeypatch):
-        # det_power at p = 3 draws scalar layers, built once per case
+    @pytest.mark.parametrize("measure, functional", [
+        (MeasureSpec(kind="type1", p=3, k=2, alphas=(3.5, 4.0, 4.5)),
+         FunctionalSpec(kind="det_power", gammas=(0.5, 1.0))),
+        (MeasureSpec(kind="type1", p=3, k=2, alphas=(3.5, 4.0, 4.5)),
+         FunctionalSpec(kind="exp_trace")),
+    ], ids=["det_power-layers", "exp_trace-grid"])
+    def test_validate_calls_do_not_grow_with_chunks(self, monkeypatch, measure, functional):
+        # det_power at p = 3 draws scalar layers, built once per case; exp_trace
+        # draws grid chunks of its sums measure, built once per case too
         calls = []
         validate = MeasureSpec.validate
 
@@ -492,8 +499,6 @@ class TestLayersBuiltOnce:
             validate(spec)
 
         monkeypatch.setattr(MeasureSpec, "validate", counted)
-        measure = MeasureSpec(kind="type1", p=3, k=2, alphas=(3.5, 4.0, 4.5))
-        functional = FunctionalSpec(kind="det_power", gammas=(0.5, 1.0))
         counts = []
         for chunks in (2, 8):
             calls.clear()
@@ -689,6 +694,10 @@ class TestVerifySuite:
     def test_suite_config_must_be_an_array(self, doc):
         with pytest.raises(ValueError, match="^suite config must be a JSON array of cases$"):
             load_suite(doc)
+
+    def test_suite_config_must_hold_a_case(self):
+        with pytest.raises(ValueError, match="^suite config must hold at least one case$"):
+            load_suite([])
 
     def test_suite_config_round_trip(self):
         cases = default_suite()
