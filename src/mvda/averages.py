@@ -39,8 +39,10 @@ from .special import (
     hyp1f1_matrix,
 )
 
-# the functional evaluated draw by draw on the Draws of one chunk
-Integrand = Callable[[Draws], np.ndarray]
+# the functional evaluated draw by draw on one chunk: on the log array
+# sample_layers returns for a Functional with determinants, else on the Draws
+# sample_batch returns
+Integrand = Callable[[Draws | np.ndarray], np.ndarray]
 
 
 def _require(conditions: list[tuple[str, bool]], context: str) -> None:
@@ -190,10 +192,10 @@ def det_power_average(measure: MeasureSpec, gammas) -> AverageResult:
 def _det_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     gammas = functional.gammas
 
-    def det_power(draws: Draws) -> np.ndarray:
+    def det_power(logdet: np.ndarray) -> np.ndarray:
         if all(g == 0.0 for g in gammas):
-            return np.ones(draws.n)
-        log = _sum(g * logdet_j for logdet_j, g in zip(draws.logdet, gammas) if g != 0.0)
+            return np.ones(logdet.shape[-1])
+        log = _sum(g * logdet_j for logdet_j, g in zip(logdet, gammas) if g != 0.0)
         return np.exp(log, out=log)
 
     return det_power
@@ -221,8 +223,8 @@ def complement_power_average(measure: MeasureSpec, delta: float) -> AverageResul
 def _complement_power_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
     delta = functional.delta
 
-    def complement_power(draws: Draws) -> np.ndarray:
-        log = delta * draws.log_complement
+    def complement_power(log_complement: np.ndarray) -> np.ndarray:
+        log = delta * log_complement
         return np.exp(log, out=log)
 
     return complement_power
@@ -348,7 +350,7 @@ class Functional:
     closed_form(measure, **params) is the average, where params are the
     FunctionalSpec fields named in required or optional that are set;
     integrand(measure, functional) returns the functional as a function
-    of the Draws of one chunk, for the Monte Carlo harness.
+    of one chunk's draws, for the Monte Carlo harness (Integrand).
     exponent names the parameter that squaring the functional doubles, so
     its second moment is the closed form there; None for exp_trace (bounded
     on 0 < X_1 < I) and phi6 (finite for every positive definite A).
@@ -358,7 +360,9 @@ class Functional:
     determinants is True when the integrand reads only determinants: log
     det X_j for reads "each", the complement determinant for "sum". The
     harness then draws the p scalar layers MeasureSpec.layers(reads) at
-    every p, in place of the sums measure itself.
+    every p, in place of the sums measure itself, and the integrand takes
+    the log array measures.sample_layers returns; every other integrand
+    takes the Draws of measures.sample_batch.
     """
 
     required: tuple[str, ...]

@@ -30,8 +30,10 @@ class HermitianMatrix:
 
     Input is validated (square, finite, conjugate-symmetric within
     ``HERMITIAN_ATOL``) and then symmetrized as (A + A*)/2 so that tiny
-    rounding asymmetries from upstream arithmetic do not propagate. The
-    stored array has exactly zero imaginary parts on the diagonal.
+    rounding asymmetries from upstream arithmetic do not propagate; a part
+    above half of double max, whose sum would overflow, is halved before it
+    is added. Exactly Hermitian input is stored as given. The stored array
+    has exactly zero imaginary parts on the diagonal.
     """
 
     __slots__ = ("_a",)
@@ -42,12 +44,19 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        asym = float(np.max(np.abs(a - a.conj().T)))
+        # a part above half of double max overflows A - A* and A + A* to inf,
+        # and the complex division makes the other part of its entry nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            asym = float(np.max(np.abs(a - a.conj().T)))
+            h = (a + a.conj().T) / 2.0
         if asym > HERMITIAN_ATOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |A - A*| = {asym:.3e} > {HERMITIAN_ATOL:.0e}"
             )
-        h = (a + a.conj().T) / 2.0
+        parts = h.view(np.float64)
+        lost = ~np.isfinite(parts)
+        if lost.any():
+            parts[lost] = (a / 2.0 + a.conj().T / 2.0).view(np.float64)[lost]
         h.flags.writeable = False
         self._a = h
 

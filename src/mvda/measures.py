@@ -21,12 +21,12 @@ and Gram products of linalg) and calls no LAPACK. A grid is held only
 while it is read: a sum of gamma draws is summed entry by entry from the
 factors, so no W_j's grid is formed; the Cholesky lets each row of the
 sum go once it has factored it; and the type-1 T_{k+1} is cut to its
-pivots once S holds it. Wherever the sampler factors a sum of gamma
-draws (S at type-1, and L L* + sum W_j in Draws.logdet_eye_plus at
-either kind), a squared pivot below EIG_FLOOR_RTOL times the largest
-diagonal entry of the sum is raised to that value and counted by
-floor_event_count(). The type-2 L is never factored, so nothing floors
-its diagonal, which is T_{k+1}'s own.
+pivots once S holds it, and dropped once they are checked. Wherever the
+sampler factors a sum of gamma draws (S at type-1, and L L* + sum W_j in
+Draws.logdet_eye_plus at either kind), a squared pivot below
+EIG_FLOOR_RTOL times the largest diagonal entry of the sum is raised to
+that value and counted by floor_event_count(). The type-2 L is never
+factored, so nothing floors its diagonal, which is T_{k+1}'s own.
 
 The rectangular measures are handled through the induced scalar variables
 u_j (the values of the Hermitian forms), which follow ordinary Dirichlet
@@ -36,21 +36,15 @@ A draw outside the support (a p = 1 value at 0 or inf, a layer's value
 likewise, or at p >= 2 a gamma pivot that underflowed to 0) raises
 SamplerError.
 
-sample_batch returns the draws in the form it built them (Draws), not as
-matrices, and integrands ask a Draws the same questions at every p. Its
-complement determinant has one meaning at both kinds: det Y_{k+1} of the
-type-1 complement Y_{k+1} = I - sum Y_j, which is det(I - sum X_j) at
-type-1 and det(I + sum X_j)^-1 at type-2, where I + sum X_j =
-(I - sum Y_j)^-1 for a type-1 Y at the same alphas (Olkin & Rubin, 1964).
-At p >= 2 the logs are read from the pivots, when asked for: log det X_j =
-2 sum_i (log T_j,ii - log L_ii), and at type-1 log det(I - sum X_j) is the
-same with T_{k+1}. The support check reads the pivots themselves: every
-T_j,ii and L_ii must be in (0, inf), which is exactly when all those logs
-are finite. tr(A X_j) and log det(I + sum X_j) are formed only when an
-integrand asks for them, as is every answer at p = 1; the trace reads
-the entries of X_j from U_j = L^{-1} T_j one at a time, so only
-Draws.stack(), which packs the (k, n, p, p) matrices for output, forms
-the Hermitian grids of the X_j.
+sample_batch returns the matrix draws in the form it built them (Draws),
+and integrands ask a Draws the same questions at every p: tr(A X_j),
+log det(I + sum X_j) and, for output, the packed matrices. At p >= 2 the
+support check reads the pivots: every T_j,ii and L_ii, and at type-1
+every pivot of T_{k+1} too, must be in (0, inf). Each answer is formed
+only when an integrand asks for it; the trace reads the entries of X_j
+from U_j = L^{-1} T_j one at a time, so only Draws.stack(), which packs
+the (k, n, p, p) matrices for output, forms the Hermitian grids of the
+X_j.
 
 A sum of independent complex matrix gammas with one scale is itself a
 matrix gamma at the summed shape (Goodman, Ann. Math. Statist. 34, 1963).
@@ -102,13 +96,11 @@ it is at (a, b - i) at either kind. The law is exact:
   at type-2 for layer i at (a, b - i).
 
 Layers drawn for one reads give only those determinants: the complement
-of "each" layers and the det X of "sum" layers have other laws. So the
-Draws of layers holds only the summed array it was drawn for, logdet or
-log_complement, and refuses every other answer. Every layer of a chunk
-comes from the one substream seed.child(chunk), in layer order. At p = 1
-the one layer is the sums measure at its scalar_alphas, drawn from the
-same gammas in the same order as sample_batch draws it, so its logs are
-sample_batch's, bit for bit.
+of "each" layers and the det X of "sum" layers have other laws. So
+sample_layers returns only the summed log array it was drawn for. Every
+layer of a chunk comes from the one substream seed.child(chunk), in layer
+order. At p = 1 the one layer is the sums measure at its scalar_alphas,
+drawn from the same gammas in the same order as sample_batch draws it.
 
 A MeasureSpec checks its existence conditions when it is built
 (MeasureSpec.validate): alpha_j > p - 1 at type-1 and type-2, alpha_j +
@@ -362,86 +354,32 @@ def _triangular_factor(rng: CounterRng, p: int, alpha: float, n: int) -> list:
 
 
 class Draws:
-    """n draws of a Dirichlet measure, in the form the sampler built them.
+    """n matrix draws of a Dirichlet measure, in the form sample_batch built
+    them.
 
-    Three determinant answers mean the same at both kinds: logdet, the
-    (k, n) log det X_j; log_complement, log det Y_{k+1} of the type-1
-    complement Y_{k+1} = I - sum Y_j, which is log det(I - sum X_j) at
-    type-1 and -log det(I + sum X_j) at type-2 (module docstring); and
-    logdet_eye_plus(js), log det(I + the sum of X_j over js). trace(a, j)
-    is tr(A X_j). Each is computed when it is asked for.
+    trace(a, j) is tr(A X_j), logdet_eye_plus(js) is log det(I + the sum of
+    X_j over js) and stack() packs the matrices, with one meaning at every
+    p. Each is computed when it is asked for.
 
-    At p = 1, values holds the (k, n) values x_j and, at the type-1 kinds,
-    complement holds 1 - sum x_j as the closing ratio w_{k+1} / sum w, which
-    stays positive where the rounded sum of the x_j reaches 1. The logs are
-    taken from them.
-
-    At p >= 2, X_j = C W_j C* with C = L^{-1} and W_j = T_j T_j*: t holds
-    the k factor grids T_j, l the grid L and, at type-1, complement the
-    pivots of the closing factor T_{k+1} (its rows cut to their diagonal
-    entries). The logs are taken from the pivots: log det X_j =
-    2 (sum_i log T_j,ii - sum_i log L_ii), and at type-1 log det(I - sum X_j)
-    is the same with T_{k+1}. U_j = L^{-1} T_j is formed for trace and
+    At p = 1, values holds the (k, n) values x_j. At p >= 2,
+    X_j = C W_j C* with C = L^{-1} and W_j = T_j T_j*: t holds the k factor
+    grids T_j and l the grid L. U_j = L^{-1} T_j is formed for trace and
     stack: trace forms each entry of X_j = U_j U_j* as it adds it, and
-    stack the whole Hermitian grid of X_j.
-
-    A layered Draws (sample_layers) holds only the summed determinant it
-    was drawn for, logdet or log_complement, and raises ValueError for
-    every other answer. Nothing in a Draws refers back to it, so its arrays
-    go as soon as the last reference to it does.
+    stack the whole Hermitian grid of X_j. Nothing in a Draws refers back
+    to it, so its arrays go as soon as the last reference to it does.
     """
 
-    def __init__(self, values=None, complement=None, t=None, l=None, logdet=None,
-                 log_complement=None):
+    def __init__(self, values=None, t=None, l=None):
         self.values = values
-        self.complement = complement
         self.t = t
         self.l = l
-        self._logdet = logdet
-        self._log_complement = log_complement
-
-    @property
-    def logdet(self) -> np.ndarray:
-        """The (k, n) log det X_j."""
-        if self.values is not None:
-            return np.log(self.values)
-        if self.t is not None:
-            return self._pivot_logs(self.t)
-        if self._logdet is None:
-            raise ValueError("layers drawn for reads 'sum' do not give this answer")
-        return self._logdet
-
-    @property
-    def log_complement(self) -> np.ndarray:
-        """log det(I - sum X_j) at type-1, -log det(I + sum X_j) at type-2."""
-        if self._log_complement is not None:
-            return self._log_complement
-        if self.complement is not None:
-            if self.values is not None:
-                return np.log(self.complement)
-            return self._pivot_logs([self.complement])[0]
-        # type-2: det Y_{k+1} = det(I + sum X_j)^-1
-        k = len(next(a for a in (self.values, self.t, self._logdet) if a is not None))
-        log = self.logdet_eye_plus(range(k))
-        return np.negative(log, out=log)
-
-    def _pivot_logs(self, factors: list) -> np.ndarray:
-        """The (len(factors), n) log det C W C* = 2 (sum_i log T_ii -
-        sum_i log L_ii) of W = T T* for each factor grid T."""
-        log_l = _log_diagonal(self.l)
-        return np.stack([2 * (_log_diagonal(t) - log_l) for t in factors])
 
     @property
     def n(self) -> int:
-        if self.l is not None:
-            return self.l[0][0].shape[-1]
-        held = (self.values, self._logdet, self._log_complement)
-        return next(a for a in held if a is not None).shape[-1]
+        return (self.values if self.values is not None else self.l[0][0]).shape[-1]
 
     def _u(self, j: int) -> list:
         """The grid of U_j = L^{-1} T_j, with X_j = U_j U_j*."""
-        if self.t is None:
-            raise ValueError("layered draws hold determinants only")
         return _forward(self.l, self.t[j])
 
     def trace(self, a: np.ndarray, j: int) -> np.ndarray:
@@ -469,9 +407,6 @@ class Draws:
         """
         if self.values is not None:
             return np.log1p(reduce(np.add, [self.values[j] for j in js]))
-        if self.l is None:
-            reads = "each" if self._logdet is not None else "sum"
-            raise ValueError(f"layers drawn for reads {reads!r} do not give this answer")
         log = _log_diagonal(_cholesky(_gram_sum([self.l] + [self.t[j] for j in js]), _pivot))
         log -= _log_diagonal(self.l)
         log *= 2
@@ -482,35 +417,42 @@ class Draws:
         packed complex Hermitian matrices."""
         if self.values is not None:
             return self.values.reshape(self.values.shape + (1, 1))
-        if self.t is None:
-            raise ValueError("layered draws hold determinants only")
         return _pack([_gram(self._u(j)) for j in range(len(self.t))])
 
 
-def sample_layers(layers: tuple, reads: str, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
+def sample_layers(layers: tuple, reads: str, seed: SeedSpec, n: int, chunk: int = 0) -> np.ndarray:
     """n draws of the determinants an integrand reads, from the p = 1
-    layers = spec.layers(reads) of a p x p measure spec: a Draws holding
-    the sum of the layers' logdet for reads "each" and of their
-    log_complement for reads "sum", at every p. A caller that draws many
-    chunks builds the layers once.
+    layers = spec.layers(reads) of a p x p measure spec, at every p: for
+    reads "each" the (k, n) array sum_i log x_ij = log det X_j, for reads
+    "sum" the (n,) array of the layers' summed log complements, which is
+    log det(I - X) at type-1 and -log det(I + X) at type-2. A caller that
+    draws many chunks builds the layers once.
 
     Every layer of a chunk is drawn in order from the one substream
     seed.child(chunk), so the layers are independent of each other and the
     output is a pure function of (seed, stream, chunk, n), as in
-    sample_batch. A draw outside a layer's support raises SamplerError
-    naming p, the layer and its shapes.
+    sample_batch. The logs are summed layer by layer, so one layer's
+    gammas are held at a time. A draw outside a layer's support raises
+    SamplerError naming p, the layer and its shapes.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0 (got {n})")
     rng = seed.child(chunk)
     p = len(layers)
-    draws = [
-        _scalar_draws(rng, layer, n, f"p = {p} layer {i} at shapes {layer.scalar_alphas}:")
-        for i, layer in enumerate(layers)
-    ]
-    if reads == "each":
-        return Draws(logdet=_sum(layer.logdet for layer in draws))
-    return Draws(log_complement=_sum(layer.log_complement for layer in draws))
+
+    def logs(i: int, layer: MeasureSpec) -> np.ndarray:
+        where = f"p = {p} layer {i} at shapes {layer.scalar_alphas}:"
+        x, complement = _scalar_draws(rng, layer, n, where)
+        if reads == "each":
+            return np.log(x)
+        # a "sum" layer has k = 1: its complement is the closing ratio
+        # 1 - x at type-1 and 1 / (1 + x) at type-2
+        if complement is not None:
+            return np.log(complement)
+        log = np.log1p(x[0])
+        return np.negative(log, out=log)
+
+    return _sum(logs(i, layer) for i, layer in enumerate(layers))
 
 
 def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.ndarray:
@@ -524,8 +466,13 @@ def _matrix_gamma_batch(rng: CounterRng, p: int, alpha: float, n: int) -> np.nda
     return _pack([_gram(t)])[0]
 
 
-def _scalar_draws(rng: CounterRng, spec: MeasureSpec, n: int, where: str = "p = 1") -> Draws:
-    """n draws of a p = 1 measure from rng: the scalar Dirichlet law.
+def _scalar_draws(
+    rng: CounterRng, spec: MeasureSpec, n: int, where: str = "p = 1"
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """n draws of a p = 1 measure from rng, the scalar Dirichlet law: the
+    (k, n) values x_j and, at the type-1 kinds, the complement
+    1 - sum x_j as the closing ratio w_{k+1} / sum w (else None), which
+    stays positive where the rounded sum of the x_j reaches 1.
 
     k gammas, then the closing one, each drawn into its row of one
     buffer and divided in place: by their sum at type-1, which leaves the
@@ -543,7 +490,7 @@ def _scalar_draws(rng: CounterRng, spec: MeasureSpec, n: int, where: str = "p = 
             np.divide(w[:k], w[k], out=w[:k])
     x, complement = w[:k], (w[k] if spec.type1 else None)
     _check_p1_support(x, complement, where)
-    return Draws(values=x, complement=complement)
+    return x, complement
 
 
 def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> Draws:
@@ -558,7 +505,7 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
     k, p = spec.k, spec.p
 
     if p == 1:
-        return _scalar_draws(rng, spec, n)
+        return Draws(values=_scalar_draws(rng, spec, n)[0])
 
     t = [_triangular_factor(rng, p, a, n) for a in spec.alphas]
     if spec.type1:
@@ -576,10 +523,10 @@ def sample_batch(spec: MeasureSpec, seed: SeedSpec, n: int, chunk: int = 0) -> D
             [np.conj(last[p - 1 - j][p - 1 - i]) for j in range(i)] + [last[p - 1 - i][p - 1 - i]]
             for i in range(p)
         ]
-    # the pivots every log-determinant is read from (Draws._pivot_logs):
-    # at type-2, L's are T_{k+1}'s own
+    # at type-2, L's pivots are T_{k+1}'s own; at type-1 T_{k+1}'s pivots go
+    # once they are checked
     _check_support((t if spec.type1 else t[:k]) + [l])
-    return Draws(t=t[:k], l=l, complement=t[k] if spec.type1 else None)
+    return Draws(t=t[:k], l=l)
 
 
 def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray], where: str) -> None:
@@ -604,9 +551,9 @@ def _check_p1_support(x: np.ndarray, complement: Optional[np.ndarray], where: st
 
 def _check_support(factors: list) -> None:
     """Raise unless every pivot of the triangular factor grids is in
-    (0, inf), which is exactly when every log-determinant read from them
-    (Draws._pivot_logs) is finite; the message names the first sample
-    where one is not.
+    (0, inf), which is exactly when every log det X_j = 2 sum_i (log T_j,ii
+    - log L_ii), and at type-1 log det(I - sum X_j), the same with T_{k+1},
+    is finite; the message names the first sample where one is not.
 
     A diagonal entry of some T_j or of the closing T_{k+1} (at type-2 also
     L's, and in sample_matrix_gamma the factor's own) is the square root
@@ -627,10 +574,10 @@ def _check_support(factors: list) -> None:
 
 def sample_matrix_gamma(p: int, alpha: float, seed: SeedSpec) -> HermitianMatrix:
     """One draw with density proportional to |det W|^(alpha-p) exp(-tr W)."""
-    if not alpha > p - 1:
-        raise DomainError(
-            [f"alpha > p - 1 (got {alpha!r}, p = {p})"],
-            context="matrix gamma sampler",
-        )
+    conditions = [(f"alpha > p - 1 (got {alpha!r}, p = {p})", alpha > p - 1),
+                  ("alpha finite (got inf)", alpha != math.inf)]
+    bad = [name for name, ok in conditions if not ok]
+    if bad:
+        raise DomainError(bad, context="matrix gamma sampler")
     return HermitianMatrix(_matrix_gamma_batch(seed.child(0), p, float(alpha), 1)[0])
 

@@ -20,10 +20,11 @@ measure wherever its alphas differ from the case's own.
 A functional that reads only determinants (averages.Functional.determinants:
 det_power and complement_power) draws no matrices. Each chunk draws the p
 scalar layers of the sums measure, MeasureSpec.layers, from its one
-substream, and the integrand's log-determinants are sums over the layers
-(measures.sample_layers, where the law is proved); at p = 1 the one layer
-is the sums measure itself. Every other functional's chunk draws the sums
-measure with sample_batch. Each case picks its draw function once.
+substream, and the integrand takes the log-determinants summed over the
+layers (measures.sample_layers, where the law is proved); at p = 1 the one
+layer is the sums measure itself. Every other functional's chunk draws the
+sums measure with sample_batch, whose Draws its integrand takes. Each case
+picks its draw function once.
 
 A case passes iff |estimate - closed form| <= max(4 SE, ABS_FLOOR). The SE
 is a standard error only when the integrand has a finite second moment. For
@@ -139,7 +140,8 @@ class VerifyCase:
 
 
 def make_integrand(measure: MeasureSpec, functional: FunctionalSpec) -> Integrand:
-    """Vectorized evaluator of the functional on the Draws of one chunk."""
+    """Vectorized evaluator of the functional on one chunk's draws (see
+    averages.Integrand)."""
     return FUNCTIONALS[functional.kind].integrand(measure, functional)
 
 

@@ -62,6 +62,12 @@ class TestScalarCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.25, rel=1e-12)
 
+    def test_zonal_of_a_value_near_double_max(self, capsys):
+        matrix = json.dumps({"p": 1, "re": [[1e308]], "im": [[0]]})
+        code, out = run(capsys, ["zonal", "--partition", "1", "--matrix", matrix])
+        assert code == 0
+        assert json.loads(out)["value"] == 1e308
+
     def test_hyp1f1(self, capsys):
         code, out = run(
             capsys,
@@ -283,6 +289,17 @@ class TestAverage:
         assert doc["value"] == pytest.approx(2 * (math.e - 2), rel=1e-14, abs=0)
         assert list(doc["diagnostics"]) == ["order_reached", "last_increment", "converged"]
         assert doc["diagnostics"]["converged"] is True
+
+    def test_phi6_with_a_near_double_max(self, capsys):
+        # A = (1e308) is positive definite; the average underflows to 0
+        spec = {"measure": {"kind": "type2", "p": 1, "k": 2, "alphas": [1.5, 2.0, 3.0]},
+                "functional": "phi6", "A": {"p": 1, "re": [[1e308]], "im": [[0]]}}
+        code, out = run(capsys, ["average", "--spec", json.dumps(spec)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["conditions_ok"] is True and doc["violated_conditions"] == []
+        want = math.lgamma(4.5) - math.lgamma(3.0) - 1.5 * math.log(1e308)
+        assert doc["log_value"] == pytest.approx(want, rel=1e-14)
 
     def test_nonexistent_moment_exit_2(self, tmp_path, capsys):
         spec = write_json(

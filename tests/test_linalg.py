@@ -58,6 +58,13 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("entries", [[[1.0, 1e308], [-1e308, 1.0]], [[1e308j]]],
+                             ids=["off-diagonal", "diagonal"])
+    def test_rejects_non_hermitian_past_half_of_double_max(self, entries):
+        # A - A* overflows to inf, which is refused like any other asymmetry
+        with pytest.raises(ValueError, match=r"not Hermitian: max \|A - A\*\| = inf"):
+            HermitianMatrix(entries)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             HermitianMatrix([[np.inf]])
@@ -67,6 +74,26 @@ class TestHermitianMatrix:
         h = HermitianMatrix(a)
         assert np.array_equal(h.array, h.array.conj().T)
         assert np.all(np.diag(h.array).imag == 0)
+
+    @pytest.mark.parametrize("entries", [
+        [[1e308]],
+        [[1.0, 1e308 + 1.5e308j], [1e308 - 1.5e308j, -1.7e308]],
+    ], ids=["1x1", "off-diagonal"])
+    def test_entries_above_half_of_double_max_kept(self, entries):
+        # (A + A*) / 2 would overflow these to inf
+        a = np.array(entries, dtype=np.complex128)
+        assert HermitianMatrix(a).array.tobytes() == a.tobytes()
+
+    def test_large_entry_symmetrized_without_overflow(self):
+        a = np.array([[1.0, 1.6e308 + 1e-13j], [1.6e308, 1.0]])
+        h = HermitianMatrix(a).array
+        assert h[0, 1] == 1.6e308 + 5e-14j and h[1, 0] == np.conj(h[0, 1])
+
+    def test_exactly_hermitian_input_stored_bit_for_bit(self):
+        g = np.random.default_rng(8).normal(size=(2, 4, 4))
+        z = g[0] + 1j * g[1]
+        a = z + z.conj().T
+        assert HermitianMatrix(a).array.tobytes() == a.tobytes()
 
     def test_array_is_read_only(self):
         h = HermitianMatrix.identity(2)

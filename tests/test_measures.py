@@ -10,7 +10,7 @@ from scipy.special import gammaln
 from mvda import measures
 from mvda.averages import FUNCTIONALS, FunctionalSpec
 from mvda.errors import DomainError, SamplerError
-from mvda.linalg import EIG_FLOOR_RTOL, HermitianMatrix, _cholesky, _gram, _log_diagonal, is_pd
+from mvda.linalg import EIG_FLOOR_RTOL, HermitianMatrix, _cholesky, _gram, is_pd
 from mvda.measures import (
     READS,
     MeasureSpec,
@@ -25,7 +25,16 @@ from mvda.measures import (
 from mvda.montecarlo import McConfig, VerifyCase, make_integrand, verify_suite
 from mvda.rng import SeedSpec
 
-from grids import bits, dense, grid, herm, max_rel, random_lower
+from grids import (
+    bits,
+    dense,
+    grid,
+    herm,
+    max_rel,
+    pivot_log_sum,
+    random_lower,
+    reference_logs,
+)
 
 N = 100_000
 
@@ -61,6 +70,15 @@ class TestMatrixGamma:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             sample_matrix_gamma(3, 2.0, SeedSpec(1))
+
+    @pytest.mark.parametrize("alpha, violated", [
+        (math.inf, "alpha finite (got inf)"),
+        (math.nan, "alpha > p - 1 (got nan, p = 2)"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_alpha_named(self, alpha, violated):
+        with pytest.raises(DomainError, match="^matrix gamma sampler: ") as err:
+            sample_matrix_gamma(2, alpha, SeedSpec(1))
+        assert err.value.violated == (violated,)
 
     def test_underflowed_pivot_raises(self):
         # alpha = p - 1 + 1e-3 gives the factor's last diagonal entry
@@ -227,9 +245,9 @@ class TestDrawsLifetime:
         "kind,functional",
         [
             ("type1", FunctionalSpec(kind="exp_trace")),
-            ("type1", FunctionalSpec(kind="complement_power", delta=0.5)),
+            ("type1", FunctionalSpec(kind="phi6", A=HermitianMatrix.identity(3))),
             ("type2", FunctionalSpec(kind="phi6", A=HermitianMatrix.identity(3))),
-            ("type2", FunctionalSpec(kind="complement_power", delta=0.5)),
+            ("type2", FunctionalSpec(kind="exp_trace")),
         ],
     )
     def test_freed_without_the_cyclic_collector(self, kind, functional):
@@ -240,9 +258,44 @@ class TestDrawsLifetime:
             draws = sample_batch(spec, SeedSpec(42, 17), 1_000)
             make_integrand(spec, functional)(draws)
             draws.stack()
-            refs = [weakref.ref(draws), weakref.ref(draws.logdet), weakref.ref(draws.l[0][0])]
+            refs = [weakref.ref(a) for a in (draws, draws.t[1][2][0], draws.l[2][2])]
+            assert all(r() is not None for r in refs)
             del draws
             assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_p1_values_freed_without_the_cyclic_collector(self):
+        spec = MeasureSpec(kind="type1", p=1, k=2, alphas=(0.5, 1.0, 2.0))
+        gc.disable()
+        try:
+            draws = sample_batch(spec, SeedSpec(42, 17), 1_000)
+            make_integrand(spec, FunctionalSpec(kind="exp_trace"))(draws)
+            refs = [weakref.ref(draws), weakref.ref(draws.values)]
+            assert all(r() is not None for r in refs)
+            del draws
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_type1_closing_pivots_do_not_outlive_the_sampler(self, p, monkeypatch):
+        # T_{k+1} is cut to its pivots for the support check; none is kept
+        closing = []
+        check = measures._check_support
+
+        def kept(factors):
+            closing[:] = [weakref.ref(row[-1]) for row in factors[2]]
+            check(factors)
+
+        monkeypatch.setattr(measures, "_check_support", kept)
+        spec = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5))
+        gc.disable()
+        try:
+            draws = sample_batch(spec, SeedSpec(42, 17), 1_000)
+            assert len(closing) == p
+            assert all(r() is None for r in closing)
+            assert draws.n == 1_000
         finally:
             gc.enable()
 
@@ -405,11 +458,6 @@ class TestSupportByConstruction:
         assert np.linalg.eigvalsh(np.eye(p) - x.sum(axis=0)).min() >= -1e-12
 
 
-def _pivot_log_sum(t):
-    """sum_i log T_ii of a triangular grid, summed in row order."""
-    return sum(np.log(row[-1]) for row in t)
-
-
 class TestTraceFromU:
     """tr(A X_j), each entry of X_j formed from U_j = L^{-1} T_j as it is
     added, is the formula on X_j's whole grid (as stack() packs it) bit
@@ -432,27 +480,24 @@ class TestTraceFromU:
 
 
 class TestGridLogs:
-    """At p >= 2 the determinants come from the factors' pivots, taken
-    only when asked for: log det X_j = 2 (sum log T_j,ii - sum log L_ii),
-    the type-1 complement the same with T_{k+1}, and the type-2 complement
-    -2 (sum log M_ii - sum log L_ii) for the Cholesky factor M of
-    L L* + sum W_j. Each equals slogdet of the packed matrices."""
+    """The reference determinants of sample_batch draws (grids.reference_logs),
+    which the layered determinants are checked against: log det X_j =
+    2 (sum log T_j,ii - sum log L_ii) from the pivots, the type-1 complement
+    from slogdet and the type-2 complement -log det(I + sum X_j) from
+    Draws.logdet_eye_plus, which is 2 (sum log M_ii - sum log L_ii) for the
+    Cholesky factor M of L L* + sum W_j. Each equals slogdet of the packed
+    matrices."""
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_logs_are_the_pivot_formula_and_slogdet(self, kind, p):
         spec = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0))
         draws = sample_batch(spec, SeedSpec(42, 24), 2_000)
-        log_l = _pivot_log_sum(draws.l)
-        want = np.stack([2 * (_pivot_log_sum(t) - log_l) for t in draws.t])
-        if kind == "type1":
-            complement = 2 * (_pivot_log_sum(draws.complement) - log_l)
-        else:
-            grids = [_gram(draws.l)] + [_gram(t) for t in draws.t]
-            m = _cholesky([[sum(e) for e in zip(*rows)] for rows in zip(*grids)], _pivot)
-            complement = -2 * (_pivot_log_sum(m) - log_l)
-        assert bits(draws.logdet) == bits(want)
-        assert bits(draws.log_complement) == bits(complement)
+        logdet, complement = reference_logs(draws, spec.type1)
+        log_l = pivot_log_sum(draws.l)
+        grids = [_gram(draws.l)] + [_gram(t) for t in draws.t]
+        m = _cholesky([[sum(e) for e in zip(*rows)] for rows in zip(*grids)], _pivot)
+        assert bits(draws.logdet_eye_plus(range(2))) == bits(2 * (pivot_log_sum(m) - log_l))
 
         # to 1e-12, plus the error of slogdet's own LU on an ill-conditioned
         # matrix, p eps cond
@@ -460,26 +505,11 @@ class TestGridLogs:
         # the type-2 complement determinant is det(I + sum X_j)^-1
         closing, sense = ((np.eye(p) - x.sum(axis=0), 1) if kind == "type1"
                           else (np.eye(p) + x.sum(axis=0), -1))
-        for got, m, power in ((draws.logdet, x, 1), (draws.log_complement, closing, sense)):
+        for got, m, power in ((logdet, x, 1), (complement, closing, sense)):
             sign, slog = np.linalg.slogdet(m)
             tol = 1e-12 + p * np.finfo(float).eps * np.linalg.cond(m)
             assert np.abs(sign - 1).max() <= 1e-12
             assert (np.abs(got - power * slog) <= tol).all()
-
-    @pytest.mark.parametrize("kind", ["type1", "type2"])
-    def test_no_log_is_taken_until_asked(self, kind, monkeypatch):
-        calls = []
-
-        def counted(rows):
-            calls.append(len(rows))
-            return _log_diagonal(rows)
-
-        monkeypatch.setattr(measures, "_log_diagonal", counted)
-        spec = MeasureSpec(kind=kind, p=3, k=2, alphas=(3.5, 4.0, 4.5))
-        draws = sample_batch(spec, SeedSpec(42, 25), 1_000)
-        assert calls == []
-        draws.logdet
-        assert calls
 
 
 def _banded(diagonal, coupling):
@@ -493,13 +523,15 @@ def _banded(diagonal, coupling):
 
 
 class TestFactorDependentLaws:
-    """The functionals whose value on a draw depends on the factor C in
+    """phi6 and exp_trace, whose value on a draw depends on the factor C in
     X_j = C W_j C*, at a non-diagonal, non-scalar A. The type-2 law holds
     for every C with C C* = W_{k+1}^{-1}, and the sampler's C = L^{-1} with
     L = J T_{k+1}* J meets it for J W_{k+1} J, which has W_{k+1}'s law.
     Dropping the order reversal J, C = T_{k+1}^{-1} gives C C* = (T* T)^{-1}
     and fails phi6 by tens of standard errors, because its diagonal-dominant
-    A sees the anisotropy of T* T."""
+    A sees the anisotropy of T* T. The type-2 complement_power case draws
+    scalar layers, not C: det(I + sum X_j) depends on C only through C C*.
+    It checks the layered type-2 complement at p = 3 and 4 beside them."""
 
     # phi6 at p: (alpha_3, half-width of A's diagonal around (alpha_1 + alpha_3) I,
     # coupling). A near (alpha_1 + alpha_3) I nearly cancels the determinant
@@ -508,22 +540,26 @@ class TestFactorDependentLaws:
 
     @classmethod
     def cases(cls, p):
+        """(case id, measure, functional) at p."""
         a3, half, coupling = cls.PHI6[p]
         c = p + 0.5 + a3
         return [
-            (MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, a3)),
+            (f"phi6_type2_p{p}",
+             MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, a3)),
              FunctionalSpec(kind="phi6", A=_banded(c * np.linspace(1 - half, 1 + half, p), coupling * c))),
-            (MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0)),
+            (f"complement_power_type2_p{p}_layers",
+             MeasureSpec(kind="type2", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 2.0)),
              FunctionalSpec(kind="complement_power", delta=0.5)),
-            (MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5)),
+            (f"exp_trace_type1_p{p}",
+             MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5)),
              FunctionalSpec(kind="exp_trace", A=_banded(np.linspace(-0.5, 1.0, p), 0.2))),
         ]
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_type2_phi6_complement_and_type1_exp_trace(self, p):
         suite = [
-            VerifyCase(f"{f.kind}_{m.kind}_p{p}", m, f, McConfig(400_000, SeedSpec(42, 30 + 3 * p + i)))
-            for i, (m, f) in enumerate(self.cases(p))
+            VerifyCase(case_id, m, f, McConfig(400_000, SeedSpec(42, 30 + 3 * p + i)))
+            for i, (case_id, m, f) in enumerate(self.cases(p))
         ]
         reports = verify_suite(suite, workers=2)
         assert [r.verdict for r in reports] == ["pass"] * 3, [
@@ -748,9 +784,18 @@ class TestSumsMeasure:
 
 
 def _values(measure, functional, seed, n=200_000, chunk=50_000):
+    """The integrand on n sample_batch draws of the measure; a determinant
+    functional reads the determinants of grids.reference_logs."""
     integrand = make_integrand(measure, functional)
+    entry = FUNCTIONALS[functional.kind]
+
+    def read(draws):
+        if not entry.determinants:
+            return draws
+        return reference_logs(draws, measure.type1)[0 if entry.reads == "each" else 1]
+
     return np.concatenate([
-        integrand(sample_batch(measure, seed, chunk, chunk=c)) for c in range(n // chunk)
+        integrand(read(sample_batch(measure, seed, chunk, chunk=c))) for c in range(n // chunk)
     ])
 
 
@@ -861,13 +906,15 @@ class TestLayers:
 
     @pytest.mark.parametrize("reads", ["each", "sum"])
     def test_p1_draws_are_sample_batch_draws(self, reads):
+        # both from the gammas of the one substream, bit for bit
         measure = _t1(1, 0.4, 0.6, 0.5).sums_measure(reads)
         layered = sample_layers(measure.layers(reads), reads, SeedSpec(42, 19), 1_000, chunk=3)
         direct = sample_batch(measure, SeedSpec(42, 19), 1_000, chunk=3)
-        if reads == "each":
-            assert np.array_equal(layered.logdet, direct.logdet)
-        else:
-            assert np.array_equal(layered.log_complement, direct.log_complement)
+        rng = SeedSpec(42, 19).child(3)
+        w = np.stack([rng.gammas(a, 1_000) for a in measure.alphas])
+        x = w / w.sum(axis=0)
+        assert np.array_equal(direct.values, x[:-1])
+        assert np.array_equal(layered, np.log(x[:-1]) if reads == "each" else np.log(x[-1]))
 
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_layers_read_one_stream_in_order(self, kind):
@@ -879,28 +926,17 @@ class TestLayers:
         for layer in measure.layers("each"):
             w = np.stack([rng.gammas(a, n) for a in layer.alphas])
             logdet = logdet + np.log(w[:2] / (w.sum(axis=0) if layer.type1 else w[2]))
-        got = sample_layers(measure.layers("each"), "each", SeedSpec(42, 20), n, chunk=4).logdet
+        got = sample_layers(measure.layers("each"), "each", SeedSpec(42, 20), n, chunk=4)
         assert np.allclose(got, logdet, rtol=1e-14, atol=0)
 
-    def test_only_the_read_determinants_answer(self):
+    def test_returns_the_read_log_array(self):
         each = sample_layers(_t1(2, 2.5, 3.0, 3.5).layers("each"), "each", SeedSpec(1), 10)
-        assert each.logdet.shape == (2, 10) and each.n == 10
-        for ask in (lambda: each.log_complement, lambda: each.logdet_eye_plus((0,))):
-            with pytest.raises(ValueError, match="reads 'each' do not give"):
-                ask()
-        for ask in (each.stack, lambda: each.trace(np.eye(2), 0)):
-            with pytest.raises(ValueError, match="determinants only"):
-                ask()
+        assert isinstance(each, np.ndarray) and each.shape == (2, 10)
+        assert each.dtype == np.float64 and np.isfinite(each).all()
         for measure in (_t1(2, 4.5, 3.5), _t2(2, 4.5, 3.5)):
             summed = sample_layers(measure.layers("sum"), "sum", SeedSpec(1), 10)
-            comp = summed.log_complement
-            assert comp.shape == (10,) and np.isfinite(comp).all() and summed.n == 10
-            for ask in (lambda: summed.logdet, lambda: summed.logdet_eye_plus((0,))):
-                with pytest.raises(ValueError, match="reads 'sum' do not give"):
-                    ask()
-            for ask in (summed.stack, lambda: summed.trace(np.eye(2), 0)):
-                with pytest.raises(ValueError, match="determinants only"):
-                    ask()
+            assert isinstance(summed, np.ndarray) and summed.shape == (10,)
+            assert summed.dtype == np.float64 and np.isfinite(summed).all()
 
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_sum_layers_give_the_summed_log_complement(self, kind):
@@ -917,7 +953,7 @@ class TestLayers:
             else:
                 want = want - np.log1p(w[0] / w[1])
         layers = measure.layers("sum")
-        got = sample_layers(layers, "sum", SeedSpec(42, 21), n, chunk=2).log_complement
+        got = sample_layers(layers, "sum", SeedSpec(42, 21), n, chunk=2)
         assert np.array_equal(got, want)
 
     def test_draw_outside_support_names_the_layer(self):

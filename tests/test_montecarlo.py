@@ -17,7 +17,7 @@ from mvda import montecarlo
 from mvda.averages import FUNCTIONALS, FunctionalSpec, evaluate_average
 from mvda.errors import NonFiniteIntegrand
 from mvda.linalg import HermitianMatrix
-from mvda.measures import MeasureSpec, floor_event_count, sample_batch
+from mvda.measures import MeasureSpec, floor_event_count, sample_batch, sample_layers
 from mvda.montecarlo import (
     CSV_HEADER,
     McConfig,
@@ -34,6 +34,8 @@ from mvda.montecarlo import (
 )
 from mvda.rng import SeedSpec
 from mvda.special import TruncationPolicy
+
+from grids import layer_logs, reference_logs
 
 NEAR_BOUNDARY = Path(__file__).parent / "data" / "near_boundary.json"
 P3_SUITE = Path(__file__).parent / "data" / "p3_suite.json"
@@ -148,12 +150,9 @@ class TestMomentSums:
         est, se, n_used, diag = mc_estimate_full(measure, functional, config)
         assert n_used == 20_000 and diag == {}
         integrand = make_integrand(measure, functional)
-        vals = np.concatenate(
-            [
-                integrand(sample_batch(measure, config.seed, size, chunk=c))
-                for c, size in enumerate([6_000, 6_000, 6_000, 2_000])
-            ]
-        )
+        draws = [sample_batch(measure, config.seed, size, chunk=c)
+                 for c, size in enumerate([6_000, 6_000, 6_000, 2_000])]
+        vals = np.concatenate([integrand(reference_logs(d, True)[0]) for d in draws])
         assert est == pytest.approx(vals.mean(), rel=1e-12)
         assert se == pytest.approx(vals.std(ddof=1) / np.sqrt(len(vals)), rel=1e-9, abs=0)
 
@@ -281,67 +280,53 @@ def _hermitian(rng, p):
 
 
 class TestDet:
-    """Determinants as Draws carries them, each against the packed stack: at
-    p >= 2 log det X_j and the type-1 log complement from the sampler's
-    pivots and the type-2 log complement, -log det(I + sum X_j), from the
-    Cholesky factor of the lower-triangle grid plus I; at p = 1 all three
-    from the stored ratios."""
+    """Draws.logdet_eye_plus(js), log det(I + the sum of X_j over js), at
+    every j and at j = 1 alone (what phi6 reads), against the packed stack:
+    at p >= 2 from the Cholesky factor of L L* + sum W_j, at p = 1 log1p of
+    the summed values."""
+
+    JS = ((0, 1), (0,))
 
     @staticmethod
-    def logs(draws):
-        """log det X_j for each j, then the log complement at either kind."""
-        return np.vstack([draws.logdet, draws.log_complement])
-
-    @staticmethod
-    def complement_sign(want, type1):
-        """The stack's log-determinants with the last row as the log
-        complement: log det(I - sum X_j), or -log det(I + sum X_j)."""
-        want[-1] *= 1 if type1 else -1
-        return want
-
-    @staticmethod
-    def stack(draws, type1):
-        """The packed X_j, then I - sum X_j (type-1) or I + sum X_j (type-2)."""
+    def eye_plus(draws, js):
+        """The packed I + sum of X_j over js."""
         x = draws.stack()
-        comp = np.eye(x.shape[-1]) + (-1 if type1 else 1) * x.sum(axis=0)
-        return np.concatenate([x, comp[None]])
+        return np.eye(x.shape[-1]) + x[list(js)].sum(axis=0)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matches_numpy(self, p):
         for i, kind in enumerate(["type1", "type2"]):
             measure = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5))
             draws = sample_batch(measure, SeedSpec(42, 40 + 2 * p + i), 2_000)
-            stack = self.stack(draws, measure.type1)
-            sign, want = np.linalg.slogdet(stack)
-            assert np.allclose(sign, 1, rtol=0, atol=1e-12)
-            # well conditioned: every matrix's eigenvalues within a factor 1e3
-            eig = np.linalg.eigvalsh(stack)
-            well = (eig[..., 0] > 1e-3 * eig[..., -1]).all(axis=0)
-            assert well.mean() > 0.9
-            # a difference of logs is the determinants' relative difference
-            want = self.complement_sign(want, measure.type1)
-            got = self.logs(draws)
-            assert np.abs(got - want)[:, well].max() <= 1e-12
+            for js in self.JS:
+                m = self.eye_plus(draws, js)
+                sign, want = np.linalg.slogdet(m)
+                assert np.allclose(sign, 1, rtol=0, atol=1e-12)
+                got = draws.logdet_eye_plus(js)
+                assert got.dtype == np.float64 and got.shape == (2_000,)
+                # a difference of logs is the determinants' relative difference
+                assert np.abs(got - want).max() <= 1e-12, (kind, js)
 
     @pytest.mark.parametrize("p", [4, 5])
     def test_matches_mpmath(self, p):
         for i, kind in enumerate(["type1", "type2"]):
             measure = MeasureSpec(kind=kind, p=p, k=2, alphas=(p + 0.5, p + 1.0, p + 1.5))
             draws = sample_batch(measure, SeedSpec(42, 60 + 2 * p + i), 20)
-            with mpmath.workdps(30):
-                want = np.array([
-                    float(mpmath.log(mpmath.re(mpmath.det(mpmath.matrix(m.tolist())))))
-                    for m in self.stack(draws, measure.type1).reshape(-1, p, p)
-                ]).reshape(3, -1)
-            want = self.complement_sign(want, measure.type1)
-            got = self.logs(draws)
-            assert got.dtype == np.float64
-            assert np.allclose(got, want, rtol=1e-11, atol=1e-13)
+            for js in self.JS:
+                with mpmath.workdps(30):
+                    want = np.array([
+                        float(mpmath.log(mpmath.re(mpmath.det(mpmath.matrix(m.tolist())))))
+                        for m in self.eye_plus(draws, js)
+                    ])
+                got = draws.logdet_eye_plus(js)
+                assert got.dtype == np.float64
+                assert np.allclose(got, want, rtol=1e-11, atol=1e-13), (kind, js)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_type1_complement_real_and_finite(self, p):
+        # the layered log det(I - sum X_j) that verify reads, near the closing bound
         measure = MeasureSpec(kind="type1", p=p, k=2, alphas=(p + 0.5, p + 1.0, p - 0.97))
-        d = sample_batch(measure, SeedSpec(7), 20_000).log_complement
+        d = sample_layers(measure.layers("sum"), "sum", SeedSpec(7), 20_000)
         assert d.dtype == np.float64 and d.shape == (20_000,)
         assert np.isfinite(d).all()
 
@@ -368,7 +353,7 @@ class TestDet:
         complement = make_integrand(measure, FunctionalSpec(kind="complement_power", delta=0.5))
         phi6 = make_integrand(measure, FunctionalSpec(kind="phi6", A=HermitianMatrix.identity(p)))
         before = floor_event_count()
-        vals = [complement(draws), phi6(draws)]
+        vals = [complement(reference_logs(draws, False)[1]), phi6(draws)]
         assert floor_event_count() == before
         assert all(np.isfinite(v).all() for v in vals)
 
@@ -510,7 +495,7 @@ class TestLayersBuiltOnce:
 class TestDeterminantRoute:
     """det_power and complement_power draw the layers at every p: at p = 1
     the one layer, from the gammas sample_batch would draw, so the
-    estimate is the one its draws give, bit for bit."""
+    estimate is the one the logs of those gammas give, bit for bit."""
 
     @pytest.mark.parametrize("functional", [
         FunctionalSpec(kind="det_power", gammas=(0.5, 1.0)),
@@ -524,10 +509,15 @@ class TestDeterminantRoute:
     ], ids=["type1", "type2", "rect1", "rect2"])
     def test_p1_never_calls_sample_batch(self, measure, functional, monkeypatch):
         config = McConfig(5_000, SeedSpec(42, 11), 2_000)
-        drawn = measure.sums_measure(FUNCTIONALS[functional.kind].reads)
+        reads = FUNCTIONALS[functional.kind].reads
+        drawn = measure.sums_measure(reads)
+        (layer,) = drawn.layers(reads)
+
+        def gamma_logs(seed, n, chunk):
+            return layer_logs(seed.child(chunk), layer, reads, n)
+
         integrand = make_integrand(drawn, functional)
-        s1 = sum(montecarlo._chunk_sums(partial(sample_batch, drawn), integrand, config, c)[0]
-                 for c in range(3))
+        s1 = sum(montecarlo._chunk_sums(gamma_logs, integrand, config, c)[0] for c in range(3))
 
         def no_batch(*args, **kwargs):
             raise AssertionError("a determinant functional draws layers")
