@@ -474,21 +474,27 @@ def _scalar_draws(
     1 - sum x_j as the closing ratio w_{k+1} / sum w (else None), which
     stays positive where the rounded sum of the x_j reaches 1.
 
-    k gammas, then the closing one, each drawn into its row of one
-    buffer and divided in place: by their sum at type-1, which leaves the
-    complement in the last row, and by the closing gamma at type-2. where
-    names the draw in a SamplerError.
+    k gammas, each drawn into its row of x, then the closing one into its
+    own array, so that x holds no row that nothing reads once the support
+    is checked. Each is divided in place: by the sum of all k + 1 at
+    type-1 (the rows in order, then the closing one), which leaves the
+    complement in the closing array, and by the closing gamma at type-2.
+    where names the draw in a SamplerError.
     """
-    k = spec.k
-    w = np.empty((k + 1, n))
-    for a, row in zip(spec.scalar_alphas, w):
+    *alphas, closing = spec.scalar_alphas
+    x = np.empty((spec.k, n))
+    for a, row in zip(alphas, x):
         rng.gammas(a, n, out=row)
+    last = rng.gammas(closing, n)
     with np.errstate(all="ignore"):  # _check_p1_support reports 0, inf and nan
         if spec.type1:
-            np.divide(w, w.sum(axis=0), out=w)
+            total = x.sum(axis=0)
+            total += last
+            np.divide(x, total, out=x)
+            np.divide(last, total, out=last)
         else:
-            np.divide(w[:k], w[k], out=w[:k])
-    x, complement = w[:k], (w[k] if spec.type1 else None)
+            np.divide(x, last, out=x)
+    complement = last if spec.type1 else None
     _check_p1_support(x, complement, where)
     return x, complement
 

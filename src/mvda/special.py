@@ -717,16 +717,18 @@ def _hyp1f1_series(
     one flat array of _SHORT_ROW_DTYPE (np.longdouble), table after table,
     grown by doubling. A short row expands its
     Jacobi-Trudi determinant along the last column over Schur values of
-    lower weight that this array holds: one einsum of p - 1 signed h,
-    taken from the interleaved [0, h_0, -h_0, h_1, -h_1, ...], times p - 1
-    of those values (columns past the partition's length read 0). Rows
+    lower weight that this array holds: one np.vecdot down the columns of
+    p - 1 signed h, taken from the interleaved [0, h_0, -h_0, h_1, -h_1,
+    ...], and p - 1 of those values (columns past the partition's length
+    read 0), each column summed in row order. Rows
     with p parts take s_kappa = e_p s_{kappa - (1^p)}, e_p the product of
     lambda / scale (Macdonald, ch. I section 3), in doubles from the Schur
     values of order m - p, row for row. One dot of the order's
     coefficients with its values in doubles then gives its term. A call
-    to order 10 costs about 120 us at p = 2 and 140 us at p = 6, and each
-    further order to 30 adds 6.5 us at p = 2, 11.7 us at p = 4 and 27.5 us
-    at p = 6 (a = 1.5, c = 3.2, 2-core Xeon).
+    to order 10 costs about 100 us at p = 2 and 115 us at p = 6, and each
+    further order to 30 adds 5.2 us at p = 2, 8.9 us at p = 4 and 19.5 us
+    at p = 6 (a = 1.5, c = 3.2, eigenvalues the first p of
+    (9, -7, 5, 3, -2, 1), best of 5 x 200 calls, 2-core Xeon).
 
     The terms of an expansion cancel, and every later order reads its
     value again, so rounding errors compound from weight to weight: at
@@ -795,8 +797,8 @@ def _hyp1f1_series(
             if n_short:
                 short = ext[ext_end:ext_end + n_short]
                 ext_end += n_short
-                np.einsum("ij,ij->j", h_short[:, short_start:short_start + n_short],
-                          ext.take(s_index), out=short)
+                np.vecdot(h_short[:, short_start:short_start + n_short],
+                          ext.take(s_index), axis=0, out=short)
                 s[:n_short] = short
             schur.append(s)
             term = np.dot(coef[start:end], s)

@@ -299,6 +299,18 @@ class TestDrawsLifetime:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", ["type1", "type2", "rect_type1_p1"])
+    def test_p1_closing_row_does_not_outlive_the_sampler(self, kind, k):
+        # the closing gamma is read by the division and the support check
+        # only: neither the values nor an array they view holds its row
+        ns = (2,) * k if kind.startswith("rect") else None
+        spec = MeasureSpec(kind=kind, p=1, k=k, alphas=(1.5, 2.5)[:k] + (3.0,), ns=ns)
+        held = sample_batch(spec, SeedSpec(1), 25_000).values
+        while held is not None:
+            assert held.shape == (k, 25_000)
+            held = held.base
+
 
 class TestDrawCount:
     @pytest.mark.parametrize("p", [1, 2])

@@ -143,9 +143,10 @@ def bialternant(parts, x):
     return np.linalg.det(num) / np.linalg.det(den)
 
 
-def gross_richards(a, c, eigs):
+def gross_richards(a, c, eigs, cast=float):
     """1F1(a; c; X) from distinct eigenvalues via det[x_r^(p-j) 1F1(a-j+1; c-j+1; x_r)]
-    over the Vandermonde product (Gross and Richards 1989), in mpmath."""
+    over the Vandermonde product (Gross and Richards 1989), in mpmath; pass
+    cast=complex for a complex a or c."""
     p = len(eigs)
     with mpmath.workdps(50):
         x = [mpmath.mpf(float(e)) for e in eigs]
@@ -154,7 +155,7 @@ def gross_richards(a, c, eigs):
             [x[r] ** (p - j) * mpmath.hyp1f1(a - j + 1, c - j + 1, x[r]) for j in range(1, p + 1)]
             for r in range(p)
         ]
-        return float(mpmath.det(mpmath.matrix(rows)) / vandermonde)
+        return cast(mpmath.det(mpmath.matrix(rows)) / vandermonde)
 
 
 class TestPartition:
@@ -769,6 +770,19 @@ class TestHyp1F1:
         res = hyp1f1_matrix(a, c, eigs, TruncationPolicy(max_order=150))
         assert res.converged is True
         assert res.value == pytest.approx(gross_richards(a, c, eigs), rel=rel)
+
+    @pytest.mark.parametrize("a,c,eigs", [
+        pytest.param(1.5 + 0.5j, 3.2, [1.0, 2.0, -0.5], id="p3-complex-a"),
+        pytest.param(1.5, 3.2 - 0.4j, [0.3, -1.2, 2.1, 0.7], id="p4-complex-c"),
+        pytest.param(2.0 + 1.0j, 5.0 - 1.0j, [1.1, -0.4, 0.9, 2.2, -1.7], id="p5-complex-a-c"),
+        # no positive eigenvalue: summed through the Kummer relation
+        pytest.param(0.3j, 2.5 + 0.5j, [-2.0, -1.0, -0.3], id="p3-kummer"),
+    ])
+    def test_complex_parameters_against_gross_richards(self, a, c, eigs):
+        res = hyp1f1_matrix(a, c, eigs, TruncationPolicy(max_order=150))
+        assert res.converged is True
+        want = gross_richards(a, c, eigs, complex)
+        assert abs(res.value - want) <= 1e-13 * abs(want)
 
     # p = 5 and 6 spectra: mixed signs near the closed_form benchmark's
     # (4, -2, ...) pattern at a == c, and two spectra from the cofactor
